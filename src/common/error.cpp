@@ -2,6 +2,10 @@
 
 namespace cosmo {
 
+void throw_invalid_argument(const char* msg) { throw InvalidArgument(msg); }
+
+void throw_format_error(const char* msg) { throw FormatError(msg); }
+
 void require(bool cond, const std::string& msg) {
   if (!cond) throw InvalidArgument(msg);
 }

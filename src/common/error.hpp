@@ -50,10 +50,26 @@ class OutOfMemoryError : public Error {
   explicit OutOfMemoryError(const std::string& what) : Error(what) {}
 };
 
-/// Throws InvalidArgument with \p msg when \p cond is false.
-void require(bool cond, const std::string& msg);
+/// Out-of-line, cold throwers behind the inline checks below: a passing
+/// check compiles to one predictable branch and never touches the message.
+[[noreturn, gnu::cold]] void throw_invalid_argument(const char* msg);
+[[noreturn, gnu::cold]] void throw_format_error(const char* msg);
+
+/// Throws InvalidArgument with \p msg when \p cond is false. Literal
+/// messages bind here, so a check in a decode loop costs nothing when it
+/// passes (see docs/architecture.md, "Checks are free when they pass").
+inline void require(bool cond, const char* msg) {
+  if (!cond) [[unlikely]] throw_invalid_argument(msg);
+}
 
 /// Throws FormatError with \p msg when \p cond is false.
+inline void require_format(bool cond, const char* msg) {
+  if (!cond) [[unlikely]] throw_format_error(msg);
+}
+
+/// Overloads for a message built at the call site. The caller pays for the
+/// string whether or not the check passes: use them on cold paths only.
+void require(bool cond, const std::string& msg);
 void require_format(bool cond, const std::string& msg);
 
 }  // namespace cosmo

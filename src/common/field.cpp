@@ -22,10 +22,12 @@ Field Field::reshaped(Dims new_dims) const {
 
 std::size_t checked_stream_count(const Dims& dims, const char* where) {
   constexpr std::size_t kMax = static_cast<std::size_t>(-1);
-  require_format(dims.nx > 0 && dims.ny > 0 && dims.nz > 0,
-                 std::string(where) + ": zero extent in stream dims " + dims.to_string());
-  require_format(dims.nx <= kMax / dims.ny && dims.nx * dims.ny <= kMax / dims.nz,
-                 std::string(where) + ": stream dims overflow " + dims.to_string());
+  if (dims.nx == 0 || dims.ny == 0 || dims.nz == 0) {
+    throw FormatError(std::string(where) + ": zero extent in stream dims " + dims.to_string());
+  }
+  if (dims.nx > kMax / dims.ny || dims.nx * dims.ny > kMax / dims.nz) {
+    throw FormatError(std::string(where) + ": stream dims overflow " + dims.to_string());
+  }
   return dims.nx * dims.ny * dims.nz;
 }
 

@@ -57,7 +57,9 @@ struct Field {
       : name(std::move(name_)), dims(dims_), data(dims_.count(), 0.0f) {}
   Field(std::string name_, Dims dims_, std::vector<float> data_)
       : name(std::move(name_)), dims(dims_), data(std::move(data_)) {
-    require(data.size() == dims.count(), "Field '" + name + "': data size mismatch");
+    if (data.size() != dims.count()) {
+      throw InvalidArgument("Field '" + name + "': data size mismatch");
+    }
   }
 
   [[nodiscard]] std::span<const float> view() const { return data; }

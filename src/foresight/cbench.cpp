@@ -76,8 +76,9 @@ CBenchResult CBench::run_session(const Field& field, const std::string& compress
   // installed.
   if (auto* plan = fault::active()) plan->corrupt(c.bytes);
   session.decompress(c, d);
-  require(d.values.size() == field.data.size(),
-          "cbench: reconstruction size mismatch from " + compressor_name);
+  if (d.values.size() != field.data.size()) {
+    throw InvalidArgument("cbench: reconstruction size mismatch from " + compressor_name);
+  }
 
   CBenchResult r;
   r.dataset = options_.dataset_name;

@@ -67,18 +67,23 @@ std::string CodecRegistry::names_label() const { return join(names()); }
 
 const CodecCapabilities& CodecRegistry::capabilities(const std::string& name) const {
   const Entry* entry = find(name);
-  require(entry != nullptr, "codec registry: unknown compressor '" + name +
-                                "' (registered: " + names_label() + ")");
+  if (entry == nullptr) {
+    throw InvalidArgument("codec registry: unknown compressor '" + name +
+                          "' (registered: " + names_label() + ")");
+  }
   return entry->caps;
 }
 
 std::unique_ptr<Compressor> CodecRegistry::make(const std::string& name,
                                                 gpu::GpuSimulator* sim) const {
   const Entry* entry = find(name);
-  require(entry != nullptr, "make_compressor: unknown compressor '" + name +
-                                "' (registered: " + names_label() + ")");
-  require(!entry->caps.needs_device || sim != nullptr,
-          "make_compressor: '" + name + "' needs a GPU simulator");
+  if (entry == nullptr) {
+    throw InvalidArgument("make_compressor: unknown compressor '" + name +
+                          "' (registered: " + names_label() + ")");
+  }
+  if (entry->caps.needs_device && sim == nullptr) {
+    throw InvalidArgument("make_compressor: '" + name + "' needs a GPU simulator");
+  }
   return entry->factory(sim);
 }
 

@@ -20,8 +20,10 @@ std::vector<std::size_t> aggressiveness_order(
   if (configs.empty()) return order;
   const std::string& mode = configs.front().mode;
   for (const auto& c : configs) {
-    require(c.mode == mode, "aggressiveness_order: mixed modes ('" + mode + "' vs '" +
-                                c.mode + "'); partition by mode first");
+    if (c.mode != mode) {
+      throw InvalidArgument("aggressiveness_order: mixed modes ('" + mode + "' vs '" + c.mode +
+                            "'); partition by mode first");
+    }
   }
   const bool loosens = mode_loosens_with_larger_value(mode);
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {

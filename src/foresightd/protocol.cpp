@@ -1,7 +1,7 @@
 #include "foresightd/protocol.hpp"
 
+#include <array>
 #include <cctype>
-#include <cstring>
 
 #include "common/error.hpp"
 #include "io/crc32.hpp"
@@ -57,6 +57,24 @@ std::vector<std::uint8_t> encode_frame(const json::Value& v) {
   return out;
 }
 
+namespace {
+
+/// Decodes the little-endian length prefix at \p p (the byte order
+/// append_frame writes, on any host) and checks its range.
+std::uint32_t read_frame_length(const std::uint8_t* p) {
+  const std::uint32_t len = static_cast<std::uint32_t>(p[0]) |
+                            static_cast<std::uint32_t>(p[1]) << 8 |
+                            static_cast<std::uint32_t>(p[2]) << 16 |
+                            static_cast<std::uint32_t>(p[3]) << 24;
+  if (len < 1 || len > kMaxFrameBytes) {
+    throw FormatError("protocol: frame length " + std::to_string(len) + " outside [1, " +
+                      std::to_string(kMaxFrameBytes) + "]");
+  }
+  return len;
+}
+
+}  // namespace
+
 void FrameParser::feed(const std::uint8_t* data, std::size_t n) {
   // Compact once the consumed prefix dominates, so long-lived connections
   // don't grow the buffer without bound.
@@ -69,22 +87,12 @@ void FrameParser::feed(const std::uint8_t* data, std::size_t n) {
   // Validate the declared length as soon as the header is complete — a
   // hostile length fails here, before any payload bytes are buffered for
   // it. (Bytes already received stay bounded by the socket read size.)
-  if (buffer_.size() - consumed_ >= 4) {
-    std::uint32_t len = 0;
-    std::memcpy(&len, buffer_.data() + consumed_, 4);  // little-endian hosts only
-    require_format(len >= 1 && len <= kMaxFrameBytes,
-                   "protocol: frame length " + std::to_string(len) +
-                       " outside [1, " + std::to_string(kMaxFrameBytes) + "]");
-  }
+  if (buffer_.size() - consumed_ >= 4) (void)read_frame_length(buffer_.data() + consumed_);
 }
 
 std::optional<json::Value> FrameParser::next() {
   if (buffer_.size() - consumed_ < 4) return std::nullopt;
-  std::uint32_t len = 0;
-  std::memcpy(&len, buffer_.data() + consumed_, 4);
-  require_format(len >= 1 && len <= kMaxFrameBytes,
-                 "protocol: frame length " + std::to_string(len) + " outside [1, " +
-                     std::to_string(kMaxFrameBytes) + "]");
+  const std::uint32_t len = read_frame_length(buffer_.data() + consumed_);
   if (buffer_.size() - consumed_ < 4 + static_cast<std::size_t>(len)) {
     return std::nullopt;
   }
@@ -103,31 +111,60 @@ namespace {
 constexpr char kB64Alphabet[] =
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
-/// Decode table: 0-63 for alphabet chars, 64 for '=', 255 for invalid.
-constexpr std::uint8_t b64_value(char c) {
-  if (c >= 'A' && c <= 'Z') return static_cast<std::uint8_t>(c - 'A');
-  if (c >= 'a' && c <= 'z') return static_cast<std::uint8_t>(c - 'a' + 26);
-  if (c >= '0' && c <= '9') return static_cast<std::uint8_t>(c - '0' + 52);
-  if (c == '+') return 62;
-  if (c == '/') return 63;
-  if (c == '=') return 64;
-  return 255;
+constexpr std::uint8_t kB64Pad = 64;
+constexpr std::uint8_t kB64Invalid = 255;
+
+/// Decode table: 0-63 for alphabet chars, kB64Pad for '=', kB64Invalid for
+/// anything else. Both non-alphabet values have bit 6 set, so OR-ing the
+/// looked-up values of a run and testing 0xC0 checks the whole run at once.
+constexpr std::array<std::uint8_t, 256> kB64Decode = [] {
+  std::array<std::uint8_t, 256> t{};
+  t.fill(kB64Invalid);
+  for (std::uint8_t i = 0; i < 64; ++i) t[static_cast<unsigned char>(kB64Alphabet[i])] = i;
+  t['='] = kB64Pad;
+  return t;
+}();
+
+/// The message for a text the decoder rejected: the first quartet that
+/// breaks a rule names it, and an invalid character takes precedence over
+/// misplaced padding within a quartet.
+[[gnu::cold]] const char* base64_error(const unsigned char* in, std::size_t n) {
+  for (std::size_t i = 0; i < n; i += 4) {
+    const std::uint8_t v[4] = {kB64Decode[in[i]], kB64Decode[in[i + 1]],
+                               kB64Decode[in[i + 2]], kB64Decode[in[i + 3]]};
+    for (const std::uint8_t x : v) {
+      if (x == kB64Invalid) return "base64: invalid character";
+    }
+    // Padding only in the last two positions of the last quartet.
+    const bool last = i + 4 == n;
+    if (v[0] == kB64Pad || v[1] == kB64Pad || (!last && (v[2] == kB64Pad || v[3] == kB64Pad)) ||
+        (v[2] == kB64Pad && v[3] != kB64Pad)) {
+      break;
+    }
+  }
+  return "base64: misplaced padding";
 }
 
 }  // namespace
 
 std::string base64_encode(const std::uint8_t* data, std::size_t n) {
-  std::string out;
-  out.reserve((n + 2) / 3 * 4);
-  for (std::size_t i = 0; i < n; i += 3) {
-    const std::uint32_t b0 = data[i];
+  std::string out((n + 2) / 3 * 4, '=');
+  char* o = out.data();
+  std::size_t i = 0;
+  for (; i + 3 <= n; i += 3, o += 4) {
+    const std::uint32_t triple = static_cast<std::uint32_t>(data[i]) << 16 |
+                                 static_cast<std::uint32_t>(data[i + 1]) << 8 | data[i + 2];
+    o[0] = kB64Alphabet[(triple >> 18) & 0x3F];
+    o[1] = kB64Alphabet[(triple >> 12) & 0x3F];
+    o[2] = kB64Alphabet[(triple >> 6) & 0x3F];
+    o[3] = kB64Alphabet[triple & 0x3F];
+  }
+  if (i < n) {  // 1 or 2 trailing bytes; the '=' fill is the padding
     const std::uint32_t b1 = i + 1 < n ? data[i + 1] : 0;
-    const std::uint32_t b2 = i + 2 < n ? data[i + 2] : 0;
-    const std::uint32_t triple = (b0 << 16) | (b1 << 8) | b2;
-    out.push_back(kB64Alphabet[(triple >> 18) & 0x3F]);
-    out.push_back(kB64Alphabet[(triple >> 12) & 0x3F]);
-    out.push_back(i + 1 < n ? kB64Alphabet[(triple >> 6) & 0x3F] : '=');
-    out.push_back(i + 2 < n ? kB64Alphabet[triple & 0x3F] : '=');
+    const std::uint32_t triple = static_cast<std::uint32_t>(data[i]) << 16 | b1 << 8;
+    o[0] = kB64Alphabet[(triple >> 18) & 0x3F];
+    o[1] = kB64Alphabet[(triple >> 12) & 0x3F];
+    if (i + 1 < n) o[2] = kB64Alphabet[(triple >> 6) & 0x3F];
   }
   return out;
 }
@@ -138,27 +175,39 @@ std::string base64_encode(const std::vector<std::uint8_t>& data) {
 
 std::vector<std::uint8_t> base64_decode(const std::string& text) {
   require_format(text.size() % 4 == 0, "base64: length not a multiple of 4");
-  std::vector<std::uint8_t> out;
-  out.reserve(text.size() / 4 * 3);
-  for (std::size_t i = 0; i < text.size(); i += 4) {
-    std::uint8_t v[4];
-    for (int j = 0; j < 4; ++j) {
-      v[j] = b64_value(text[i + j]);
-      require_format(v[j] != 255, "base64: invalid character");
-    }
-    // Padding only in the last two positions of the last quartet.
-    const bool last = i + 4 == text.size();
-    require_format(v[0] != 64 && v[1] != 64, "base64: misplaced padding");
-    require_format(last || (v[2] != 64 && v[3] != 64), "base64: misplaced padding");
-    require_format(v[2] != 64 || v[3] == 64, "base64: misplaced padding");
-    const std::uint32_t triple = (static_cast<std::uint32_t>(v[0]) << 18) |
-                                 (static_cast<std::uint32_t>(v[1]) << 12) |
-                                 (static_cast<std::uint32_t>(v[2] & 0x3F) << 6) |
-                                 (v[3] & 0x3F);
-    out.push_back(static_cast<std::uint8_t>((triple >> 16) & 0xFF));
-    if (v[2] != 64) out.push_back(static_cast<std::uint8_t>((triple >> 8) & 0xFF));
-    if (v[3] != 64) out.push_back(static_cast<std::uint8_t>(triple & 0xFF));
+  if (text.empty()) return {};
+  const auto* in = reinterpret_cast<const unsigned char*>(text.data());
+  const std::size_t n = text.size();
+  // Only the last quartet may carry padding; it alone decides the size.
+  const unsigned char* tail = in + n - 4;
+  const std::uint8_t t[4] = {kB64Decode[tail[0]], kB64Decode[tail[1]], kB64Decode[tail[2]],
+                             kB64Decode[tail[3]]};
+  const bool tail_ok = ((t[0] | t[1]) & 0xC0) == 0 && t[2] != kB64Invalid &&
+                       t[3] != kB64Invalid && (t[2] != kB64Pad || t[3] == kB64Pad);
+  if (!tail_ok) throw FormatError(base64_error(in, n));
+  const std::size_t pad = (t[2] == kB64Pad) + (t[3] == kB64Pad);
+  std::vector<std::uint8_t> out(n / 4 * 3 - pad);
+  std::uint8_t* o = out.data();
+  // Interior quartets: decode unchecked and OR every looked-up value, so a
+  // single test after the loop covers invalid characters and padding alike.
+  std::uint32_t seen = 0;
+  for (const unsigned char* q = in; q != tail; q += 4, o += 3) {
+    const std::uint32_t a = kB64Decode[q[0]];
+    const std::uint32_t b = kB64Decode[q[1]];
+    const std::uint32_t c = kB64Decode[q[2]];
+    const std::uint32_t d = kB64Decode[q[3]];
+    seen |= a | b | c | d;
+    const std::uint32_t triple = a << 18 | b << 12 | c << 6 | d;
+    o[0] = static_cast<std::uint8_t>(triple >> 16);
+    o[1] = static_cast<std::uint8_t>(triple >> 8);
+    o[2] = static_cast<std::uint8_t>(triple);
   }
+  if ((seen & 0xC0) != 0) throw FormatError(base64_error(in, n));
+  const std::uint32_t triple = static_cast<std::uint32_t>(t[0]) << 18 | t[1] << 12 |
+                               (t[2] & 0x3Fu) << 6 | (t[3] & 0x3Fu);
+  o[0] = static_cast<std::uint8_t>(triple >> 16);
+  if (t[2] != kB64Pad) o[1] = static_cast<std::uint8_t>(triple >> 8);
+  if (t[3] != kB64Pad) o[2] = static_cast<std::uint8_t>(triple);
   return out;
 }
 

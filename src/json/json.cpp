@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -50,7 +51,7 @@ Object& Value::as_object() {
 const Value& Value::at(const std::string& key) const {
   const auto& obj = as_object();
   const auto it = obj.find(key);
-  require_format(it != obj.end(), "json: missing key '" + key + "'");
+  if (it == obj.end()) throw FormatError("json: missing key '" + key + "'");
   return it->second;
 }
 
@@ -70,10 +71,49 @@ bool Value::get(const std::string& key, bool fallback) const {
   return contains(key) ? at(key).as_bool() : fallback;
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
+namespace {
+
+// Word-at-a-time byte tests for the string scans, so a multi-megabyte
+// base64 payload is checked eight bytes per step. Each answers exactly
+// whether any byte of the word qualifies; borrows can blur which byte,
+// never whether one does.
+constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+constexpr std::uint64_t kHighs = 0x8080808080808080ull;
+
+std::uint64_t load_word(const char* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, 8);
+  return w;
+}
+
+/// True when any byte of \p w is below \p n (n <= 128).
+bool any_byte_below(std::uint64_t w, unsigned char n) {
+  return ((w - kOnes * n) & ~w & kHighs) != 0;
+}
+
+/// True when any byte of \p w equals \p c.
+bool any_byte_is(std::uint64_t w, char c) {
+  return any_byte_below(w ^ (kOnes * static_cast<unsigned char>(c)), 1);
+}
+
+/// True when any byte of \p w needs work inside a JSON string: a quote, a
+/// backslash or, when \p controls, a control character.
+bool any_special(std::uint64_t w, bool controls) {
+  return any_byte_is(w, '"') || any_byte_is(w, '\\') || (controls && any_byte_below(w, 0x20));
+}
+
+/// Appends the escaped form of \p s to \p out. Runs that need no escaping
+/// (all of a base64 payload) are appended in bulk, not a byte at a time.
+void append_escaped(std::string& out, const std::string& s) {
+  const char* p = s.data();
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    while (i + 8 <= s.size() && !any_special(load_word(p + i), true)) i += 8;
+    if (i == s.size()) break;
+    const char c = p[i];
+    if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(p + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -82,18 +122,11 @@ std::string escape(const std::string& s) {
       case '\t': out += "\\t"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strprintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
+      default: out += strprintf("\\u%04x", c);
     }
   }
-  return out;
+  out.append(p + run, s.size() - run);
 }
-
-namespace {
 
 std::string format_number(double d) {
   if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
@@ -121,7 +154,7 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
     out += format_number(as_number());
   } else if (is_string()) {
     out += '"';
-    out += escape(as_string());
+    append_escaped(out, as_string());
     out += '"';
   } else if (is_array()) {
     const auto& arr = as_array();
@@ -151,7 +184,7 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
     for (const auto& [k, v] : obj) {
       out += pad;
       out += '"';
-      out += escape(k);
+      append_escaped(out, k);
       out += "\":";
       if (indent > 0) out += ' ';
       v.dump_to(out, indent, depth + 1);
@@ -179,13 +212,15 @@ class Parser {
   Value parse_document() {
     Value v = parse_value();
     skip_ws();
-    require_format(pos_ == s_.size(), err("trailing characters after JSON value"));
+    if (pos_ != s_.size()) fail("trailing characters after JSON value");
     return v;
   }
 
  private:
-  [[nodiscard]] std::string err(const std::string& msg) const {
-    return strprintf("json parse error at offset %zu: %s", pos_, msg.c_str());
+  /// Throws FormatError naming the current offset. Every check calls this
+  /// from its failing branch, so a passing token formats nothing.
+  [[noreturn, gnu::cold]] void fail(const char* msg) const {
+    throw FormatError(strprintf("json parse error at offset %zu: %s", pos_, msg));
   }
 
   void skip_ws() {
@@ -193,7 +228,7 @@ class Parser {
   }
 
   char peek() {
-    require_format(pos_ < s_.size(), err("unexpected end of input"));
+    if (pos_ >= s_.size()) fail("unexpected end of input");
     return s_[pos_];
   }
 
@@ -203,12 +238,14 @@ class Parser {
     return c;
   }
 
+  /// Consumes \p c; a mismatch reports the offset of the offending byte.
   void expect(char c) {
-    require_format(next() == c, err(std::string("expected '") + c + "'"));
+    if (peek() != c) fail((std::string("expected '") + c + "'").c_str());
+    ++pos_;
   }
 
   bool consume_literal(const char* lit) {
-    const std::size_t n = std::string(lit).size();
+    const std::size_t n = std::strlen(lit);
     if (s_.compare(pos_, n, lit) == 0) {
       pos_ += n;
       return true;
@@ -224,13 +261,13 @@ class Parser {
       case '[': return parse_array();
       case '"': return Value(parse_string());
       case 't':
-        require_format(consume_literal("true"), err("bad literal"));
+        if (!consume_literal("true")) fail("bad literal");
         return Value(true);
       case 'f':
-        require_format(consume_literal("false"), err("bad literal"));
+        if (!consume_literal("false")) fail("bad literal");
         return Value(false);
       case 'n':
-        require_format(consume_literal("null"), err("bad literal"));
+        if (!consume_literal("null")) fail("bad literal");
         return Value(nullptr);
       default: return parse_number();
     }
@@ -246,7 +283,7 @@ class Parser {
     }
     for (;;) {
       skip_ws();
-      require_format(peek() == '"', err("expected object key string"));
+      if (peek() != '"') fail("expected object key string");
       std::string key = parse_string();
       skip_ws();
       expect(':');
@@ -254,7 +291,7 @@ class Parser {
       skip_ws();
       const char c = next();
       if (c == '}') return Value(std::move(obj));
-      require_format(c == ',', err("expected ',' or '}' in object"));
+      if (c != ',') fail("expected ',' or '}' in object");
     }
   }
 
@@ -271,7 +308,7 @@ class Parser {
       skip_ws();
       const char c = next();
       if (c == ']') return Value(std::move(arr));
-      require_format(c == ',', err("expected ',' or ']' in array"));
+      if (c != ',') fail("expected ',' or ']' in array");
     }
   }
 
@@ -279,19 +316,20 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
-      require_format(pos_ < s_.size(), err("unterminated string"));
-      // Bulk-copy the run up to the next quote or backslash: multi-megabyte
-      // payload strings (base64 chunks) would otherwise be appended a byte
-      // at a time.
-      const std::size_t run_end = s_.find_first_of("\"\\", pos_);
-      require_format(run_end != std::string::npos, err("unterminated string"));
-      if (run_end > pos_) {
-        out.append(s_, pos_, run_end - pos_);
-        pos_ = run_end;
+      // Bulk-copy the run up to the next quote or backslash, found eight
+      // bytes per step: multi-megabyte payload strings (base64 chunks)
+      // would otherwise be scanned and appended a byte at a time.
+      std::size_t run_end = pos_;
+      while (run_end + 8 <= s_.size() && !any_special(load_word(s_.data() + run_end), false)) {
+        run_end += 8;
       }
+      while (run_end < s_.size() && s_[run_end] != '"' && s_[run_end] != '\\') ++run_end;
+      if (run_end == s_.size()) fail("unterminated string");
+      out.append(s_, pos_, run_end - pos_);
+      pos_ = run_end;
       const char c = s_[pos_++];
       if (c == '"') return out;
-      require_format(pos_ < s_.size(), err("unterminated escape"));
+      if (pos_ >= s_.size()) fail("unterminated escape");
       const char esc = s_[pos_++];
       switch (esc) {
         case '"': out += '"'; break;
@@ -303,7 +341,7 @@ class Parser {
         case 'b': out += '\b'; break;
         case 'f': out += '\f'; break;
         case 'u': {
-          require_format(pos_ + 4 <= s_.size(), err("bad \\u escape"));
+          if (pos_ + 4 > s_.size()) fail("bad \\u escape");
           unsigned code = 0;
           for (int i = 0; i < 4; ++i) {
             const char h = s_[pos_++];
@@ -311,7 +349,7 @@ class Parser {
             if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
             else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
             else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
-            else require_format(false, err("bad hex digit in \\u escape"));
+            else fail("bad hex digit in \\u escape");
           }
           // Encode the code point as UTF-8 (BMP only; surrogate pairs are
           // passed through as two separate 3-byte sequences).
@@ -327,7 +365,7 @@ class Parser {
           }
           break;
         }
-        default: require_format(false, err("bad escape character"));
+        default: fail("bad escape character");
       }
     }
   }
@@ -340,11 +378,11 @@ class Parser {
             s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-')) {
       ++pos_;
     }
-    require_format(pos_ > begin, err("expected a value"));
+    if (pos_ == begin) fail("expected a value");
     const std::string tok = s_.substr(begin, pos_ - begin);
     char* end = nullptr;
     const double d = std::strtod(tok.c_str(), &end);
-    require_format(end == tok.c_str() + tok.size(), err("malformed number '" + tok + "'"));
+    if (end != tok.c_str() + tok.size()) fail(("malformed number '" + tok + "'").c_str());
     return Value(d);
   }
 

@@ -80,7 +80,4 @@ Value parse(const std::string& text);
 /// Reads and parses a JSON file; throws IoError / FormatError.
 Value parse_file(const std::string& path);
 
-/// Escapes a string per JSON rules (used by the Cinema CSV/HTML emitters too).
-std::string escape(const std::string& s);
-
 }  // namespace cosmo::json

@@ -14,6 +14,22 @@ TEST(Error, RequireThrowsInvalidArgument) {
   EXPECT_NO_THROW(require(true, "ok"));
   EXPECT_THROW(require(false, "bad"), InvalidArgument);
   EXPECT_THROW(require_format(false, "bad"), FormatError);
+  // Literal and built messages reach what() unchanged through either overload.
+  const auto what = [](auto&& check) -> std::string {
+    try {
+      check();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  const std::string built = std::string("built ") + "message";
+  EXPECT_EQ(what([] { require(false, "a literal longer than the small-string buffer"); }),
+            "a literal longer than the small-string buffer");
+  EXPECT_EQ(what([] { require_format(false, "a literal longer than the small-string buffer"); }),
+            "a literal longer than the small-string buffer");
+  EXPECT_EQ(what([&] { require(false, built); }), "built message");
+  EXPECT_EQ(what([&] { require_format(false, built); }), "built message");
 }
 
 TEST(Error, HierarchyCatchableAsError) {

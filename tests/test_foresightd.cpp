@@ -423,11 +423,25 @@ TEST(ForesightdBase64, KnownVector) {
 }
 
 TEST(ForesightdBase64, RejectsMalformedInput) {
-  EXPECT_THROW(base64_decode("AAA"), FormatError);       // not a multiple of 4
-  EXPECT_THROW(base64_decode("AA!A"), FormatError);      // invalid character
-  EXPECT_THROW(base64_decode("=AAA"), FormatError);      // padding up front
-  EXPECT_THROW(base64_decode("AA=A"), FormatError);      // padding mid-quartet
-  EXPECT_THROW(base64_decode("AB==CD=="), FormatError);  // padding not terminal
+  const auto what = [](const std::string& text) -> std::string {
+    try {
+      (void)base64_decode(text);
+    } catch (const FormatError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(what("AAA"), "base64: length not a multiple of 4");
+  EXPECT_EQ(what("AA!A"), "base64: invalid character");
+  EXPECT_EQ(what("=AAA"), "base64: misplaced padding");       // padding up front
+  EXPECT_EQ(what("AA=A"), "base64: misplaced padding");       // padding mid-quartet
+  EXPECT_EQ(what("AB==CD=="), "base64: misplaced padding");   // padding not terminal
+  EXPECT_EQ(what("AAAAA!AAAAAA"), "base64: invalid character");  // interior quartet
+  EXPECT_EQ(what("AAAA\x80" "AAAAAAA"), "base64: invalid character");  // non-ASCII byte
+  // The first bad quartet names the error; within a quartet an invalid
+  // character outranks misplaced padding.
+  EXPECT_EQ(what("A=AAAAA!"), "base64: misplaced padding");
+  EXPECT_EQ(what("AAAAA=!A"), "base64: invalid character");
 }
 
 // ---------------------------------------------------------------------------

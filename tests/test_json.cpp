@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "json/json.hpp"
 
@@ -30,6 +32,20 @@ TEST(Json, ParseNestedStructure) {
 TEST(Json, StringEscapes) {
   const Value v = parse(R"("a\"b\\c\nd\tA")");
   EXPECT_EQ(v.as_string(), "a\"b\\c\nd\tA");
+  // Each special byte at every offset of a long run: the escaper and the
+  // parser skip clean runs eight bytes at a time.
+  const std::pair<char, std::string> specials[] = {
+      {'"', "\\\""}, {'\\', "\\\\"}, {'\n', "\\n"}, {'\x01', "\\u0001"}, {'\x1f', "\\u001f"}};
+  for (const auto& [special, escaped] : specials) {
+    for (std::size_t at = 0; at < 24; ++at) {
+      std::string s(24, 'x');
+      s[at] = special;
+      s += "\xC3\xA9 tail";
+      const std::string dumped = Value(s).dump();
+      EXPECT_EQ(dumped, "\"" + s.substr(0, at) + escaped + s.substr(at + 1) + "\"");
+      EXPECT_EQ(parse(dumped).as_string(), s) << "special " << int(special) << " at " << at;
+    }
+  }
 }
 
 TEST(Json, UnicodeEscapeMultibyte) {
@@ -67,13 +83,32 @@ TEST(Json, MalformedInputsThrow) {
   EXPECT_THROW(parse("\"unterminated"), FormatError);
   EXPECT_THROW(parse("1 2"), FormatError);
   EXPECT_THROW(parse("{1: 2}"), FormatError);
+  // Messages are formatted only on failure, and still name the offset.
+  const auto what = [](const std::string& text) -> std::string {
+    try {
+      (void)parse(text);
+    } catch (const FormatError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(what("{\"a\" 1}"), "json parse error at offset 5: expected ':'");
+  EXPECT_EQ(what("[1 2]"), "json parse error at offset 4: expected ',' or ']' in array");
+  EXPECT_EQ(what("\"unterminated"), "json parse error at offset 1: unterminated string");
+  EXPECT_EQ(what("[1.2.3]"), "json parse error at offset 6: malformed number '1.2.3'");
+  EXPECT_EQ(what("\"\\u12g4\""), "json parse error at offset 6: bad hex digit in \\u escape");
 }
 
 TEST(Json, TypeMismatchThrows) {
   const Value v = parse("[1]");
   EXPECT_THROW(v.as_object(), FormatError);
   EXPECT_THROW(v.as_string(), FormatError);
-  EXPECT_THROW(parse("{}").at("missing"), FormatError);
+  try {
+    (void)parse("{}").at("missing");
+    ADD_FAILURE() << "at() accepted a missing key";
+  } catch (const FormatError& e) {
+    EXPECT_STREQ(e.what(), "json: missing key 'missing'");
+  }
 }
 
 TEST(Json, GetWithFallback) {
