@@ -8,7 +8,7 @@
 ///  1. StageTelemetry — the one value type holding what a codec stage
 ///     reports about itself (wall/modeled seconds, the Fig.-7
 ///     {init, kernel, memcpy, free} breakdown, host-fallback and
-///     device-retry facts). CompressResult / DecompressResult / RunOutput /
+///     device-retry facts). CompressResult / DecompressResult /
 ///     CBenchResult all embed it instead of re-declaring the fields.
 ///
 ///  2. Span tracing — TRACE_SPAN("zfp.encode") RAII scopes recording into a

@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <future>
 #include <memory>
+#include <optional>
 
 #include "common/fault.hpp"
 #include "common/str.hpp"
 #include "common/telemetry.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
+#include "io/crc32.hpp"
 
 namespace cosmo::foresight {
 
@@ -43,50 +47,49 @@ CBenchResult failed_result(const std::string& dataset, const Field& field,
 
 CBenchResult CBench::run_one(const Field& field, Compressor& compressor,
                              const CompressorConfig& config) const {
-  const PoolHandle intra(options_.session_threads);
-  const std::unique_ptr<CodecSession> session =
-      compressor.open_session(nullptr, intra.get());
-  try {
-    return run_session(field, compressor.name(), *session, config);
-  } catch (const Error& e) {
-    if (options_.on_error == Options::OnError::kAbort) throw;
-    return failed_result(options_.dataset_name, field, compressor.name(), config,
-                         e.what());
-  }
-}
-
-CBenchResult CBench::run_session(const Field& field, const std::string& compressor_name,
-                                 CodecSession& session,
-                                 const CompressorConfig& config) const {
-  CompressResult c;
-  DecompressResult d;
-  return run_session(field, compressor_name, session, config, c, d);
+  return run_jobs(compressor, {{&field, &config}}, 1).front();
 }
 
 CBenchResult CBench::run_session(const Field& field, const std::string& compressor_name,
                                  CodecSession& session, const CompressorConfig& config,
-                                 CompressResult& c, DecompressResult& d) const {
+                                 const CancelToken* token) const {
+  CompressResult c;
+  DecompressResult d;
+  return run_session(field, compressor_name, session, config, c, d, token);
+}
+
+CBenchResult CBench::run_session(const Field& field, const std::string& compressor_name,
+                                 CodecSession& session, const CompressorConfig& config,
+                                 CompressResult& c, DecompressResult& d,
+                                 const CancelToken* token) const {
   TRACE_SPAN("cbench.job");
+  CBenchResult r;
+  if (token) token->check("compress");
   session.compress(field, config, c);
+  // Size and crc describe the stream the codec produced, not what the
+  // fault hook below may leave of it.
+  r.compressed_bytes = c.bytes.size();
+  r.stream_crc32 = crc32(c.bytes.data(), c.bytes.size());
   // Fault-injection hook: an active plan may corrupt the stream between the
   // stages, exactly where a storage or transport error would hit it. The
   // decode below must then either reconstruct bit-exactly or throw a
   // cosmo::Error — never crash (see docs/architecture.md, failure
   // containment). Off by default: one relaxed atomic load when no plan is
   // installed.
-  if (auto* plan = fault::active()) plan->corrupt(c.bytes);
+  if (token) token->check("corrupt");
+  if (auto* plan = fault::active()) r.corrupted = plan->corrupt(c.bytes);
+  if (token) token->check("decompress");
   session.decompress(c, d);
+  if (token) token->check("analyze");
   if (d.values.size() != field.data.size()) {
     throw InvalidArgument("cbench: reconstruction size mismatch from " + compressor_name);
   }
 
-  CBenchResult r;
   r.dataset = options_.dataset_name;
   r.field = field.name;
   r.compressor = compressor_name;
   r.config = config;
   r.original_bytes = field.bytes();
-  r.compressed_bytes = c.bytes.size();
   r.ratio = analysis::compression_ratio(r.original_bytes, r.compressed_bytes);
   r.bit_rate = static_cast<double>(r.compressed_bytes) * 8.0 /
                static_cast<double>(field.data.size());
@@ -117,12 +120,7 @@ std::vector<CBenchResult> CBench::sweep(
   // tests exclude them when comparing traces across thread counts.
   TRACE_SPAN("sweep.run");
   // Jobs are enumerated (and slotted) up front in field-major, config-minor
-  // order; workers claim indices from an atomic cursor, so the output order
-  // never depends on the schedule.
-  struct Job {
-    const Field* field;
-    const CompressorConfig* config;
-  };
+  // order, so the output order never depends on the schedule.
   std::vector<Job> jobs;
   for (const auto& variable : container.variables) {
     if (field_filter && !field_filter(variable.field.name)) continue;
@@ -130,76 +128,108 @@ std::vector<CBenchResult> CBench::sweep(
       jobs.push_back({&variable.field, &config});
     }
   }
-  std::vector<CBenchResult> results(jobs.size());
+  return run_jobs(compressor, jobs, options_.threads);
+}
 
-  const std::string name = compressor.name();
-  const bool serial =
-      options_.threads == 1 || !compressor.concurrent_sessions_safe() || jobs.size() <= 1;
-  if (serial) {
-    // One session runs at a time, so intra-field threading is free to use
-    // the whole knob. (The simulated-GPU codecs ignore the pool.)
-    const PoolHandle intra(options_.session_threads);
-    const std::unique_ptr<CodecSession> session =
-        compressor.open_session(nullptr, intra.get());
-    CompressResult c;
-    DecompressResult d;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      try {
-        results[i] = run_session(*jobs[i].field, name, *session, *jobs[i].config, c, d);
-      } catch (const Error& e) {
-        if (options_.on_error == Options::OnError::kAbort) throw;
-        results[i] = failed_result(options_.dataset_name, *jobs[i].field, name,
-                                   *jobs[i].config, e.what());
-      }
+std::vector<CBenchResult> CBench::run_jobs(Compressor& compressor,
+                                           const std::vector<Job>& jobs,
+                                           std::size_t threads) const {
+  // The serial session is opened on first use, so a pooled run never
+  // builds it. One session runs at a time there, so intra-field threading
+  // is free to use the whole session_threads knob; pooled workers keep
+  // their sessions serial (the jobs themselves occupy the pool).
+  std::optional<PoolHandle> intra;
+  std::unique_ptr<CodecSession> serial;
+  const auto serial_session = [&]() -> CodecSession& {
+    if (!serial) {
+      intra.emplace(options_.session_threads);
+      serial = compressor.open_session(nullptr, intra->get());
     }
-    return results;
+    return *serial;
+  };
+  const std::string name = compressor.name();
+  std::vector<CBenchResult> results(jobs.size());
+  JobScheduler(compressor, threads, options_.on_error, "sweep.worker", serial_session)
+      .run(
+          jobs.size(),
+          [&](std::size_t i, CodecSession& session, CompressResult& c, DecompressResult& d) {
+            results[i] = run_session(*jobs[i].field, name, session, *jobs[i].config, c, d);
+          },
+          [&](std::size_t i, const Error& e) {
+            results[i] = failed_result(options_.dataset_name, *jobs[i].field, name,
+                                       *jobs[i].config, e.what());
+          });
+  return results;
+}
+
+void JobScheduler::run(std::size_t count, const Job& job, const Failed& failed) {
+  // The one failed-row policy: cancellation and deadlines always unwind the
+  // whole run, any other cosmo::Error becomes job i's failed row under
+  // kContinue.
+  const auto guarded = [&](std::size_t i, CodecSession& session, CompressResult& c,
+                           DecompressResult& d) {
+    try {
+      job(i, session, c, d);
+    } catch (const CancelledError&) {
+      throw;
+    } catch (const DeadlineExceededError&) {
+      throw;
+    } catch (const Error& e) {
+      if (on_error_ == OnError::kAbort) throw;
+      failed(i, e);
+    }
+  };
+
+  if (threads_ == 1 || !compressor_.concurrent_sessions_safe() || count <= 1) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (!serial_session_ && !owned_session_) owned_session_ = compressor_.open_session();
+      guarded(i, serial_session_ ? serial_session_() : *owned_session_, c_, d_);
+    }
+    return;
   }
 
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool* pool;
-  if (options_.threads == 0) {
-    pool = &global_pool();
-  } else {
-    // A dedicated pool never needs more threads than there are jobs (this
-    // also bounds absurd requests, e.g. a negative count cast to size_t).
-    owned = std::make_unique<ThreadPool>(std::min(options_.threads, jobs.size()));
-    pool = owned.get();
-  }
-
+  // A dedicated pool never needs more threads than there are jobs (this
+  // also bounds absurd requests, e.g. a negative count cast to size_t).
+  const PoolHandle handle(threads_ == 0 ? 0 : std::min(threads_, count));
+  ThreadPool& pool = *handle.get();
   std::atomic<std::size_t> cursor{0};
-  const std::size_t workers = std::min(pool->size(), jobs.size());
+  const std::size_t workers = std::min(pool.size(), count);
   std::vector<std::future<void>> done;
   done.reserve(workers);
   Timer queue_timer;
   for (std::size_t w = 0; w < workers; ++w) {
-    done.push_back(pool->submit([&] {
+    done.push_back(pool.submit([&] {
       // Time from submit until the pool actually starts the worker — the
-      // sweep's scheduling latency.
+      // scheduling latency.
       telemetry::MetricsRegistry::instance()
           .histogram("sweep.queue_wait_seconds")
           .observe_seconds(queue_timer.seconds());
-      TRACE_SPAN("sweep.worker");
-      // Each worker gets its own session (arena, scratch) — sessions are
-      // not thread-safe, and per-worker arenas keep reuse contention-free.
-      // Sessions stay serial here: the jobs themselves occupy the pool, and
-      // stacking intra-field fan-out on top would only oversubscribe.
-      const std::unique_ptr<CodecSession> session = compressor.open_session();
+      TRACE_SPAN(worker_span_);
+      // Sessions are not thread-safe, and per-worker arenas keep reuse
+      // contention-free.
+      const std::unique_ptr<CodecSession> session = compressor_.open_session();
       CompressResult c;
       DecompressResult d;
-      for (std::size_t i = cursor.fetch_add(1); i < jobs.size();
-           i = cursor.fetch_add(1)) {
-        try {
-          results[i] = run_session(*jobs[i].field, name, *session, *jobs[i].config, c, d);
-        } catch (const Error& e) {
-          if (options_.on_error == Options::OnError::kAbort) throw;
-          results[i] = failed_result(options_.dataset_name, *jobs[i].field, name,
-                                     *jobs[i].config, e.what());
+      try {
+        for (std::size_t i = cursor.fetch_add(1); i < count; i = cursor.fetch_add(1)) {
+          guarded(i, *session, c, d);
         }
+      } catch (...) {
+        cursor.store(count);  // the run is over: stop the other workers
+        throw;
       }
     }));
   }
-  for (auto& f : done) f.get();  // rethrows the first worker exception
-  return results;
+  // Every worker must stop before the locals it borrows go out of scope.
+  std::exception_ptr first;
+  for (auto& f : done) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 double CBench::overall_ratio(const std::vector<CBenchResult>& results) {

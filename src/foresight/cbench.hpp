@@ -8,7 +8,9 @@
 /// throughput, and the reconstructed dataset for the following analysis"
 /// (paper Section IV-A1).
 ///
-/// Sweeps run through staged CodecSessions: jobs are pre-indexed into
+/// CBench::run_session is the one compress → fault hook → decompress →
+/// distortion path, and JobScheduler the one loop over such jobs, for
+/// sweeps, the optimizer and foresightd alike. Jobs are pre-indexed into
 /// result slots, so the parallel scheduler produces output identical to the
 /// serial path — only wall-clock changes. Codecs that cannot run sessions
 /// concurrently (simulated-GPU timing, zfp-omp) always take the serial
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "analysis/stats.hpp"
+#include "common/cancel.hpp"
 #include "foresight/compressor.hpp"
 #include "io/container.hpp"
 
@@ -34,7 +37,9 @@ struct CBenchResult {
   CompressorConfig config;
 
   std::size_t original_bytes = 0;
-  std::size_t compressed_bytes = 0;
+  std::size_t compressed_bytes = 0;  ///< size of the clean stream, before the fault hook
+  std::uint32_t stream_crc32 = 0;    ///< crc32 of the clean stream, before the fault hook
+  bool corrupted = false;            ///< the fault hook corrupted the stream before decode
   double ratio = 0.0;     ///< original / compressed
   double bit_rate = 0.0;  ///< bits per value
 
@@ -70,11 +75,9 @@ struct CBenchResult {
   }
 };
 
-/// What a sweep does when one job throws a cosmo::Error: kAbort rethrows
-/// (the historical behavior), kContinue records a "failed" row for that job
-/// and keeps sweeping. Non-cosmo exceptions always propagate. (Historically
-/// nested as CBench::Options::OnError; now shared with the pipeline's
-/// "on_error" config knob.)
+/// What a JobScheduler run does when one job throws a cosmo::Error: kAbort
+/// rethrows, kContinue records a "failed" row for that job and keeps going.
+/// Cancellation, deadlines and non-cosmo exceptions always propagate.
 enum class OnError { kAbort, kContinue };
 
 /// Parses "abort" / "continue"; anything else throws InvalidArgument.
@@ -87,11 +90,9 @@ class CBench {
     /// Keep reconstructed data in each result (needed by PAT analyses).
     bool keep_reconstructed = true;
     std::string dataset_name = "dataset";
-    /// Worker threads for sweep(): 1 runs serially in the calling thread
-    /// (the timing-faithful path the throughput benches use), 0 uses the
-    /// global pool, N > 1 spins up a dedicated pool of N workers. Codecs
-    /// whose sessions cannot run concurrently (see
-    /// Compressor::concurrent_sessions_safe) always run serially.
+    /// Worker threads for sweep(), as JobScheduler reads them: 1 runs
+    /// serially in the calling thread (the timing-faithful path the
+    /// throughput benches use), 0 the global pool, N a dedicated pool.
     std::size_t threads = 1;
     /// Intra-field threads inside each codec session (same 1/0/N convention
     /// as \p threads; see PoolHandle). Applied by run_one() and by sweeps
@@ -101,9 +102,7 @@ class CBench {
     /// sessions serial (the jobs themselves saturate the pool). Streams are
     /// byte-identical for any value (the codecs use fixed chunk geometry).
     std::size_t session_threads = 1;
-    /// Error policy for sweep()/run_one(); see foresight::OnError. The alias
-    /// keeps the historical Options::OnError spelling compiling.
-    using OnError = foresight::OnError;
+    /// Error policy for sweep()/run_one(); see foresight::OnError.
     OnError on_error = OnError::kAbort;
   };
 
@@ -117,16 +116,19 @@ class CBench {
                        const CompressorConfig& config) const;
 
   /// Runs one combination over a caller-held session (buffers in the
-  /// session's arena are reused across calls).
-  CBenchResult run_session(const Field& field, const std::string& compressor_name,
-                           CodecSession& session, const CompressorConfig& config) const;
-
-  /// run_session() variant that also reuses the caller's result scratch
-  /// (\p c and \p d are clobbered) — the tight-loop form the sweep workers
-  /// and the optimizer use.
+  /// session's arena are reused across calls): compress, the fault-injection
+  /// hook, decompress, distortion. A non-null \p token is checked before
+  /// each of those stages ("compress", "corrupt", "decompress", "analyze").
   CBenchResult run_session(const Field& field, const std::string& compressor_name,
                            CodecSession& session, const CompressorConfig& config,
-                           CompressResult& c, DecompressResult& d) const;
+                           const CancelToken* token = nullptr) const;
+
+  /// run_session() variant that also reuses the caller's result scratch
+  /// (\p c and \p d are clobbered) — the form JobScheduler jobs use.
+  CBenchResult run_session(const Field& field, const std::string& compressor_name,
+                           CodecSession& session, const CompressorConfig& config,
+                           CompressResult& c, DecompressResult& d,
+                           const CancelToken* token = nullptr) const;
 
   /// Full sweep: every field in \p container x every config. A null
   /// \p field_filter accepts all fields. Results are ordered field-major,
@@ -142,7 +144,54 @@ class CBench {
   static double overall_ratio(const std::vector<CBenchResult>& results);
 
  private:
+  struct Job {
+    const Field* field;
+    const CompressorConfig* config;
+  };
+  /// Runs \p jobs through a JobScheduler; results are slotted by job index.
+  std::vector<CBenchResult> run_jobs(Compressor& compressor, const std::vector<Job>& jobs,
+                                     std::size_t threads) const;
+
   Options options_{};
+};
+
+/// The one runner of jobs [0, count) over codec sessions, behind CBench,
+/// the optimizer and foresightd's sweeps. It alone owns the serial-vs-pool
+/// choice (\p threads: 1 serial, 0 global pool, N a dedicated pool of
+/// min(N, count); always serial when the codec's sessions cannot run
+/// concurrently or count <= 1), the atomic-cursor loop with one session per
+/// pooled worker inside a \p worker_span span, and the on_error policy:
+/// under kContinue a cosmo::Error from job i goes to \p failed(i, error),
+/// while CancelledError and DeadlineExceededError always propagate. In
+/// pooled runs both callbacks run concurrently on the workers. Serial jobs
+/// run on \p serial_session, asked for per job (null: a session the
+/// scheduler opens on first use and keeps, like its result scratch).
+class JobScheduler {
+ public:
+  using Job = std::function<void(std::size_t index, CodecSession& session,
+                                 CompressResult& c, DecompressResult& d)>;
+  using Failed = std::function<void(std::size_t index, const Error& error)>;
+  using SessionSource = std::function<CodecSession&()>;
+
+  JobScheduler(Compressor& compressor, std::size_t threads, OnError on_error,
+               const char* worker_span, SessionSource serial_session = nullptr)
+      : compressor_(compressor),
+        threads_(threads),
+        on_error_(on_error),
+        worker_span_(worker_span),
+        serial_session_(std::move(serial_session)) {}
+
+  void run(std::size_t count, const Job& job, const Failed& failed);
+
+ private:
+  Compressor& compressor_;
+  std::size_t threads_;
+  OnError on_error_;
+  const char* worker_span_;
+  SessionSource serial_session_;
+  std::unique_ptr<CodecSession> owned_session_;
+  CompressResult c_;
+  DecompressResult d_;
 };
 
 /// Renders results as an aligned text table (one line per result), including

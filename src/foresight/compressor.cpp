@@ -17,6 +17,27 @@ std::string CompressorConfig::label() const {
   return strprintf("%s=%g", mode.c_str(), value);
 }
 
+std::vector<CompressorConfig> parse_config_list(const json::Value& list) {
+  std::vector<CompressorConfig> configs;
+  for (const auto& c : list.as_array()) {
+    require_format(c.is_object() && c.contains("mode") && c.at("mode").is_string() &&
+                       c.contains("value") && c.at("value").is_number(),
+                   "config: each entry needs a string mode and a numeric value");
+    configs.push_back({c.at("mode").as_string(), c.at("value").as_number()});
+  }
+  return configs;
+}
+
+json::Value config_list_json(const std::vector<CompressorConfig>& configs) {
+  json::Value list(json::Array{});
+  for (const auto& config : configs) {
+    json::Object& c = list.as_array().emplace_back(json::Object{}).as_object();
+    c["mode"] = config.mode;
+    c["value"] = config.value;
+  }
+  return list;
+}
+
 CompressResult CodecSession::compress(const Field& field, const CompressorConfig& config) {
   CompressResult out;
   compress(field, config, out);
@@ -26,23 +47,6 @@ CompressResult CodecSession::compress(const Field& field, const CompressorConfig
 DecompressResult CodecSession::decompress(const CompressResult& compressed) {
   DecompressResult out;
   decompress(compressed, out);
-  return out;
-}
-
-RunOutput Compressor::run(const Field& field, const CompressorConfig& config) {
-  TRACE_SPAN("session.run");
-  const std::unique_ptr<CodecSession> session = open_session();
-  CompressResult c;
-  session->compress(field, config, c);
-  DecompressResult d;
-  session->decompress(c, d);
-
-  RunOutput out;
-  out.bytes = std::move(c.bytes);
-  out.reconstructed = std::move(d.values);
-  out.compress = c.telemetry;
-  out.decompress = d.telemetry;
-  out.throughput_reportable = c.throughput_reportable;
   return out;
 }
 

@@ -12,8 +12,8 @@
 /// The execution path is staged: a Compressor opens a CodecSession, and the
 /// session exposes compress() and decompress() separately so sweeps can
 /// reuse buffers across iterations, keep compressed streams around for
-/// several decompressions, or skip decompression entirely. The historical
-/// fused run() remains as a thin convenience shim over one session.
+/// several decompressions, or skip decompression entirely. The fused
+/// compress → decompress → compare run is CBench's (cbench.hpp).
 #pragma once
 
 #include <memory>
@@ -28,6 +28,7 @@
 #include "foresight/codec_registry.hpp"
 #include "foresight/shape_adapter.hpp"
 #include "gpu/device_compressor.hpp"
+#include "json/json.hpp"
 
 namespace cosmo::foresight {
 
@@ -40,9 +41,17 @@ struct CompressorConfig {
   [[nodiscard]] std::string label() const;
 };
 
+/// Parses a JSON array of {"mode": string, "value": number} objects: the one
+/// reader of config lists (pipeline runs, optimizer candidates, foresightd
+/// sweeps). Throws FormatError on any other shape.
+std::vector<CompressorConfig> parse_config_list(const json::Value& list);
+
+/// The inverse of parse_config_list.
+json::Value config_list_json(const std::vector<CompressorConfig>& configs);
+
 /// Output of the compression stage. Self-contained: everything decompress()
 /// needs travels with the stream. The per-stage timing/fallback/retry facts
-/// live in one StageTelemetry (shared with DecompressResult / RunOutput /
+/// live in one StageTelemetry (shared with DecompressResult and
 /// CBenchResult); the old field names survive as read accessors.
 struct CompressResult {
   std::vector<std::uint8_t> bytes;
@@ -70,30 +79,6 @@ struct DecompressResult {
   [[nodiscard]] const TimingBreakdown& gpu_timing() const { return telemetry.gpu_timing; }
   [[nodiscard]] bool cpu_fallback() const { return telemetry.cpu_fallback; }
   [[nodiscard]] int device_attempts() const { return telemetry.device_attempts; }
-};
-
-/// Everything a single fused compress+decompress run produces (the legacy
-/// shape; produced by Compressor::run()). Carries the full per-stage
-/// telemetry, so run() reports fallback/retry facts identically to the
-/// staged path.
-struct RunOutput {
-  std::vector<std::uint8_t> bytes;
-  std::vector<float> reconstructed;
-  StageTelemetry compress;
-  StageTelemetry decompress;
-  bool throughput_reportable = true;  ///< false for the GPU-SZ prototype
-
-  [[nodiscard]] double compress_seconds() const { return compress.seconds; }
-  [[nodiscard]] double decompress_seconds() const { return decompress.seconds; }
-  [[nodiscard]] bool has_gpu_timing() const { return compress.has_gpu_timing; }
-  [[nodiscard]] const TimingBreakdown& gpu_compress() const { return compress.gpu_timing; }
-  [[nodiscard]] const TimingBreakdown& gpu_decompress() const {
-    return decompress.gpu_timing;
-  }
-  [[nodiscard]] bool cpu_fallback() const { return any_cpu_fallback(compress, decompress); }
-  [[nodiscard]] int device_attempts() const {
-    return max_device_attempts(compress, decompress);
-  }
 };
 
 /// One codec execution context. Sessions own (or borrow) a ScratchArena so
@@ -173,9 +158,6 @@ class Compressor {
   /// pool (their modeled timings must stay call-order deterministic).
   [[nodiscard]] virtual std::unique_ptr<CodecSession> open_session(
       ScratchArena* arena = nullptr, ThreadPool* pool = nullptr) = 0;
-
-  /// Fused compress+decompress convenience over a fresh session.
-  [[nodiscard]] RunOutput run(const Field& field, const CompressorConfig& config);
 };
 
 /// Creates a compressor by registered name (CodecRegistry::make). Device

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
-#include <future>
-#include <memory>
 
 #include "analysis/halo_stats.hpp"
 #include "analysis/power_spectrum.hpp"
@@ -43,85 +41,10 @@ CandidateOutcome failed_outcome(const CompressorConfig& config, const std::strin
   return out;
 }
 
-/// Evaluates batches of candidate indices against per-index configs,
-/// writing each outcome into its pre-indexed slot. Serial batches reuse one
-/// lazily opened session (compressed-stream and reconstruction buffers are
-/// reused across every evaluation, the historical optimizer behavior);
-/// parallel batches follow the CBench::sweep idiom — an atomic cursor over
-/// the index list with one session per worker — and are gated on
-/// concurrent_sessions_safe(), so modeled GPU timings stay call-order
-/// deterministic. Either way the output slot for candidate i is outcomes[i]
-/// and never depends on the schedule.
-class EvalScheduler {
- public:
-  using EvalFn = std::function<CandidateOutcome(const CompressorConfig&, CodecSession&,
-                                                CompressResult&, DecompressResult&)>;
-
-  EvalScheduler(Compressor& compressor, const OptimizerOptions& options)
-      : compressor_(compressor), options_(options) {}
-
-  void run(const std::vector<std::size_t>& indices,
-           const std::vector<CompressorConfig>& configs, const EvalFn& eval,
-           std::vector<CandidateOutcome>& outcomes) {
-    const bool serial = options_.threads == 1 ||
-                        !compressor_.concurrent_sessions_safe() || indices.size() <= 1;
-    if (serial) {
-      for (const std::size_t i : indices) {
-        try {
-          outcomes[i] = eval(configs[i], serial_session(), cbuf_, dbuf_);
-        } catch (const Error& e) {
-          if (options_.on_error == OnError::kAbort) throw;
-          outcomes[i] = failed_outcome(configs[i], e.what());
-        }
-      }
-      return;
-    }
-
-    std::unique_ptr<ThreadPool> owned;
-    ThreadPool* pool;
-    if (options_.threads == 0) {
-      pool = &global_pool();
-    } else {
-      owned = std::make_unique<ThreadPool>(std::min(options_.threads, indices.size()));
-      pool = owned.get();
-    }
-    std::atomic<std::size_t> cursor{0};
-    const std::size_t workers = std::min(pool->size(), indices.size());
-    std::vector<std::future<void>> done;
-    done.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      done.push_back(pool->submit([&] {
-        TRACE_SPAN("optimizer.worker");
-        const std::unique_ptr<CodecSession> session = compressor_.open_session();
-        CompressResult c;
-        DecompressResult d;
-        for (std::size_t j = cursor.fetch_add(1); j < indices.size();
-             j = cursor.fetch_add(1)) {
-          const std::size_t i = indices[j];
-          try {
-            outcomes[i] = eval(configs[i], *session, c, d);
-          } catch (const Error& e) {
-            if (options_.on_error == OnError::kAbort) throw;
-            outcomes[i] = failed_outcome(configs[i], e.what());
-          }
-        }
-      }));
-    }
-    for (auto& f : done) f.get();  // rethrows the first worker exception
-  }
-
- private:
-  CodecSession& serial_session() {
-    if (!session_) session_ = compressor_.open_session();
-    return *session_;
-  }
-
-  Compressor& compressor_;
-  OptimizerOptions options_;
-  std::unique_ptr<CodecSession> session_;
-  CompressResult cbuf_;
-  DecompressResult dbuf_;
-};
+/// One full evaluation: a CBench run of \p config (on the scheduler's
+/// session and result scratch) scored against the field's baseline.
+using EvalFn = std::function<CandidateOutcome(const CompressorConfig&, CodecSession&,
+                                              CompressResult&, DecompressResult&)>;
 
 /// Optional cheap CR predictor for pruned rows (sz::estimate_rate where the
 /// codec's abs path is the SZ pipeline). Returns 0 when not predictable.
@@ -133,8 +56,7 @@ using RatioPredictor = std::function<double(const CompressorConfig&)>;
 FieldChoice run_field_search(const std::string& field_name,
                              const std::vector<CompressorConfig>& candidates,
                              Compressor& compressor, const OptimizerOptions& options,
-                             EvalScheduler& scheduler,
-                             const EvalScheduler::EvalFn& eval,
+                             JobScheduler& scheduler, const EvalFn& eval,
                              const RatioPredictor& predict_ratio, OptimizerStats& stats) {
   FieldChoice choice;
   choice.field = field_name;
@@ -159,11 +81,23 @@ FieldChoice run_field_search(const std::string& field_name,
   // Which rows actually went through the scheduler (status alone cannot
   // tell: an untouched outcome carries the default "evaluated").
   std::vector<char> ran(n, 0);
+  // Fully evaluates a batch of candidate indices, each outcome landing in
+  // its pre-indexed slot whatever the schedule.
+  const auto evaluate = [&](const std::vector<std::size_t>& batch) {
+    scheduler.run(
+        batch.size(),
+        [&](std::size_t j, CodecSession& session, CompressResult& c, DecompressResult& d) {
+          outcomes[batch[j]] = eval(candidates[batch[j]], session, c, d);
+        },
+        [&](std::size_t j, const Error& e) {
+          outcomes[batch[j]] = failed_outcome(candidates[batch[j]], e.what());
+        });
+    for (const std::size_t i : batch) ran[i] = 1;
+    stats.full_evals += batch.size();
+  };
 
   if (options.search == SearchMode::kExhaustive) {
-    scheduler.run(supported, candidates, eval, outcomes);
-    for (const std::size_t i : supported) ran[i] = 1;
-    stats.full_evals += supported.size();
+    evaluate(supported);
   } else {
     // Guided search, per mode group: probe a few positions along the
     // aggressiveness axis, bisect onto the acceptability frontier, and fill
@@ -192,11 +126,9 @@ FieldChoice run_field_search(const std::string& field_name,
       for (const std::size_t p : probe_pos) probe_idx.push_back(group[order[p]]);
       {
         TRACE_SPAN("optimizer.probe_batch");
-        scheduler.run(probe_idx, candidates, eval, outcomes);
+        evaluate(probe_idx);
       }
-      for (const std::size_t i : probe_idx) ran[i] = 1;
       stats.probes += probe_idx.size();
-      stats.full_evals += probe_idx.size();
 
       const auto evaluated = [&](std::size_t pos) { return ran[group[order[pos]]] != 0; };
       // A failed evaluation cannot be verified acceptable, so it bounds the
@@ -225,9 +157,7 @@ FieldChoice run_field_search(const std::string& field_name,
         TRACE_SPAN("optimizer.bisect");
         for (std::size_t mid = bisect_next(lo, hi); mid != kBisectDone;
              mid = bisect_next(lo, hi)) {
-          scheduler.run({group[order[mid]]}, candidates, eval, outcomes);
-          ran[group[order[mid]]] = 1;
-          ++stats.full_evals;
+          evaluate({group[order[mid]]});
           if (pos_acceptable(mid)) {
             lo = mid;
           } else {
@@ -246,9 +176,7 @@ FieldChoice run_field_search(const std::string& field_name,
         std::size_t limit = std::min(order.size() - 1, hi + kPocketWindow);
         for (std::size_t pos = hi + 1; pos <= limit; ++pos) {
           if (!evaluated(pos)) {
-            scheduler.run({group[order[pos]]}, candidates, eval, outcomes);
-            ran[group[order[pos]]] = 1;
-            ++stats.full_evals;
+            evaluate({group[order[pos]]});
           }
           if (pos_acceptable(pos)) {
             limit = std::min(order.size() - 1, pos + kPocketWindow);
@@ -348,7 +276,7 @@ OptimizationResult optimize_grid_dataset(
   std::size_t total_original = 0;
   std::size_t total_compressed = 0;
   bool all_ok = true;
-  EvalScheduler scheduler(compressor, options);
+  JobScheduler scheduler(compressor, options.threads, options.on_error, "optimizer.worker");
   const std::string name = compressor.name();
 
   for (const auto& variable : data.variables) {
@@ -365,9 +293,8 @@ OptimizationResult optimize_grid_dataset(
     }
     std::atomic<std::size_t> cache_hits{0};
 
-    const EvalScheduler::EvalFn eval = [&](const CompressorConfig& config,
-                                           CodecSession& session, CompressResult& c,
-                                           DecompressResult& d) {
+    const EvalFn eval = [&](const CompressorConfig& config, CodecSession& session,
+                            CompressResult& c, DecompressResult& d) {
       CBenchResult r = bench.run_session(field, name, session, config, c, d);
       const auto pk =
           analysis::pk_ratio(baseline, r.reconstructed, field.dims, k_fraction);
@@ -465,14 +392,13 @@ OptimizationResult optimize_particle_dataset(
       analysis::make_halo_baseline(original_halos.halos, 1.0);
 
   OptimizationResult result;
-  EvalScheduler scheduler(compressor, options);
+  JobScheduler scheduler(compressor, options.threads, options.on_error, "optimizer.worker");
   const std::string name = compressor.name();
   std::atomic<std::size_t> cache_hits{0};
 
   // --- Positions: same bound on x, y, z; acceptance via halo counts. ---
-  const EvalScheduler::EvalFn eval_position = [&](const CompressorConfig& config,
-                                                  CodecSession& session, CompressResult& c,
-                                                  DecompressResult& d) {
+  const EvalFn eval_position = [&](const CompressorConfig& config, CodecSession& session,
+                                   CompressResult& c, DecompressResult& d) {
     CBenchResult rx = bench.run_session(x, name, session, config, c, d);
     CBenchResult ry = bench.run_session(y, name, session, config, c, d);
     CBenchResult rz = bench.run_session(z, name, session, config, c, d);
@@ -503,9 +429,8 @@ OptimizationResult optimize_particle_dataset(
   const auto& vx = data.find("vx").field;
   const auto& vy = data.find("vy").field;
   const auto& vz = data.find("vz").field;
-  const EvalScheduler::EvalFn eval_velocity = [&](const CompressorConfig& config,
-                                                  CodecSession& session, CompressResult& c,
-                                                  DecompressResult& d) {
+  const EvalFn eval_velocity = [&](const CompressorConfig& config, CodecSession& session,
+                                   CompressResult& c, DecompressResult& d) {
     CBenchResult rvx = bench.run_session(vx, name, session, config, c, d);
     CBenchResult rvy = bench.run_session(vy, name, session, config, c, d);
     CBenchResult rvz = bench.run_session(vz, name, session, config, c, d);

@@ -46,15 +46,13 @@ struct OptimizerOptions {
   /// Guided search: full evaluations spent probing each mode group before
   /// bisection (clamped to [2, group size]; endpoints are always probed).
   std::size_t probes = 3;
-  /// Candidate-evaluation workers (the CBench convention: 1 = serial in the
-  /// calling thread, 0 = global pool, N = dedicated pool of N). Codecs whose
-  /// sessions cannot run concurrently always evaluate serially. Results are
-  /// slotted by candidate index, so choices and report ordering are
-  /// identical for any value.
+  /// Candidate-evaluation workers, as JobScheduler reads them (1 serial,
+  /// 0 global pool, N dedicated pool). Results are slotted by candidate
+  /// index, so choices and report ordering are identical for any value.
   std::size_t threads = 1;
-  /// kAbort rethrows a failing evaluation (historical behavior); kContinue
-  /// records a "failed" candidate row and keeps searching. A failed probe
-  /// counts as unacceptable for bracketing.
+  /// kAbort rethrows a failing evaluation; kContinue records a "failed"
+  /// candidate row and keeps searching. A failed probe counts as
+  /// unacceptable for bracketing.
   OnError on_error = OnError::kAbort;
 };
 

@@ -1,5 +1,6 @@
 #include "foresight/pipeline.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <optional>
 
@@ -17,21 +18,43 @@
 
 namespace cosmo::foresight {
 
-io::Container build_dataset(const json::Value& spec) {
+namespace {
+
+/// A count-like JSON knob (\p fallback when absent) must be a non-negative
+/// integer — the CLI's rule for --threads — or InvalidArgument.
+std::uint64_t count_knob(const json::Value& object, const std::string& key,
+                         double fallback) {
+  const double v = object.get(key, fallback);
+  require(std::isfinite(v) && v >= 0 && v == std::floor(v) && v < 0x1p64,
+          "pipeline: \"" + key + "\" must be a non-negative integer");
+  return static_cast<std::uint64_t>(v);
+}
+
+}  // namespace
+
+io::Container build_dataset(const json::Value& spec, std::uint64_t max_field_bytes) {
   const std::string type = spec.get("type", std::string("nyx"));
+  // One generated field's bytes, in double so an absurd extent cannot wrap.
+  const auto require_fits = [&](double values) {
+    require(values * sizeof(float) <= static_cast<double>(max_field_bytes),
+            "pipeline: a " + type + " field exceeds " + std::to_string(max_field_bytes) +
+                " bytes");
+  };
   if (type == "nyx") {
     NyxConfig config;
-    config.dim = static_cast<std::size_t>(spec.get("dim", 64.0));
-    config.seed = static_cast<std::uint64_t>(spec.get("seed", 42.0));
+    config.dim = count_knob(spec, "dim", 64.0);
+    config.seed = count_knob(spec, "seed", 42.0);
+    const auto dim = static_cast<double>(config.dim);
+    require_fits(dim * dim * dim);
     return generate_nyx(config);
   }
   if (type == "hacc") {
     HaccConfig config;
-    config.particles = static_cast<std::size_t>(spec.get("particles", 100000.0));
-    config.seed = static_cast<std::uint64_t>(spec.get("seed", 7.0));
-    if (spec.contains("halo_count")) {
-      config.halo_count = static_cast<std::size_t>(spec.at("halo_count").as_number());
-    }
+    config.particles = count_knob(spec, "particles", 100000.0);
+    config.seed = count_knob(spec, "seed", 7.0);
+    config.halo_count =
+        count_knob(spec, "halo_count", static_cast<double>(config.halo_count));
+    require_fits(static_cast<double>(config.particles));
     return generate_hacc(config);
   }
   if (type == "file") {
@@ -126,7 +149,7 @@ PipelineSummary run_pipeline(const json::Value& config) {
   // directly. Output is byte-identical for any value, so it composes freely
   // with "jobs" (workflow-level parallelism) — though running both > 1
   // oversubscribes a small host.
-  const auto intra_threads = static_cast<std::size_t>(config.get("threads", 1.0));
+  const std::size_t intra_threads = count_knob(config, "threads", 1.0);
   const PoolHandle intra(intra_threads);
   ThreadPool* const intra_pool = intra.get();
   const OnError on_error = parse_on_error(config.get("on_error", std::string("continue")));
@@ -150,9 +173,7 @@ PipelineSummary run_pipeline(const json::Value& config) {
     } else {
       for (const auto& v : dataset.variables) p.fields.push_back(v.field.name);
     }
-    for (const auto& c : run.at("configs").as_array()) {
-      p.configs.push_back({c.at("mode").as_string(), c.at("value").as_number()});
-    }
+    p.configs = parse_config_list(run.at("configs"));
     planned.push_back(std::move(p));
   }
 
@@ -286,16 +307,12 @@ PipelineSummary run_pipeline(const json::Value& config) {
     opt_codec = make_compressor(opt_cfg.at("compressor").as_string(), &sim);
     OptimizerOptions opt_options;
     opt_options.search = parse_search_mode(opt_cfg.get("search", std::string("exhaustive")));
-    opt_options.probes = static_cast<std::size_t>(opt_cfg.get("probes", 3.0));
-    opt_options.threads = static_cast<std::size_t>(opt_cfg.get("threads", 1.0));
+    opt_options.probes = count_knob(opt_cfg, "probes", 3.0);
+    opt_options.threads = count_knob(opt_cfg, "threads", 1.0);
     opt_options.on_error = on_error;
     const auto parse_configs = [&opt_cfg](const std::string& key) {
-      std::vector<CompressorConfig> configs;
-      if (!opt_cfg.contains(key)) return configs;
-      for (const auto& c : opt_cfg.at(key).as_array()) {
-        configs.push_back({c.at("mode").as_string(), c.at("value").as_number()});
-      }
-      return configs;
+      return opt_cfg.contains(key) ? parse_config_list(opt_cfg.at(key))
+                                   : std::vector<CompressorConfig>{};
     };
     workflow.add("optimizer", {}, [&, opt_options, parse_configs] {
       Compressor& codec = *opt_codec;
@@ -373,8 +390,7 @@ PipelineSummary run_pipeline(const json::Value& config) {
   // Parallel execution is opt-in ("jobs": N). Compressors whose sessions
   // are order-sensitive (simulated-GPU timing, zfp-omp) force the inline
   // path so modeled timings stay reproducible.
-  const std::size_t jobs_requested =
-      static_cast<std::size_t>(config.get("jobs", 0.0));
+  const std::size_t jobs_requested = count_knob(config, "jobs", 0.0);
   bool parallel_ok = jobs_requested > 1;
   for (const auto& c : compressors) {
     if (!c->concurrent_sessions_safe()) parallel_ok = false;

@@ -77,8 +77,12 @@ namespace cosmo::foresight {
 
 /// Builds (or loads) the dataset a JSON spec describes: {"type": "nyx",
 /// "dim", "seed"}, {"type": "hacc", "particles", "seed", "halo_count"} or
-/// {"type": "file", "path"}. Shared by the pipeline and foresightd.
-io::Container build_dataset(const json::Value& spec);
+/// {"type": "file", "path"}. Shared by the pipeline and foresightd. The
+/// generator knobs must be non-negative integers, and a generated field may
+/// not exceed \p max_field_bytes; either violation throws InvalidArgument
+/// before anything is allocated.
+io::Container build_dataset(const json::Value& spec,
+                            std::uint64_t max_field_bytes = UINT64_MAX);
 
 /// Builds a FaultPlan config from a config's optional "faults" object.
 /// nullopt (absent key) means fault injection stays fully disabled.

@@ -57,8 +57,7 @@ JobRequest base_request(RequestType type, std::uint64_t id, const JobOptions& op
 JobRequest CompressRequest::to_request(std::uint64_t id) const {
   JobRequest r = base_request(RequestType::kCompress, id, options);
   r.codec = codec;
-  r.mode = mode;
-  r.value = value;
+  r.config = {mode, value};
   r.dataset = dataset;
   r.field = field;
   r.return_bytes = return_bytes;
@@ -79,8 +78,7 @@ JobRequest DecompressRequest::to_request(std::uint64_t id) const {
 JobRequest RoundtripRequest::to_request(std::uint64_t id) const {
   JobRequest r = base_request(RequestType::kRoundtrip, id, options);
   r.codec = codec;
-  r.mode = mode;
-  r.value = value;
+  r.config = {mode, value};
   r.dataset = dataset;
   r.field = field;
   return r;

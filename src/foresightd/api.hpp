@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "foresightd/protocol.hpp"
@@ -90,7 +89,7 @@ struct SweepRequest {
   std::string codec;
   json::Value dataset;
   std::string field;
-  std::vector<std::pair<std::string, double>> configs;
+  std::vector<foresight::CompressorConfig> configs;
   JobOptions options;
 
   [[nodiscard]] JobRequest to_request(std::uint64_t id = 0) const;

@@ -17,6 +17,7 @@
 #include "analysis/stats.hpp"
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
+#include "foresight/cbench.hpp"
 #include "foresight/pipeline.hpp"
 #include "foresight/session_cache.hpp"
 #include "gpu/sim.hpp"
@@ -611,10 +612,12 @@ void Daemon::worker_loop(std::size_t index) {
   gpu::GpuSimulator sim(gpu::find_device(options_.gpu), 1234 + index);
   foresight::SessionCache cache(&sim);
 
-  Job job;
-  while (queue_.pop(job)) {
+  for (;;) {
+    // Scoped per job: the conn/token refs are released before blocking in
+    // the next pop().
+    Job job;
+    if (!queue_.pop(job)) break;
     execute_job(job, cache);
-    job = Job{};  // release the conn/token refs before blocking in pop()
   }
   if (live_workers_.fetch_sub(1) == 1) {
     {
@@ -650,7 +653,9 @@ void Daemon::execute_job(Job& job, foresight::SessionCache& cache) {
   } catch (const DeadlineExceededError& e) {
     status = kStatusDeadline;
     error = e.what();
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
+    // Any other throw — a cosmo::Error or not — fails this job alone; it
+    // must never escape the worker thread and take the process down.
     status = kStatusFailed;
     error = e.what();
   }
@@ -687,8 +692,10 @@ void Daemon::execute_job(Job& job, foresight::SessionCache& cache) {
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<const io::Container> Daemon::dataset_for(const json::Value& spec) {
-  return dataset_cache_.get_or_build(spec.dump(), [&spec] {
-    return std::make_shared<const io::Container>(foresight::build_dataset(spec));
+  // A generated field faces the same ceiling as an uploaded one.
+  return dataset_cache_.get_or_build(spec.dump(), [&] {
+    return std::make_shared<const io::Container>(foresight::build_dataset(
+        spec, options_.transfer_limits.max_transfer_bytes));
   });
 }
 
@@ -703,38 +710,20 @@ std::uint32_t values_crc(const std::vector<float>& values) {
                values.size() * sizeof(float));
 }
 
-/// One compress → (fault hook) → decompress → distortion pass shared by
-/// roundtrip jobs and each sweep lattice point. Mirrors CBench::run_session,
-/// plus stage-boundary cancellation checks. The reported crc32/size describe
-/// the *clean* stream (pre-corruption), which is what single-shot
+/// The reply keys of one CBench roundtrip. crc32 and compressed_bytes
+/// describe the clean stream (pre-corruption), which is what single-shot
 /// byte-identity comparisons want.
-json::Object run_roundtrip(const Field& field, foresight::CodecSession& session,
-                           const foresight::CompressorConfig& config,
-                           const CancelToken& token) {
-  token.check("compress");
-  foresight::CompressResult c = session.compress(field, config);
-  json::Object row;
-  row["compressed_bytes"] = c.bytes.size();
-  row["original_bytes"] = field.bytes();
-  row["ratio"] = analysis::compression_ratio(field.bytes(), c.bytes.size());
-  row["crc32"] = static_cast<double>(bytes_crc(c.bytes));
-  row["compress_seconds"] = c.seconds();
-
-  token.check("corrupt");
-  bool corrupted = false;
-  if (auto* plan = fault::active()) corrupted = plan->corrupt(c.bytes);
-  row["corrupted"] = corrupted;
-
-  token.check("decompress");
-  foresight::DecompressResult d = session.decompress(c);
-  row["decompress_seconds"] = d.seconds();
-
-  token.check("analyze");
-  const analysis::Distortion dist = analysis::compare(field.view(), d.values);
-  row["psnr_db"] = dist.psnr_db;
-  row["max_abs_err"] = dist.max_abs_err;
-  row["nrmse"] = dist.nrmse;
-  return row;
+void put_roundtrip(const foresight::CBenchResult& r, json::Object& out) {
+  out["compressed_bytes"] = r.compressed_bytes;
+  out["original_bytes"] = r.original_bytes;
+  out["ratio"] = r.ratio;
+  out["crc32"] = static_cast<double>(r.stream_crc32);
+  out["compress_seconds"] = r.compress_seconds();
+  out["corrupted"] = r.corrupted;
+  out["decompress_seconds"] = r.decompress_seconds();
+  out["psnr_db"] = r.distortion.psnr_db;
+  out["max_abs_err"] = r.distortion.max_abs_err;
+  out["nrmse"] = r.distortion.nrmse;
 }
 
 }  // namespace
@@ -832,7 +821,7 @@ void Daemon::run_job(Job& job, foresight::SessionCache& cache, json::Object& rep
   if (r.type == RequestType::kCompress) {
     job.token.check("compress");
     foresight::CompressResult c =
-        cache.session(r.codec).compress(*field, {r.mode, r.value});
+        cache.session(r.codec).compress(*field, r.config);
     reply["compressed_bytes"] = c.bytes.size();
     reply["original_bytes"] = field->bytes();
     reply["ratio"] = analysis::compression_ratio(field->bytes(), c.bytes.size());
@@ -860,41 +849,42 @@ void Daemon::run_job(Job& job, foresight::SessionCache& cache, json::Object& rep
     return;
   }
 
+  const foresight::CBench bench({.keep_reconstructed = false});
   if (r.type == RequestType::kRoundtrip) {
-    json::Object row =
-        run_roundtrip(*field, cache.session(r.codec), {r.mode, r.value}, job.token);
-    for (auto& [k, v] : row) reply[k] = std::move(v);
+    put_roundtrip(
+        bench.run_session(*field, r.codec, cache.session(r.codec), r.config, &job.token),
+        reply);
     return;
   }
 
-  // Sweep: OnError::kContinue semantics per lattice point — a failing
-  // config becomes a failed row, the sweep keeps going; cancellation and
-  // deadlines still abort the whole job.
-  json::Array rows;
+  // Sweep: one row per lattice point, in request order. A failing point
+  // becomes a failed row and the next one starts on a fresh session.
+  std::vector<json::Object> rows(r.configs.size());
   std::size_t failed_rows = 0;
-  for (const auto& [mode, value] : r.configs) {
-    job.token.check("sweep");
-    json::Object row;
-    row["mode"] = mode;
-    row["value"] = value;
-    try {
-      json::Object metrics =
-          run_roundtrip(*field, cache.session(r.codec), {mode, value}, job.token);
-      for (auto& [k, v] : metrics) row[k] = std::move(v);
-      row["row_status"] = kStatusOk;
-    } catch (const CancelledError&) {
-      throw;
-    } catch (const DeadlineExceededError&) {
-      throw;
-    } catch (const Error& e) {
-      row["row_status"] = kStatusFailed;
-      row["error"] = std::string(e.what());
-      ++failed_rows;
-      cache.invalidate();  // the next lattice point starts clean
-    }
-    rows.push_back(json::Value(std::move(row)));
+  foresight::JobScheduler(compressor, 1, foresight::OnError::kContinue, "sweep.worker",
+                          [&]() -> foresight::CodecSession& { return cache.session(r.codec); })
+      .run(
+          rows.size(),
+          [&](std::size_t i, foresight::CodecSession& session, foresight::CompressResult& c,
+              foresight::DecompressResult& d) {
+            job.token.check("sweep");
+            put_roundtrip(
+                bench.run_session(*field, r.codec, session, r.configs[i], c, d, &job.token),
+                rows[i]);
+            rows[i]["row_status"] = kStatusOk;
+          },
+          [&](std::size_t i, const Error& e) {
+            rows[i]["row_status"] = kStatusFailed;
+            rows[i]["error"] = std::string(e.what());
+            ++failed_rows;
+            cache.invalidate();
+          });
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i]["mode"] = r.configs[i].mode;
+    rows[i]["value"] = r.configs[i].value;
   }
-  reply["rows"] = std::move(rows);
+  reply["rows"] = json::Array(std::make_move_iterator(rows.begin()),
+                              std::make_move_iterator(rows.end()));
   reply["failed_rows"] = failed_rows;
 }
 

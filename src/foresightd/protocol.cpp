@@ -618,17 +618,13 @@ JobRequest JobRequest::parse(const json::Value& v) {
 
   if (r.type == RequestType::kSweep) {
     require_format(v.contains("configs"), "protocol: sweep request missing configs");
-    for (const auto& c : v.at("configs").as_array()) {
-      require_format(c.is_object() && c.contains("mode") && c.contains("value"),
-                     "protocol: sweep config needs mode and value");
-      r.configs.emplace_back(c.at("mode").as_string(), c.at("value").as_number());
-    }
+    r.configs = foresight::parse_config_list(v.at("configs"));
     require_format(!r.configs.empty(), "protocol: sweep request with no configs");
     require_format(r.configs.size() <= 1024, "protocol: sweep config list too large");
   } else {
-    r.mode = v.get("mode", std::string());
-    require_format(!r.mode.empty(), "protocol: job request missing mode");
-    r.value = v.get("value", 0.0);
+    r.config.mode = v.get("mode", std::string());
+    require_format(!r.config.mode.empty(), "protocol: job request missing mode");
+    r.config.value = v.get("value", 0.0);
   }
   return r;
 }
@@ -656,17 +652,10 @@ json::Value JobRequest::to_json() const {
   o["dataset"] = dataset;
   o["field"] = field;
   if (type == RequestType::kSweep) {
-    json::Array lattice;
-    for (const auto& [mode_name, config_value] : configs) {
-      json::Object c;
-      c["mode"] = mode_name;
-      c["value"] = config_value;
-      lattice.push_back(json::Value(std::move(c)));
-    }
-    o["configs"] = std::move(lattice);
+    o["configs"] = foresight::config_list_json(configs);
   } else {
-    o["mode"] = mode;
-    o["value"] = value;
+    o["mode"] = config.mode;
+    o["value"] = config.value;
   }
   return json::Value(std::move(o));
 }

@@ -46,6 +46,7 @@
 
 #include "common/field.hpp"
 #include "common/timer.hpp"
+#include "foresight/compressor.hpp"
 #include "json/json.hpp"
 
 namespace cosmo::foresightd {
@@ -266,8 +267,7 @@ struct JobRequest {
   int proto_major = 0;         ///< 0 = no `proto` field sent (treated as major 1)
   int proto_minor = 0;
   std::string codec;           ///< registry name, e.g. "sz-cpu"
-  std::string mode;            ///< config mode (single-config job types)
-  double value = 0.0;          ///< config value
+  foresight::CompressorConfig config;  ///< single-config job types
   json::Value dataset;         ///< dataset spec: {type, dim/particles, seed}, {type:"file", path}, or {type:"inline", transfer, dims}
   std::string field;           ///< field name within the dataset
   double deadline_seconds = 0; ///< 0 = no per-job deadline (daemon default applies)
@@ -275,8 +275,8 @@ struct JobRequest {
   std::string payload_b64;     ///< compressed input, inline (decompress jobs)
   std::string payload_transfer; ///< compressed input as a completed transfer id
   bool return_bytes = false;   ///< include compressed bytes in the response
-  /// Sweep jobs: the (mode, value) lattice to run over `field`.
-  std::vector<std::pair<std::string, double>> configs;
+  /// Sweep jobs: the config lattice to run over `field`.
+  std::vector<foresight::CompressorConfig> configs;
 
   [[nodiscard]] static JobRequest parse(const json::Value& v);
   [[nodiscard]] json::Value to_json() const;

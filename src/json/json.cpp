@@ -129,7 +129,11 @@ void append_escaped(std::string& out, const std::string& s) {
 }
 
 std::string format_number(double d) {
-  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
+  // JSON has no NaN or Infinity: a non-finite number (say, the distortion of
+  // a corrupted stream that decoded to NaNs) is written as null, so the
+  // document stays parseable.
+  if (!std::isfinite(d)) return "null";
+  if (d == std::floor(d) && std::fabs(d) < 1e15) {
     return strprintf("%.0f", d);
   }
   // %.17g round-trips doubles; trim to the shortest representation that does.

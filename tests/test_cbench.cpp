@@ -2,6 +2,8 @@
 
 #include "cosmo/nyx_synth.hpp"
 #include "foresight/cbench.hpp"
+#include "io/crc32.hpp"
+#include "token_codec.hpp"
 
 namespace cosmo::foresight {
 namespace {
@@ -94,6 +96,57 @@ TEST(CBench, HigherRateGivesHigherPsnrInResults) {
   const auto high = bench.run_one(f, *codec, {"rate", 16.0});
   EXPECT_GT(high.distortion.psnr_db, low.distortion.psnr_db);
   EXPECT_LT(high.ratio, low.ratio);
+}
+
+TEST(CBench, ContinueNeverTurnsCancellationIntoAFailedRow) {
+  const auto data = small_nyx();
+  for (const bool deadline : {false, true}) {
+    TokenCheckingCompressor codec(make_compressor("zfp-cpu"), stopped_token(deadline));
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const CBench bench({.threads = threads, .on_error = OnError::kContinue});
+      if (deadline) {
+        EXPECT_THROW(bench.sweep(data, codec, {{"rate", 8.0}}), DeadlineExceededError);
+        EXPECT_THROW(bench.run_one(data.find("temperature").field, codec, {"rate", 8.0}),
+                     DeadlineExceededError);
+      } else {
+        EXPECT_THROW(bench.sweep(data, codec, {{"rate", 8.0}}), CancelledError);
+        EXPECT_THROW(bench.run_one(data.find("temperature").field, codec, {"rate", 8.0}),
+                     CancelledError);
+      }
+    }
+  }
+}
+
+TEST(CBench, ContinueRecordsOtherErrorsAsFailedRowsInPlace) {
+  const auto data = small_nyx();
+  const auto codec = make_compressor("sz-cpu");  // no "rate" mode
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const CBench bench({.threads = threads, .on_error = OnError::kContinue});
+    const auto results = bench.sweep(data, *codec, {{"abs", 0.5}, {"rate", 8.0}});
+    ASSERT_EQ(results.size(), 12u);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].status, i % 2 == 0 ? "ok" : "failed") << i;
+      EXPECT_EQ(results[i].config.mode, i % 2 == 0 ? "abs" : "rate") << i;
+    }
+    const CBench abort_bench({.threads = threads});
+    EXPECT_THROW(abort_bench.sweep(data, *codec, {{"abs", 0.5}, {"rate", 8.0}}),
+                 InvalidArgument);
+  }
+}
+
+TEST(CBench, RunSessionReportsTheCleanStreamCrc) {
+  const auto data = small_nyx();
+  const Field& field = data.find("temperature").field;
+  const auto codec = make_compressor("zfp-cpu");
+  const auto session = codec->open_session();
+  const CompressResult reference = session->compress(field, {"rate", 8.0});
+  const CBenchResult r = CBench().run_session(field, "zfp-cpu", *session, {"rate", 8.0});
+  EXPECT_EQ(r.stream_crc32, crc32(reference.bytes.data(), reference.bytes.size()));
+  EXPECT_FALSE(r.corrupted);
+  // A stopped token ends the job at its first stage boundary.
+  const CancelToken token = stopped_token(false);
+  EXPECT_THROW((void)CBench().run_session(field, "zfp-cpu", *session, {"rate", 8.0}, &token),
+               CancelledError);
 }
 
 }  // namespace

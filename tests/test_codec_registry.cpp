@@ -18,6 +18,7 @@
 #include "foresight/cbench.hpp"
 #include "foresight/compressor.hpp"
 #include "foresight/sweep.hpp"
+#include "io/crc32.hpp"
 #include "random/rng.hpp"
 
 namespace cosmo::foresight {
@@ -76,9 +77,9 @@ TEST(RegistryConformance, EveryCodecRoundTripsEverySupportedMode) {
       ASSERT_NE(std::find(kAllModes.begin(), kAllModes.end(), mode), kAllModes.end())
           << name << " registers unknown mode " << mode;
       const CompressorConfig config = config_for_mode(mode);
-      const RunOutput out = codec->run(field, config);
+      const CBenchResult out = CBench().run_one(field, *codec, config);
       ASSERT_EQ(out.reconstructed.size(), field.data.size()) << name << " " << mode;
-      ASSERT_FALSE(out.bytes.empty()) << name << " " << mode;
+      ASSERT_GT(out.compressed_bytes, 0u) << name << " " << mode;
       for (std::size_t i = 0; i < field.data.size(); ++i) {
         const double err =
             std::fabs(static_cast<double>(out.reconstructed[i]) - field.data[i]);
@@ -212,13 +213,13 @@ TEST(RegistryConformance, ModeMismatchErrorListsSupportedModes) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const Field field = conformance_field();
   try {
-    (void)make_compressor("cuzfp", &sim)->run(field, {"abs", 0.1});
+    (void)CBench().run_one(field, *make_compressor("cuzfp", &sim), {"abs", 0.1});
     FAIL() << "mode mismatch did not throw";
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("rate"), std::string::npos) << e.what();
   }
   try {
-    (void)make_compressor("fz-cpu")->run(field, {"rate", 8.0});
+    (void)CBench().run_one(field, *make_compressor("fz-cpu"), {"rate", 8.0});
     FAIL() << "mode mismatch did not throw";
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("abs"), std::string::npos) << e.what();
@@ -285,14 +286,17 @@ TEST(FzCodec, GpuVariantReportsDeviceTiming) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const Field field = conformance_field();
   const auto codec = make_compressor("fz-gpu", &sim);
-  const RunOutput out = codec->run(field, {"abs", 0.1});
+  const CBenchResult out = CBench().run_one(field, *codec, {"abs", 0.1});
   EXPECT_TRUE(out.has_gpu_timing());
   EXPECT_TRUE(out.throughput_reportable);
   EXPECT_GT(out.gpu_compress().kernel, 0.0);
   EXPECT_GT(out.gpu_decompress().memcpy, 0.0);
   // The device stream is the host stream: same codec, modeled transport.
   const auto host = make_compressor("fz-cpu");
-  EXPECT_EQ(out.bytes, host->open_session()->compress(field, {"abs", 0.1}).bytes);
+  const std::vector<std::uint8_t> host_bytes =
+      host->open_session()->compress(field, {"abs", 0.1}).bytes;
+  EXPECT_EQ(out.compressed_bytes, host_bytes.size());
+  EXPECT_EQ(out.stream_crc32, crc32(host_bytes.data(), host_bytes.size()));
 }
 
 TEST(FzCodec, OomFallsBackToHostByteIdentically) {

@@ -426,7 +426,7 @@ TEST(Containment, SweepRecordsFailedRowsAndContinues) {
   fault::Scope scope(plan);
 
   CBench bench({.keep_reconstructed = false,
-                .on_error = CBench::Options::OnError::kContinue});
+                .on_error = foresight::OnError::kContinue});
   const auto results = bench.sweep(data, *codec, {{"rate", 8.0}});
   EXPECT_EQ(results.size(), 6u);
   EXPECT_EQ(plan.counts().corruptions, 6u);
@@ -469,7 +469,7 @@ TEST(Containment, ParallelSweepRecordsFailedRows) {
 
   CBench bench({.keep_reconstructed = false,
                 .threads = 4,
-                .on_error = CBench::Options::OnError::kContinue});
+                .on_error = foresight::OnError::kContinue});
   const auto results = bench.sweep(data, *codec, {{"rate", 4.0}, {"rate", 8.0}});
   EXPECT_EQ(results.size(), 12u);
   std::size_t failed = 0;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "foresight/cbench.hpp"
 #include "foresight/compressor.hpp"
 #include "random/rng.hpp"
 
@@ -59,7 +60,7 @@ TEST(Reshape, PaperDimensionConversion) {
 TEST(Compressor, SzCpuAbsHonorsBound) {
   const auto codec = make_compressor("sz-cpu");
   const Field f = smooth_field(Dims::d3(16, 16, 16), 161);
-  const RunOutput out = codec->run(f, {"abs", 0.05});
+  const CBenchResult out = CBench().run_one(f, *codec, {"abs", 0.05});
   ASSERT_EQ(out.reconstructed.size(), f.data.size());
   for (std::size_t i = 0; i < f.data.size(); ++i) {
     EXPECT_LE(std::fabs(out.reconstructed[i] - f.data[i]), 0.05 * (1 + 1e-9));
@@ -73,7 +74,7 @@ TEST(Compressor, SzCpuPwrelMode) {
   const auto codec = make_compressor("sz-cpu");
   Field f = smooth_field(Dims::d3(8, 8, 8), 162);
   for (auto& v : f.data) v = std::fabs(v) + 1.0f;
-  const RunOutput out = codec->run(f, {"pw_rel", 0.05});
+  const CBenchResult out = CBench().run_one(f, *codec, {"pw_rel", 0.05});
   for (std::size_t i = 0; i < f.data.size(); ++i) {
     EXPECT_LE(std::fabs(out.reconstructed[i] - f.data[i]) / f.data[i],
               0.05 * (1 + 1e-6));
@@ -83,9 +84,9 @@ TEST(Compressor, SzCpuPwrelMode) {
 TEST(Compressor, ZfpCpuBothModes) {
   const auto codec = make_compressor("zfp-cpu");
   const Field f = smooth_field(Dims::d3(16, 16, 16), 163);
-  const RunOutput rate_out = codec->run(f, {"rate", 8.0});
-  EXPECT_LE(rate_out.bytes.size() * 8.0 / f.data.size(), 8.5);
-  const RunOutput acc_out = codec->run(f, {"accuracy", 0.1});
+  const CBenchResult rate_out = CBench().run_one(f, *codec, {"rate", 8.0});
+  EXPECT_LE(rate_out.compressed_bytes * 8.0 / f.data.size(), 8.5);
+  const CBenchResult acc_out = CBench().run_one(f, *codec, {"accuracy", 0.1});
   for (std::size_t i = 0; i < f.data.size(); ++i) {
     EXPECT_LE(std::fabs(acc_out.reconstructed[i] - f.data[i]), 0.1);
   }
@@ -94,9 +95,12 @@ TEST(Compressor, ZfpCpuBothModes) {
 TEST(Compressor, UnsupportedModeRejected) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const Field f = smooth_field(Dims::d3(8, 8, 8), 164);
-  EXPECT_THROW(make_compressor("cuzfp", &sim)->run(f, {"abs", 0.1}), InvalidArgument);
-  EXPECT_THROW(make_compressor("gpu-sz", &sim)->run(f, {"rate", 4.0}), InvalidArgument);
-  EXPECT_THROW(make_compressor("sz-cpu")->run(f, {"rate", 4.0}), InvalidArgument);
+  const CBench bench;
+  EXPECT_THROW(bench.run_one(f, *make_compressor("cuzfp", &sim), {"abs", 0.1}),
+               InvalidArgument);
+  EXPECT_THROW(bench.run_one(f, *make_compressor("gpu-sz", &sim), {"rate", 4.0}),
+               InvalidArgument);
+  EXPECT_THROW(bench.run_one(f, *make_compressor("sz-cpu"), {"rate", 4.0}), InvalidArgument);
 }
 
 TEST(Compressor, GpuSzAuto3dConversionFor1d) {
@@ -104,7 +108,7 @@ TEST(Compressor, GpuSzAuto3dConversionFor1d) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const auto codec = make_compressor("gpu-sz", &sim);
   const Field f = smooth_field(Dims::d1(10000), 165);
-  const RunOutput out = codec->run(f, {"abs", 0.1});
+  const CBenchResult out = CBench().run_one(f, *codec, {"abs", 0.1});
   ASSERT_EQ(out.reconstructed.size(), f.data.size());  // padding dropped
   for (std::size_t i = 0; i < f.data.size(); ++i) {
     EXPECT_LE(std::fabs(out.reconstructed[i] - f.data[i]), 0.1 * (1 + 1e-9));
@@ -117,7 +121,7 @@ TEST(Compressor, CuZfpProducesGpuTiming) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const auto codec = make_compressor("cuzfp", &sim);
   const Field f = smooth_field(Dims::d3(16, 16, 16), 166);
-  const RunOutput out = codec->run(f, {"rate", 4.0});
+  const CBenchResult out = CBench().run_one(f, *codec, {"rate", 4.0});
   EXPECT_TRUE(out.has_gpu_timing());
   EXPECT_TRUE(out.throughput_reportable);
   EXPECT_GT(out.gpu_compress().kernel, 0.0);
@@ -129,8 +133,8 @@ TEST(Compressor, ZfpOmpMatchesZfpCpuQuality) {
   const auto omp = make_compressor("zfp-omp");
   const auto cpu = make_compressor("zfp-cpu");
   const Field f = smooth_field(Dims::d3(16, 16, 32), 168);
-  const RunOutput omp_out = omp->run(f, {"rate", 8.0});
-  const RunOutput cpu_out = cpu->run(f, {"rate", 8.0});
+  const CBenchResult omp_out = CBench().run_one(f, *omp, {"rate", 8.0});
+  const CBenchResult cpu_out = CBench().run_one(f, *cpu, {"rate", 8.0});
   ASSERT_EQ(omp_out.reconstructed.size(), f.data.size());
   double omp_rmse = 0.0, cpu_rmse = 0.0;
   for (std::size_t i = 0; i < f.data.size(); ++i) {
@@ -140,7 +144,7 @@ TEST(Compressor, ZfpOmpMatchesZfpCpuQuality) {
   EXPECT_NEAR(std::sqrt(omp_rmse), std::sqrt(cpu_rmse),
               std::sqrt(cpu_rmse) * 0.1 + 1e-6);
   // Accuracy mode holds its bound through the chunked path too.
-  const RunOutput acc = omp->run(f, {"accuracy", 0.05});
+  const CBenchResult acc = CBench().run_one(f, *omp, {"accuracy", 0.05});
   for (std::size_t i = 0; i < f.data.size(); ++i) {
     EXPECT_LE(std::fabs(acc.reconstructed[i] - f.data[i]), 0.05);
   }
@@ -150,7 +154,7 @@ TEST(Compressor, CuZfp1dReshapeRoundTrip) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const auto codec = make_compressor("cuzfp", &sim);
   const Field f = smooth_field(Dims::d1(5000), 167);
-  const RunOutput out = codec->run(f, {"rate", 16.0});
+  const CBenchResult out = CBench().run_one(f, *codec, {"rate", 16.0});
   ASSERT_EQ(out.reconstructed.size(), f.data.size());
   double rmse = 0.0;
   for (std::size_t i = 0; i < f.data.size(); ++i) {

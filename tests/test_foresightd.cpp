@@ -24,6 +24,7 @@
 #include "common/backoff.hpp"
 #include "common/cancel.hpp"
 #include "common/error.hpp"
+#include "foresight/cbench.hpp"
 #include "foresight/pipeline.hpp"
 #include "foresight/session_cache.hpp"
 #include "foresightd/api.hpp"
@@ -376,8 +377,8 @@ TEST(ForesightdProtocol, ParseToJsonRoundTrip) {
   EXPECT_EQ(parsed.type, RequestType::kRoundtrip);
   EXPECT_EQ(parsed.id, 42u);
   EXPECT_EQ(parsed.codec, "sz-cpu");
-  EXPECT_EQ(parsed.mode, "abs");
-  EXPECT_DOUBLE_EQ(parsed.value, 0.1);
+  EXPECT_EQ(parsed.config.mode, "abs");
+  EXPECT_DOUBLE_EQ(parsed.config.value, 0.1);
   EXPECT_EQ(parsed.field, "baryon_density");
   const JobRequest again = JobRequest::parse(parsed.to_json());
   EXPECT_EQ(again.to_json().dump(), parsed.to_json().dump());
@@ -393,9 +394,9 @@ TEST(ForesightdProtocol, SweepConfigsRoundTrip) {
   request.configs = {{"rate", 4.0}, {"rate", 8.0}, {"abs", 0.1}};
   const JobRequest parsed = JobRequest::parse(request.to_json());
   ASSERT_EQ(parsed.configs.size(), 3u);
-  EXPECT_EQ(parsed.configs[0].first, "rate");
-  EXPECT_DOUBLE_EQ(parsed.configs[1].second, 8.0);
-  EXPECT_EQ(parsed.configs[2].first, "abs");
+  EXPECT_EQ(parsed.configs[0].mode, "rate");
+  EXPECT_DOUBLE_EQ(parsed.configs[1].value, 8.0);
+  EXPECT_EQ(parsed.configs[2].mode, "abs");
 }
 
 // ---------------------------------------------------------------------------
@@ -867,8 +868,7 @@ JobRequest roundtrip_request(std::uint64_t id, std::size_t dim = 16) {
   request.type = RequestType::kRoundtrip;
   request.id = id;
   request.codec = "sz-cpu";
-  request.mode = "abs";
-  request.value = 0.1;
+  request.config = {"abs", 0.1};
   request.dataset = nyx_spec(dim);
   request.field = "baryon_density";
   return request;
@@ -882,7 +882,7 @@ JobRequest slow_sweep_request(std::uint64_t id, std::size_t configs, std::size_t
   request.codec = "sz-cpu";
   request.dataset = nyx_spec(dim);
   request.field = "baryon_density";
-  for (std::size_t i = 0; i < configs; ++i) request.configs.emplace_back("abs", 0.1);
+  for (std::size_t i = 0; i < configs; ++i) request.configs.push_back({"abs", 0.1});
   return request;
 }
 
@@ -943,6 +943,109 @@ TEST(ForesightdDaemon, ExpiredDeadlineReportsDeadlineStatus) {
     const json::Value reply = client.call(request.to_json());
     EXPECT_EQ(reply.get("status", std::string()), foresightd::kStatusDeadline);
     EXPECT_EQ(static_cast<std::uint64_t>(reply.get("id", 0.0)), 5u);
+  }
+  daemon.request_shutdown();
+  daemon.wait();
+  EXPECT_EQ(daemon.stats().deadline, 1u);
+}
+
+TEST(ForesightdDaemon, BadGeneratedDatasetFailsOnlyItsJob) {
+  DaemonOptions options;
+  options.socket_path = test_socket_path("baddataset");
+  options.workers = 1;
+  Daemon daemon(options);
+  daemon.start();
+  {
+    Client client(options.socket_path);
+    // A 1048576³ grid is far past the per-transfer ceiling; a negative or
+    // fractional extent is no extent at all. Each job fails on its own.
+    std::vector<json::Value> specs = {nyx_spec(1048576), nyx_spec(16), nyx_spec(16)};
+    specs[1].as_object()["dim"] = -1.0;
+    specs[2].as_object()["dim"] = 2.5;
+    json::Object hacc;
+    hacc["type"] = "hacc";
+    hacc["particles"] = 1e12;
+    specs.push_back(json::Value(std::move(hacc)));
+    std::uint64_t id = 1;
+    for (const json::Value& spec : specs) {
+      JobRequest request = roundtrip_request(id++);
+      request.dataset = spec;
+      const json::Value reply = client.call(request.to_json());
+      EXPECT_EQ(reply.get("status", std::string()), foresightd::kStatusFailed)
+          << reply.dump();
+      EXPECT_FALSE(reply.get("error", std::string()).empty());
+    }
+    // The daemon is still serving.
+    const json::Value ok = client.call(roundtrip_request(id).to_json());
+    EXPECT_EQ(ok.get("status", std::string()), foresightd::kStatusOk) << ok.dump();
+  }
+  daemon.request_shutdown();
+  daemon.wait();
+  EXPECT_EQ(daemon.stats().failed, 4u);
+  EXPECT_EQ(daemon.stats().ok, 1u);
+}
+
+TEST(ForesightdDaemon, SweepRowsFollowRequestOrderAndCountFailures) {
+  const std::vector<foresight::CompressorConfig> configs = {
+      {"abs", 0.1}, {"rate", 8.0}, {"abs", 0.01}};  // sz-cpu has no rate mode
+  DaemonOptions options;
+  options.socket_path = test_socket_path("sweeprows");
+  options.workers = 1;
+  Daemon daemon(options);
+  daemon.start();
+  {
+    Client client(options.socket_path);
+    JobRequest request = slow_sweep_request(3, 0, 16);
+    request.configs = configs;
+    const json::Value reply = client.call(request.to_json());
+    EXPECT_EQ(reply.get("status", std::string()), foresightd::kStatusOk) << reply.dump();
+    EXPECT_EQ(reply.get("failed_rows", -1.0), 1.0);
+    const auto& rows = reply.at("rows").as_array();
+    ASSERT_EQ(rows.size(), configs.size());
+    const auto session = foresight::make_compressor("sz-cpu")->open_session();
+    const foresight::CBench bench({.keep_reconstructed = false});
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].get("mode", std::string()), configs[i].mode) << i;
+      EXPECT_EQ(rows[i].get("value", 0.0), configs[i].value) << i;
+      if (i == 1) {
+        EXPECT_EQ(rows[i].get("row_status", std::string()), foresightd::kStatusFailed);
+        EXPECT_FALSE(rows[i].get("error", std::string()).empty());
+        EXPECT_FALSE(rows[i].contains("crc32"));
+        continue;
+      }
+      EXPECT_EQ(rows[i].get("row_status", std::string()), foresightd::kStatusOk) << i;
+      const foresight::CBenchResult reference =
+          bench.run_session(test_field(), "sz-cpu", *session, configs[i]);
+      EXPECT_EQ(static_cast<std::uint32_t>(rows[i].at("crc32").as_number()),
+                reference.stream_crc32)
+          << i;
+      EXPECT_EQ(static_cast<std::size_t>(rows[i].get("compressed_bytes", 0.0)),
+                reference.compressed_bytes)
+          << i;
+    }
+  }
+  daemon.request_shutdown();
+  daemon.wait();
+}
+
+TEST(ForesightdDaemon, SweepDeadlineIsNeverAFailedRow) {
+  DaemonOptions options;
+  options.socket_path = test_socket_path("sweepdeadline");
+  options.workers = 1;
+  Daemon daemon(options);
+  daemon.start();
+  {
+    Client client(options.socket_path);
+    // 1024 lattice points cannot finish in 200 ms: the deadline lands
+    // mid-sweep, and the whole job reports it instead of failed rows.
+    JobRequest request = slow_sweep_request(4, 1024, 32);
+    request.deadline_seconds = 0.2;
+    const json::Value reply = client.call(request.to_json());
+    EXPECT_EQ(reply.get("status", std::string()), foresightd::kStatusDeadline)
+        << reply.get("status", std::string());
+    EXPECT_FALSE(reply.contains("rows"));
+    EXPECT_EQ(reply.get("error", std::string()).find("admission"), std::string::npos)
+        << reply.get("error", std::string());
   }
   daemon.request_shutdown();
   daemon.wait();

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -72,6 +73,15 @@ TEST(Json, NumberFormattingRoundTrips) {
     const Value v(d);
     EXPECT_DOUBLE_EQ(parse(v.dump()).as_number(), d);
   }
+}
+
+TEST(Json, NonFiniteNumbersDumpAsNull) {
+  Object o;
+  o["nan"] = std::numeric_limits<double>::quiet_NaN();
+  o["inf"] = -std::numeric_limits<double>::infinity();
+  const std::string text = Value(o).dump();
+  EXPECT_EQ(text, R"({"inf":null,"nan":null})");
+  EXPECT_TRUE(parse(text).at("nan").is_null());
 }
 
 TEST(Json, MalformedInputsThrow) {

@@ -6,6 +6,7 @@
 #include "foresight/optimizer.hpp"
 #include "foresight/sweep.hpp"
 #include "json/json.hpp"
+#include "token_codec.hpp"
 
 namespace cosmo::foresight {
 namespace {
@@ -368,6 +369,29 @@ TEST(Optimizer, GuidedContinuesPastFailedCandidates) {
   EXPECT_TRUE(r.per_field[0].found);
   EXPECT_TRUE(r.per_field[1].found);
   EXPECT_GE(r.stats.failed, 1u);
+}
+
+TEST(Optimizer, ContinueNeverTurnsCancellationIntoAFailedCandidate) {
+  NyxConfig config;
+  config.dim = 16;
+  const auto data = generate_nyx(config);
+  std::map<std::string, std::vector<CompressorConfig>> candidates;
+  candidates["temperature"] = {{"rate", 4.0}, {"rate", 8.0}, {"rate", 16.0}};
+  for (const bool deadline : {false, true}) {
+    TokenCheckingCompressor codec(make_compressor("zfp-cpu"), stopped_token(deadline));
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      OptimizerOptions options;
+      options.threads = threads;
+      options.on_error = OnError::kContinue;
+      if (deadline) {
+        EXPECT_THROW(optimize_grid_dataset(data, codec, candidates, 0.01, 0.5, options),
+                     DeadlineExceededError);
+      } else {
+        EXPECT_THROW(optimize_grid_dataset(data, codec, candidates, 0.01, 0.5, options),
+                     CancelledError);
+      }
+    }
+  }
 }
 
 TEST(Optimizer, ParseSearchMode) {

@@ -142,6 +142,24 @@ TEST(Pipeline, UnknownDatasetTypeRejected) {
   EXPECT_THROW(run_pipeline(config), InvalidArgument);
 }
 
+TEST(Pipeline, CountKnobsMustBeNonNegativeIntegers) {
+  const std::string out_dir = temp_dir("pipeline_knobs");
+  const auto config_with = [&](const std::string& knob) {
+    return json::parse(R"({
+      "output": ")" + out_dir + R"(",
+      "dataset": {"type": "nyx", "dim": 8, "seed": 42},
+      "runs": [],
+      )" + knob + "}");
+  };
+  for (const std::string knob :
+       {R"("threads": -1)", R"("jobs": -1)", R"("threads": 1.5)",
+        R"("optimizer": {"compressor": "zfp-cpu", "threads": -1})",
+        R"("optimizer": {"compressor": "zfp-cpu", "probes": -1})"}) {
+    EXPECT_THROW(run_pipeline(config_with(knob)), InvalidArgument) << knob;
+  }
+  std::filesystem::remove_all(out_dir);
+}
+
 TEST(Pipeline, RunPipelineFileParsesJson) {
   const std::string out_dir = temp_dir("pipeline_jsonfile");
   std::filesystem::create_directories(out_dir);

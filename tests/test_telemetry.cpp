@@ -265,15 +265,17 @@ void expect_tracing_invariant(const std::string& codec_name, const char* gpu_nam
   gpu::GpuSimulator sim_on(gpu::find_device("V100"));
 
   const auto codec_off = make_compressor(codec_name, gpu_name ? &sim_off : nullptr);
-  const RunOutput off = codec_off->run(field, config);
+  const CBenchResult off = CBench().run_one(field, *codec_off, config);
 
   Tracer::enable();
   const auto codec_on = make_compressor(codec_name, gpu_name ? &sim_on : nullptr);
-  const RunOutput on = codec_on->run(field, config);
+  const CBenchResult on = CBench().run_one(field, *codec_on, config);
   Tracer::disable();
 
   EXPECT_FALSE(Tracer::snapshot().empty()) << "the traced run must record spans";
-  EXPECT_EQ(off.bytes, on.bytes) << codec_name << ": stream differs with tracing on";
+  EXPECT_EQ(off.compressed_bytes, on.compressed_bytes);
+  EXPECT_EQ(off.stream_crc32, on.stream_crc32)
+      << codec_name << ": stream differs with tracing on";
   EXPECT_EQ(off.reconstructed, on.reconstructed);
   EXPECT_EQ(off.compress_seconds() == off.compress_seconds(), true);  // not NaN
   EXPECT_EQ(off.has_gpu_timing(), on.has_gpu_timing());
@@ -349,20 +351,22 @@ TEST(SpanDeterminism, SweepThreadCountDoesNotChangeJobSpans) {
 }
 
 // ---------------------------------------------------------------------------
-// run() vs run_one(): identical fallback/retry reporting (ISSUE satellite)
+// run_one vs a hand-staged session: identical fallback/retry reporting
 // ---------------------------------------------------------------------------
 
-TEST(RunOutputTelemetry, RunReportsFallbackIdenticallyToRunOne) {
+TEST(RunOneTelemetry, ReportsFallbackIdenticallyToStagedSession) {
   const auto data = small_nyx();
   const Field& field = data.find("baryon_density").field;
   fault::Config cfg;
   cfg.gpu_oom_every = 1;  // every device op OOMs -> host fallback everywhere
 
-  gpu::GpuSimulator sim_run(gpu::find_device("V100"));
-  fault::FaultPlan plan_run(cfg);
-  sim_run.set_fault_plan(&plan_run);
-  const auto codec_run = make_compressor("cuzfp", &sim_run);
-  const RunOutput out = codec_run->run(field, {"rate", 8.0});
+  gpu::GpuSimulator sim_staged(gpu::find_device("V100"));
+  fault::FaultPlan plan_staged(cfg);
+  sim_staged.set_fault_plan(&plan_staged);
+  const auto codec_staged = make_compressor("cuzfp", &sim_staged);
+  const auto session = codec_staged->open_session();
+  const CompressResult c = session->compress(field, {"rate", 8.0});
+  const DecompressResult d = session->decompress(c);
 
   gpu::GpuSimulator sim_bench(gpu::find_device("V100"));
   fault::FaultPlan plan_bench(cfg);
@@ -371,24 +375,23 @@ TEST(RunOutputTelemetry, RunReportsFallbackIdenticallyToRunOne) {
   CBench bench({.dataset_name = "nyx"});
   const CBenchResult row = bench.run_one(field, *codec_bench, {"rate", 8.0});
 
-  // Before StageTelemetry, RunOutput had no fallback fields at all; now both
-  // paths must agree on every reported fact.
-  EXPECT_TRUE(out.cpu_fallback());
-  EXPECT_EQ(out.cpu_fallback(), row.cpu_fallback());
-  EXPECT_EQ(out.device_attempts(), row.device_attempts());
-  EXPECT_EQ(out.has_gpu_timing(), row.compress.has_gpu_timing);
-  EXPECT_EQ(out.compress.cpu_fallback, row.compress.cpu_fallback);
-  EXPECT_EQ(out.decompress.cpu_fallback, row.decompress.cpu_fallback);
-  EXPECT_EQ(out.throughput_reportable, row.throughput_reportable);
-  EXPECT_EQ(out.bytes.size(), row.compressed_bytes);
+  // The row carries the stages' telemetry verbatim.
+  EXPECT_TRUE(row.cpu_fallback());
+  EXPECT_EQ(any_cpu_fallback(c.telemetry, d.telemetry), row.cpu_fallback());
+  EXPECT_EQ(max_device_attempts(c.telemetry, d.telemetry), row.device_attempts());
+  EXPECT_EQ(c.has_gpu_timing(), row.compress.has_gpu_timing);
+  EXPECT_EQ(c.cpu_fallback(), row.compress.cpu_fallback);
+  EXPECT_EQ(d.cpu_fallback(), row.decompress.cpu_fallback);
+  EXPECT_FALSE(row.throughput_reportable);
+  EXPECT_EQ(c.bytes.size(), row.compressed_bytes);
 }
 
-TEST(RunOutputTelemetry, CleanGpuRunReportsNoFallback) {
+TEST(RunOneTelemetry, CleanGpuRunReportsNoFallback) {
   const auto data = small_nyx();
   const Field& field = data.find("baryon_density").field;
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const auto codec = make_compressor("cuzfp", &sim);
-  const RunOutput out = codec->run(field, {"rate", 8.0});
+  const CBenchResult out = CBench().run_one(field, *codec, {"rate", 8.0});
   EXPECT_FALSE(out.cpu_fallback());
   EXPECT_EQ(out.device_attempts(), 1);
   EXPECT_TRUE(out.has_gpu_timing());
@@ -413,7 +416,7 @@ TEST(FaultMetrics, RetriesAndFallbacksAreCounted) {
     fault::FaultPlan plan(cfg);
     sim.set_fault_plan(&plan);
     const auto codec = make_compressor("cuzfp", &sim);
-    const RunOutput out = codec->run(field, {"rate", 8.0});
+    const CBenchResult out = CBench().run_one(field, *codec, {"rate", 8.0});
     EXPECT_EQ(out.device_attempts(), 2);
   }
   EXPECT_GE(reg.counter("gpu.transient_retries").value(), 1u);
@@ -425,7 +428,7 @@ TEST(FaultMetrics, RetriesAndFallbacksAreCounted) {
     fault::FaultPlan plan(cfg);
     sim.set_fault_plan(&plan);
     const auto codec = make_compressor("cuzfp", &sim);
-    const RunOutput out = codec->run(field, {"rate", 8.0});
+    const CBenchResult out = CBench().run_one(field, *codec, {"rate", 8.0});
     EXPECT_TRUE(out.cpu_fallback());
   }
   EXPECT_GE(reg.counter("codec.cpu_fallbacks").value(), 2u);

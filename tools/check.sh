@@ -147,10 +147,11 @@ fi
 # 3. Tests.
 case "${mode}" in
   tsan)
-    # The parallel surface: pool/parallel_for internals, the sweep scheduler,
-    # and every threaded kernel via the cross-thread-count determinism suite.
+    # The parallel surface: pool/parallel_for internals, the shared job
+    # scheduler (CBench sweeps, the optimizer, the daemon), and every
+    # threaded kernel via the cross-thread-count determinism suite.
     TSAN_OPTIONS="halt_on_error=1" "${build_dir}/tests/cosmo_tests" \
-      --gtest_filter='ThreadPool*:*Sweep*:*Parallel*:ParallelDeterminism.*:FftTwiddleCache.*:Foresightd*'
+      --gtest_filter='ThreadPool*:*Sweep*:*Parallel*:ParallelDeterminism.*:FftTwiddleCache.*:Foresightd*:CBench*:Optimizer*'
     ;;
   asan)
     # The codec surface: bitstream I/O, entropy/dictionary coders, ZFP block

@@ -183,7 +183,7 @@ std::map<std::uint64_t, Outcome> run_client(const std::string& socket, std::size
       s.codec = entry.codec;
       s.dataset = dataset;
       s.field = "baryon_density";
-      for (int k = 0; k < 3; ++k) s.configs.emplace_back(entry.mode, entry.value);
+      for (int k = 0; k < 3; ++k) s.configs.push_back({entry.mode, entry.value});
       s.options = job_options;
       request = s.to_request(id);
     } else {
@@ -580,7 +580,7 @@ int main(int argc, char** argv) {
       slow.codec = "sz-cpu";
       slow.dataset = dataset_spec(32);
       slow.field = "baryon_density";
-      for (int k = 0; k < 64; ++k) slow.configs.emplace_back("abs", 0.1);
+      for (int k = 0; k < 64; ++k) slow.configs.push_back({"abs", 0.1});
       control.submit(slow.to_request(9000000 + i));
     }
     // Shut down only once everything is admitted, so the drain really does

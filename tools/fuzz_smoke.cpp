@@ -207,8 +207,7 @@ int main(int argc, char** argv) {
   wire_request.type = foresightd::RequestType::kRoundtrip;
   wire_request.id = 7;
   wire_request.codec = "sz-cpu";
-  wire_request.mode = "abs";
-  wire_request.value = 0.1;
+  wire_request.config = {"abs", 0.1};
   wire_request.field = "baryon_density";
   {
     json::Object spec;
