@@ -37,7 +37,7 @@ int main() {
 
   struct Row {
     double bitrate;
-    gpu::TimingBreakdown comp, decomp;
+    TimingBreakdown comp, decomp;
     double comp_std_ms, decomp_std_ms;
   };
   std::vector<Row> rows;

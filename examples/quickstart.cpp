@@ -55,13 +55,13 @@ int main(int argc, char** argv) {
   // 4. GPU time breakdown for one run (Fig. 7's four components).
   const auto& r = results[1];
   std::printf("cuZFP compression breakdown on %s (rate=4):\n", rho.name.c_str());
-  std::printf("  init   %8.3f ms\n", r.gpu_compress().init * 1e3);
-  std::printf("  kernel %8.3f ms\n", r.gpu_compress().kernel * 1e3);
+  std::printf("  init   %8.3f ms\n", r.compress.gpu_timing.init * 1e3);
+  std::printf("  kernel %8.3f ms\n", r.compress.gpu_timing.kernel * 1e3);
   std::printf("  memcpy %8.3f ms (compressed stream, D2H over PCIe 3.0 x16)\n",
-              r.gpu_compress().memcpy * 1e3);
-  std::printf("  free   %8.3f ms\n", r.gpu_compress().free * 1e3);
+              r.compress.gpu_timing.memcpy * 1e3);
+  std::printf("  free   %8.3f ms\n", r.compress.gpu_timing.free * 1e3);
   std::printf("  total  %8.3f ms  vs  %.3f ms to move the raw field uncompressed\n",
-              r.gpu_compress().total() * 1e3,
+              r.compress.gpu_timing.total() * 1e3,
               sim.baseline_transfer_seconds(rho.bytes()) * 1e3);
   if (rho.bytes() < 64u << 20) {
     std::printf(

@@ -39,11 +39,19 @@ class CancelToken {
   CancelToken() : state_(std::make_shared<State>()) {}
 
   /// A token that expires \p seconds from now (<= 0 means already expired).
+  /// A deadline past the clock's range saturates at its last time point.
   [[nodiscard]] static CancelToken with_deadline(double seconds) {
     CancelToken t;
     t.state_->has_deadline = true;
-    t.state_->deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                            std::chrono::duration<double>(seconds));
+    const Clock::time_point now = Clock::now();
+    // One second short of the clock's end, so rounding seconds to ticks
+    // cannot carry the sum past it.
+    const double headroom =
+        std::chrono::duration<double>(Clock::time_point::max() - now).count() - 1.0;
+    t.state_->deadline = seconds < headroom
+                             ? now + std::chrono::duration_cast<Clock::duration>(
+                                         std::chrono::duration<double>(seconds))
+                             : Clock::time_point::max();
     return t;
   }
 

@@ -30,8 +30,7 @@
 
 namespace cosmo {
 
-/// Fig. 7's four components, in seconds. (Historically gpu::TimingBreakdown;
-/// gpu/sim.hpp keeps that name as an alias.)
+/// Fig. 7's four components, in seconds.
 struct TimingBreakdown {
   double init = 0.0;    ///< parameter upload + device allocation
   double kernel = 0.0;  ///< (de)compression kernel

@@ -60,13 +60,7 @@ struct CBenchResult {
   /// Reconstructed data for downstream analysis (kept when requested).
   std::vector<float> reconstructed;
 
-  [[nodiscard]] double compress_seconds() const { return compress.seconds; }
-  [[nodiscard]] double decompress_seconds() const { return decompress.seconds; }
   [[nodiscard]] bool has_gpu_timing() const { return compress.has_gpu_timing; }
-  [[nodiscard]] const TimingBreakdown& gpu_compress() const { return compress.gpu_timing; }
-  [[nodiscard]] const TimingBreakdown& gpu_decompress() const {
-    return decompress.gpu_timing;
-  }
   /// Device-OOM degraded a stage to the host codec.
   [[nodiscard]] bool cpu_fallback() const { return any_cpu_fallback(compress, decompress); }
   /// Max device attempts across stages (transient-fault retries).

@@ -21,14 +21,17 @@ namespace cosmo::foresight {
 namespace {
 
 /// A count-like JSON knob (\p fallback when absent) must be a non-negative
-/// integer — the CLI's rule for --threads — or InvalidArgument.
+/// integer below \p limit — the CLI's rule for --threads — or InvalidArgument.
 std::uint64_t count_knob(const json::Value& object, const std::string& key,
-                         double fallback) {
+                         double fallback, double limit = 0x1p64) {
   const double v = object.get(key, fallback);
-  require(std::isfinite(v) && v >= 0 && v == std::floor(v) && v < 0x1p64,
-          "pipeline: \"" + key + "\" must be a non-negative integer");
+  require(std::isfinite(v) && v >= 0 && v == std::floor(v) && v < limit,
+          strprintf("pipeline: \"%s\" must be an integer in [0, %.0f)", key.c_str(), limit));
   return static_cast<std::uint64_t>(v);
 }
+
+/// Spans in the trace ring at most: 2^24 records are 640 MiB.
+constexpr double kMaxTraceCapacity = 0x1p24;
 
 }  // namespace
 
@@ -66,17 +69,21 @@ io::Container build_dataset(const json::Value& spec, std::uint64_t max_field_byt
 std::optional<fault::Config> parse_faults(const json::Value& config) {
   if (!config.contains("faults")) return std::nullopt;
   const json::Value& f = config.at("faults");
+  // A fault counter of 0 disables it; every value must fit its uint32_t.
+  const auto every = [&f](const char* key) {
+    return static_cast<std::uint32_t>(count_knob(f, key, 0.0, 0x1p32));
+  };
   fault::Config c;
-  c.seed = static_cast<std::uint64_t>(f.get("seed", static_cast<double>(c.seed)));
+  c.seed = count_knob(f, "seed", static_cast<double>(c.seed));
   c.corrupt_probability = f.get("corrupt_probability", 0.0);
   c.corrupt_bit_flip = f.get("corrupt_bit_flip", true);
   c.corrupt_truncate = f.get("corrupt_truncate", true);
   c.corrupt_zero_run = f.get("corrupt_zero_run", true);
-  c.gpu_transient_every = static_cast<std::uint32_t>(f.get("gpu_transient_every", 0.0));
+  c.gpu_transient_every = every("gpu_transient_every");
   c.gpu_transient_probability = f.get("gpu_transient_probability", 0.0);
-  c.gpu_oom_every = static_cast<std::uint32_t>(f.get("gpu_oom_every", 0.0));
+  c.gpu_oom_every = every("gpu_oom_every");
   c.gpu_oom_probability = f.get("gpu_oom_probability", 0.0);
-  c.io_failure_every = static_cast<std::uint32_t>(f.get("io_failure_every", 0.0));
+  c.io_failure_every = every("io_failure_every");
   c.io_failure_probability = f.get("io_failure_probability", 0.0);
   return c;
 }
@@ -114,8 +121,9 @@ PipelineSummary run_pipeline(const json::Value& config) {
     trace_out = t.get("trace_out", std::string());
     metrics_out = t.get("metrics_out", std::string());
     if (t.get("trace", !trace_out.empty())) {
-      telemetry::Tracer::enable(static_cast<std::size_t>(t.get(
-          "trace_capacity", static_cast<double>(telemetry::Tracer::kDefaultCapacity))));
+      telemetry::Tracer::enable(count_knob(
+          t, "trace_capacity", static_cast<double>(telemetry::Tracer::kDefaultCapacity),
+          kMaxTraceCapacity));
     }
   }
 

@@ -29,7 +29,8 @@
 ///                            // "abort" stops at the first failure
 ///   "telemetry": {  // observability (absent = tracing stays disabled)
 ///     "trace": true,             // enable span tracing for this run
-///     "trace_capacity": 65536,   // ring size in spans (oldest overwritten)
+///     "trace_capacity": 65536,   // ring size in spans, below 2^24 (oldest
+///                                // overwritten)
 ///     "trace_out": "trace.json",    // Chrome trace_event JSON, written
 ///                                   // under "output" unless absolute
 ///     "metrics_out": "metrics.json" // MetricsRegistry JSON dump

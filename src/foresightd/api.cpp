@@ -119,7 +119,6 @@ JobReply JobReply::parse(json::Value frame) {
     r.kind = ReplyKind::kResult;
     r.status = frame.get("status", std::string());
     r.reason = frame.get("reason", std::string());
-    r.payload_omitted = frame.get("payload_omitted", false);
     r.payload_transfer = frame.get("payload_transfer", std::string());
     const std::string payload_b64 = frame.get("payload", std::string());
     if (!payload_b64.empty()) r.payload = base64_decode(payload_b64);

@@ -137,7 +137,6 @@ struct JobReply {
   bool chunk_ok = false;       ///< chunk acks: accepted?
   bool chunk_completed = false;///< chunk acks: transfer sealed by chunk_end
   std::vector<std::uint8_t> payload;  ///< result: returned compressed bytes
-  bool payload_omitted = false;       ///< result: bytes too large, crc only
   std::string payload_transfer;       ///< result: bytes arrived as a stream
   json::Value raw;
 

@@ -718,9 +718,9 @@ void put_roundtrip(const foresight::CBenchResult& r, json::Object& out) {
   out["original_bytes"] = r.original_bytes;
   out["ratio"] = r.ratio;
   out["crc32"] = static_cast<double>(r.stream_crc32);
-  out["compress_seconds"] = r.compress_seconds();
+  out["compress_seconds"] = r.compress.seconds;
   out["corrupted"] = r.corrupted;
-  out["decompress_seconds"] = r.decompress_seconds();
+  out["decompress_seconds"] = r.decompress.seconds;
   out["psnr_db"] = r.distortion.psnr_db;
   out["max_abs_err"] = r.distortion.max_abs_err;
   out["nrmse"] = r.distortion.nrmse;
@@ -834,17 +834,12 @@ void Daemon::run_job(Job& job, foresight::SessionCache& cache, json::Object& rep
       const bool fits = encoded + 1024 < kMaxFrameBytes;
       const bool over_threshold = options_.response_stream_threshold > 0 &&
                                   c.bytes.size() > options_.response_stream_threshold;
-      if (r.proto_major >= 2 && (!fits || over_threshold)) {
-        // v2 clients get oversized payloads as a server→client stream.
+      if (!fits || over_threshold) {
         stream_payload(job, c.bytes, reply);
-        reply["original_values"] = c.original_values;
-      } else if (fits) {
-        reply["payload"] = base64_encode(c.bytes);
-        reply["original_values"] = c.original_values;
       } else {
-        // v1 clients: oversized streams are reported by checksum only.
-        reply["payload_omitted"] = true;
+        reply["payload"] = base64_encode(c.bytes);
       }
+      reply["original_values"] = c.original_values;
     }
     return;
   }

@@ -96,9 +96,9 @@ struct DaemonOptions {
   /// chunk still in flight never counts as abandoned).
   double transfer_idle_seconds = 30.0;
   std::size_t stream_chunk_bytes = kDefaultChunkBytes;  ///< server→client stream slice
-  /// Compress results whose payload exceeds this are streamed in chunks to
-  /// proto≥2 clients instead of inlined (0 = only when the frame cap
-  /// forces it). Tests lower it to force streaming on small payloads.
+  /// Compress results whose payload exceeds this are streamed in chunks
+  /// instead of inlined (0 = only when the frame cap forces it). Tests
+  /// lower it to force streaming on small payloads.
   std::uint64_t response_stream_threshold = 0;
   std::uint64_t dataset_cache_bytes = 256ull << 20;  ///< LRU dataset cache budget
   std::string gpu = "Tesla V100";       ///< device spec backing the simulated-GPU codecs

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cctype>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "io/crc32.hpp"
@@ -16,7 +17,7 @@ std::string proto_version_string() {
   return std::to_string(kProtoMajor) + "." + std::to_string(kProtoMinor);
 }
 
-bool proto_major_supported(int major) { return major == 1 || major == kProtoMajor; }
+bool proto_major_supported(int major) { return major == kProtoMajor; }
 
 namespace {
 
@@ -571,6 +572,9 @@ RequestType parse_type(const std::string& name) {
   throw FormatError("protocol: unknown request type '" + name + "'");
 }
 
+/// 2^53: every integer up to it survives a JSON number (a double) exactly.
+constexpr double kMaxRequestId = 9007199254740992.0;
+
 }  // namespace
 
 JobRequest JobRequest::parse(const json::Value& v) {
@@ -578,7 +582,8 @@ JobRequest JobRequest::parse(const json::Value& v) {
   JobRequest r;
   r.type = parse_type(v.get("type", std::string()));
   const double id = v.get("id", 0.0);
-  require_format(id >= 0, "protocol: negative request id");
+  require_format(id >= 0 && id <= kMaxRequestId && id == std::floor(id),
+                 "protocol: request id must be an integer in [0, 2^53]");
   r.id = static_cast<std::uint64_t>(id);
   if (v.contains("proto")) {
     const auto [major, minor] = parse_proto(v.at("proto").as_string());
@@ -590,8 +595,10 @@ JobRequest JobRequest::parse(const json::Value& v) {
 
   r.deadline_seconds = v.get("deadline_seconds", 0.0);
   require_format(r.deadline_seconds >= 0, "protocol: negative deadline");
-  r.priority = static_cast<int>(v.get("priority", 1.0));
-  require_format(r.priority >= 0 && r.priority <= 15, "protocol: priority out of range");
+  const double priority = v.get("priority", 1.0);
+  require_format(priority >= 0 && priority <= 15 && priority == std::floor(priority),
+                 "protocol: priority must be an integer in [0, 15]");
+  r.priority = static_cast<int>(priority);
   r.codec = v.get("codec", std::string());
   require_format(!r.codec.empty(), "protocol: job request missing codec");
   r.return_bytes = v.get("return_bytes", false);

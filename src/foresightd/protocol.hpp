@@ -60,17 +60,17 @@ inline constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
 // Protocol version
 // ---------------------------------------------------------------------------
 
-/// Wire protocol version. Major 1 is the PR 9 protocol (single-frame jobs
-/// only); major 2 adds the chunked-transfer family, `hello` negotiation,
-/// and transfer-backed job inputs. Requests without a `proto` field are
-/// treated as major 1 (a compatible subset), so old clients keep working.
+/// Wire protocol version: length-prefixed JSON frames, the chunked-transfer
+/// family, `hello` negotiation and transfer-backed job inputs. A request
+/// without a `proto` field is served as this version; any other major is
+/// refused with `unsupported_version`.
 inline constexpr int kProtoMajor = 2;
 inline constexpr int kProtoMinor = 0;
 
 /// "2.0" — the daemon's version as sent in hello/pong replies.
 [[nodiscard]] std::string proto_version_string();
 
-/// True for every major this daemon can serve (1 and 2).
+/// True only for kProtoMajor, the one major this daemon serves.
 [[nodiscard]] bool proto_major_supported(int major);
 
 /// Parses "M" or "M.m" into (major, minor); throws FormatError on
@@ -264,7 +264,7 @@ enum class RequestType {
 struct JobRequest {
   RequestType type = RequestType::kPing;
   std::uint64_t id = 0;        ///< client-chosen correlation id, echoed back
-  int proto_major = 0;         ///< 0 = no `proto` field sent (treated as major 1)
+  int proto_major = 0;         ///< 0 = no `proto` field sent (served as kProtoMajor)
   int proto_minor = 0;
   std::string codec;           ///< registry name, e.g. "sz-cpu"
   foresight::CompressorConfig config;  ///< single-config job types

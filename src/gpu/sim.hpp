@@ -28,11 +28,6 @@
 
 namespace cosmo::gpu {
 
-/// Fig. 7's four components, in seconds. The definition moved to
-/// common/telemetry.hpp so StageTelemetry can embed it without a gpu
-/// dependency; this alias keeps the historical gpu::TimingBreakdown name.
-using TimingBreakdown = ::cosmo::TimingBreakdown;
-
 /// A device-resident allocation handle.
 using BufferId = std::uint64_t;
 

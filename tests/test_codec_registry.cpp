@@ -289,8 +289,8 @@ TEST(FzCodec, GpuVariantReportsDeviceTiming) {
   const CBenchResult out = CBench().run_one(field, *codec, {"abs", 0.1});
   EXPECT_TRUE(out.has_gpu_timing());
   EXPECT_TRUE(out.throughput_reportable);
-  EXPECT_GT(out.gpu_compress().kernel, 0.0);
-  EXPECT_GT(out.gpu_decompress().memcpy, 0.0);
+  EXPECT_GT(out.compress.gpu_timing.kernel, 0.0);
+  EXPECT_GT(out.decompress.gpu_timing.memcpy, 0.0);
   // The device stream is the host stream: same codec, modeled transport.
   const auto host = make_compressor("fz-cpu");
   const std::vector<std::uint8_t> host_bytes =

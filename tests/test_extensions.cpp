@@ -1,15 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 
 #include "common/error.hpp"
-#include "common/str.hpp"
-#include "cosmo/hacc_synth.hpp"
 #include "cosmo/nyx_synth.hpp"
 #include "gpu/node.hpp"
-#include "io/partitioned.hpp"
-#include "mpi/domain.hpp"
 #include "random/rng.hpp"
 #include "sz/rate_estimate.hpp"
 #include "zfp/zfp.hpp"
@@ -233,73 +228,6 @@ TEST(NodeModel, InvalidConfigRejected) {
   node.gpu_count = 0;
   EXPECT_THROW(gpu::model_node_compression(node, 1000, 4.0), InvalidArgument);
   EXPECT_THROW(gpu::cpu_overhead_fraction(0.0, 1000, 10.0), InvalidArgument);
-}
-
-// ---------- Partitioned I/O ----------
-
-TEST(PartitionedIo, SaveLoadRoundTripPreservesEverything) {
-  HaccConfig config;
-  config.particles = 8000;
-  config.halo_count = 6;
-  const io::Container snapshot = generate_hacc(config);
-  mpi::DomainDecomposition domain{2, 2, 1, 256.0};
-  const auto parts = mpi::partition_particles(domain, snapshot.find("x").field.data,
-                                              snapshot.find("y").field.data,
-                                              snapshot.find("z").field.data);
-  const std::string stem = ::testing::TempDir() + "/part_test";
-  io::save_partitioned(snapshot, stem, parts);
-  EXPECT_EQ(io::partition_rank_count(stem), 4u);
-
-  std::vector<std::uint32_t> global_index;
-  const io::Container loaded = io::load_partitioned(stem, &global_index);
-  ASSERT_EQ(loaded.variables.size(), 6u);
-  ASSERT_EQ(global_index.size(), config.particles);
-
-  // Every particle appears exactly once and carries its original values.
-  std::vector<bool> seen(config.particles, false);
-  const auto& orig_x = snapshot.find("x").field.data;
-  const auto& loaded_x = loaded.find("x").field.data;
-  for (std::size_t i = 0; i < global_index.size(); ++i) {
-    const std::uint32_t g = global_index[i];
-    ASSERT_LT(g, config.particles);
-    EXPECT_FALSE(seen[g]);
-    seen[g] = true;
-    EXPECT_EQ(loaded_x[i], orig_x[g]);
-  }
-  for (std::size_t r = 0; r < 4; ++r) {
-    std::filesystem::remove(strprintf("%s.rank%04zu.gio", stem.c_str(), r));
-  }
-  std::filesystem::remove(stem + ".manifest.json");
-}
-
-TEST(PartitionedIo, RankOrderMatchesPartitionOrder) {
-  io::Container snapshot;
-  {
-    io::Variable v;
-    v.field = Field("x", Dims::d1(6), {0, 1, 2, 3, 4, 5});
-    snapshot.variables.push_back(v);
-  }
-  const std::vector<std::vector<std::uint32_t>> parts = {{4, 5}, {0, 1, 2, 3}};
-  const std::string stem = ::testing::TempDir() + "/part_order";
-  io::save_partitioned(snapshot, stem, parts);
-  const io::Container loaded = io::load_partitioned(stem);
-  const auto& x = loaded.find("x").field.data;
-  ASSERT_EQ(x.size(), 6u);
-  EXPECT_EQ(x[0], 4.0f);  // rank 0 first
-  EXPECT_EQ(x[1], 5.0f);
-  EXPECT_EQ(x[2], 0.0f);  // then rank 1
-  std::filesystem::remove(stem + ".rank0000.gio");
-  std::filesystem::remove(stem + ".rank0001.gio");
-  std::filesystem::remove(stem + ".manifest.json");
-}
-
-TEST(PartitionedIo, Rejects3dVariablesAndMissingManifest) {
-  io::Container snapshot;
-  io::Variable v;
-  v.field = Field("grid", Dims::d3(2, 2, 2));
-  snapshot.variables.push_back(v);
-  EXPECT_THROW(io::save_partitioned(snapshot, "/tmp/x", {{0}}), InvalidArgument);
-  EXPECT_THROW(io::load_partitioned("/nonexistent/stem"), IoError);
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ TEST(Compressor, SzCpuAbsHonorsBound) {
     EXPECT_LE(std::fabs(out.reconstructed[i] - f.data[i]), 0.05 * (1 + 1e-9));
   }
   EXPECT_FALSE(out.has_gpu_timing());
-  EXPECT_GE(out.compress_seconds(), 0.0);
+  EXPECT_GE(out.compress.seconds, 0.0);
   EXPECT_TRUE(out.throughput_reportable);
 }
 
@@ -124,9 +124,9 @@ TEST(Compressor, CuZfpProducesGpuTiming) {
   const CBenchResult out = CBench().run_one(f, *codec, {"rate", 4.0});
   EXPECT_TRUE(out.has_gpu_timing());
   EXPECT_TRUE(out.throughput_reportable);
-  EXPECT_GT(out.gpu_compress().kernel, 0.0);
-  EXPECT_GT(out.gpu_decompress().memcpy, 0.0);
-  EXPECT_DOUBLE_EQ(out.compress_seconds(), out.gpu_compress().total());
+  EXPECT_GT(out.compress.gpu_timing.kernel, 0.0);
+  EXPECT_GT(out.decompress.gpu_timing.memcpy, 0.0);
+  EXPECT_DOUBLE_EQ(out.compress.seconds, out.compress.gpu_timing.total());
 }
 
 TEST(Compressor, ZfpOmpMatchesZfpCpuQuality) {

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -157,10 +158,14 @@ TEST(ForesightdCancel, CancellationWinsOverDeadline) {
 }
 
 TEST(ForesightdCancel, FutureDeadlineDoesNotFirePrematurely) {
-  const CancelToken token = CancelToken::with_deadline(3600.0);
-  EXPECT_FALSE(token.stop_requested());
-  EXPECT_GT(token.remaining_seconds(), 3000.0);
-  EXPECT_NO_THROW(token.check("stage"));
+  // Past 9.2e9 s a deadline overflows steady_clock nanoseconds; it must
+  // saturate to "effectively none", never wrap to "already expired".
+  for (const double seconds : {3600.0, 1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+    const CancelToken token = CancelToken::with_deadline(seconds);
+    EXPECT_FALSE(token.stop_requested()) << seconds;
+    EXPECT_GT(token.remaining_seconds(), 3000.0) << seconds;
+    EXPECT_NO_THROW(token.check("stage")) << seconds;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -366,6 +371,21 @@ TEST(ForesightdProtocol, ParseValidatesPerType) {
   json::Object bad_deadline = sample_request_json().as_object();
   bad_deadline["deadline_seconds"] = -1.0;
   EXPECT_THROW(JobRequest::parse(json::Value(bad_deadline)), FormatError);
+
+  // id must be an integer in [0, 2^53]; priority an integer in [0, 15].
+  for (const double id : {-1.0, 1.5, 1e30, 0x1p53 + 2}) {
+    json::Object bad_id = sample_request_json().as_object();
+    bad_id["id"] = id;
+    EXPECT_THROW(JobRequest::parse(json::Value(bad_id)), FormatError) << id;
+  }
+  json::Object max_id = sample_request_json().as_object();
+  max_id["id"] = 0x1p53;
+  EXPECT_EQ(JobRequest::parse(json::Value(max_id)).id, 1ull << 53);
+  for (const double priority : {-1.0, 16.0, 0.5, 1e10}) {
+    json::Object bad_priority = sample_request_json().as_object();
+    bad_priority["priority"] = priority;
+    EXPECT_THROW(JobRequest::parse(json::Value(bad_priority)), FormatError) << priority;
+  }
 
   json::Object control;
   control["type"] = "ping";  // control requests need nothing else
@@ -675,10 +695,10 @@ TEST(ForesightdProtocolV2, ParseProtoAcceptsMajorDotMinor) {
   EXPECT_THROW(foresightd::parse_proto("-1"), FormatError);
 }
 
-TEST(ForesightdProtocolV2, DaemonSpeaksV2AndServesV1) {
+TEST(ForesightdProtocolV2, DaemonServesOnlyCurrentMajor) {
   EXPECT_EQ(foresightd::proto_version_string(),
             std::to_string(kProtoMajor) + "." + std::to_string(foresightd::kProtoMinor));
-  EXPECT_TRUE(foresightd::proto_major_supported(1));
+  EXPECT_FALSE(foresightd::proto_major_supported(1));
   EXPECT_TRUE(foresightd::proto_major_supported(kProtoMajor));
   EXPECT_FALSE(foresightd::proto_major_supported(kProtoMajor + 1));
 }
@@ -708,7 +728,7 @@ TEST(ForesightdProtocolV2, TypedRequestsCarryCurrentProto) {
   const JobRequest reparsed = JobRequest::parse(request.to_json());
   EXPECT_EQ(reparsed.proto_major, kProtoMajor);
   EXPECT_EQ(reparsed.id, 42u);
-  // Absent proto parses as major 0: the daemon's v1-compatible path.
+  // Absent proto parses as major 0, which the daemon serves as kProtoMajor.
   EXPECT_EQ(JobRequest::parse(sample_request_json()).proto_major, 0);
 }
 
@@ -919,12 +939,17 @@ TEST(ForesightdDaemon, RoundtripMatchesSingleShotReference) {
   daemon.start();
   {
     Client client(options.socket_path);
-    const json::Value reply = client.call(roundtrip_request(1).to_json());
-    EXPECT_EQ(reply.get("status", std::string()), foresightd::kStatusOk) << reply.dump();
-    EXPECT_EQ(static_cast<std::uint32_t>(reply.at("crc32").as_number()), reference_crc);
-    EXPECT_EQ(static_cast<std::size_t>(reply.get("compressed_bytes", 0.0)),
-              reference.bytes.size());
-    EXPECT_TRUE(reply.contains("psnr_db"));
+    // No deadline, and one past the clock's range (effectively none).
+    for (const double deadline : {0.0, 1e10}) {
+      JobRequest request = roundtrip_request(1);
+      request.deadline_seconds = deadline;
+      const json::Value reply = client.call(request.to_json());
+      EXPECT_EQ(reply.get("status", std::string()), foresightd::kStatusOk) << reply.dump();
+      EXPECT_EQ(static_cast<std::uint32_t>(reply.at("crc32").as_number()), reference_crc);
+      EXPECT_EQ(static_cast<std::size_t>(reply.get("compressed_bytes", 0.0)),
+                reference.bytes.size());
+      EXPECT_TRUE(reply.contains("psnr_db"));
+    }
   }
   daemon.request_shutdown();
   daemon.wait();
@@ -1195,8 +1220,7 @@ bool poll_until(double timeout_seconds, const std::function<bool()>& cond) {
 }
 
 /// Daemon wired for streaming tests: TCP enabled on an ephemeral port and a
-/// response_stream_threshold of 1 so even tiny compress results stream back
-/// to v2 clients.
+/// response_stream_threshold of 1 so even tiny compress results stream back.
 DaemonOptions streaming_options(const char* tag) {
   DaemonOptions options;
   options.socket_path = test_socket_path(tag);
@@ -1269,7 +1293,40 @@ TEST(ForesightdStreaming, TcpAndUnixStreamedResponsesByteIdentical) {
   EXPECT_EQ(daemon.stats().transfer_reserved_bytes, 0);
 }
 
-TEST(ForesightdStreaming, V1InlinePayloadMatchesV2Stream) {
+TEST(ForesightdStreaming, AbsentProtoServedAsCurrentVersion) {
+  const foresight::CompressResult reference =
+      foresight::SessionCache().session("sz-cpu").compress(test_field(), {"abs", 0.1});
+  CompressRequest request;
+  request.codec = "sz-cpu";
+  request.mode = "abs";
+  request.value = 0.1;
+  request.dataset = nyx_spec(16);
+  request.field = "baryon_density";
+  request.return_bytes = true;
+  // A request with no proto field: inline below the stream threshold,
+  // streamed above it, and byte-equal to the in-process reference both ways.
+  JobRequest unversioned = request.to_request(1);
+  unversioned.proto_major = 0;
+  unversioned.proto_minor = 0;
+  ASSERT_FALSE(unversioned.to_json().contains("proto"));
+  for (const std::uint64_t threshold : {std::uint64_t{0}, std::uint64_t{1}}) {
+    DaemonOptions options = streaming_options("unversioned");
+    options.response_stream_threshold = threshold;
+    Daemon daemon(options);
+    daemon.start();
+    {
+      Client client(options.socket_path);
+      const JobReply reply = client.call_reply(unversioned);
+      ASSERT_TRUE(reply.ok()) << reply.raw.dump();
+      EXPECT_EQ(reply.payload_transfer.empty(), threshold == 0) << reply.raw.dump();
+      EXPECT_EQ(reply.payload, reference.bytes) << "threshold " << threshold;
+    }
+    daemon.request_shutdown();
+    daemon.wait();
+  }
+}
+
+TEST(ForesightdStreaming, OtherMajorVersionsAreRefused) {
   const DaemonOptions options = streaming_options("compat");
   Daemon daemon(options);
   daemon.start();
@@ -1278,42 +1335,24 @@ TEST(ForesightdStreaming, V1InlinePayloadMatchesV2Stream) {
     request.codec = "sz-cpu";
     request.mode = "abs";
     request.value = 0.1;
-    request.dataset = foresightd::nyx_dataset(16);
+    request.dataset = nyx_spec(16);
     request.field = "baryon_density";
-    request.return_bytes = true;
-
-    // A v2 client gets the payload as a stream (threshold 1 forces it).
-    Client v2(options.socket_path);
-    const JobReply streamed = v2.call_reply(request.to_request(1));
-    ASSERT_TRUE(streamed.ok()) << streamed.raw.dump();
-    EXPECT_FALSE(streamed.payload_transfer.empty());
-    ASSERT_FALSE(streamed.payload.empty());
-
-    // The same request without a proto field takes the v1 path: the payload
-    // is inlined in the result frame, byte-equal to the v2 stream.
-    Client v1(options.socket_path);
-    JobRequest old = request.to_request(2);
-    old.proto_major = 0;
-    old.proto_minor = 0;
-    const JobReply inlined = JobReply::parse(v1.call(old.to_json()));
-    ASSERT_TRUE(inlined.ok()) << inlined.raw.dump();
-    EXPECT_TRUE(inlined.payload_transfer.empty());
-    EXPECT_FALSE(inlined.payload_omitted);
-    EXPECT_EQ(inlined.payload, streamed.payload);
-
-    // A future major is refused with a structured error naming the
-    // daemon's own version.
-    Client future(options.socket_path);
-    json::Value frame = request.to_request(3).to_json();
-    frame.as_object()["proto"] = "3.0";
-    const JobReply refused = JobReply::parse(future.call(frame));
-    EXPECT_EQ(refused.kind, ReplyKind::kError);
-    EXPECT_EQ(refused.error_code, "unsupported_version");
-    EXPECT_EQ(refused.raw.get("proto", std::string()),
-              foresightd::proto_version_string());
+    // The retired major 1 and a future major 3 are both refused with a
+    // structured error naming the daemon's own version.
+    Client client(options.socket_path);
+    for (const char* proto : {"1.0", "3.0"}) {
+      json::Value frame = request.to_request(3).to_json();
+      frame.as_object()["proto"] = proto;
+      const JobReply refused = JobReply::parse(client.call(frame));
+      EXPECT_EQ(refused.kind, ReplyKind::kError) << proto;
+      EXPECT_EQ(refused.error_code, "unsupported_version") << proto;
+      EXPECT_EQ(refused.raw.get("proto", std::string()),
+                foresightd::proto_version_string());
+    }
   }
   daemon.request_shutdown();
   daemon.wait();
+  EXPECT_EQ(daemon.stats().admitted, 0u);
 }
 
 TEST(ForesightdStreaming, JobReferencingMissingTransferIsRejected) {

@@ -154,7 +154,11 @@ TEST(Pipeline, CountKnobsMustBeNonNegativeIntegers) {
   for (const std::string knob :
        {R"("threads": -1)", R"("jobs": -1)", R"("threads": 1.5)",
         R"("optimizer": {"compressor": "zfp-cpu", "threads": -1})",
-        R"("optimizer": {"compressor": "zfp-cpu", "probes": -1})"}) {
+        R"("optimizer": {"compressor": "zfp-cpu", "probes": -1})",
+        R"("telemetry": {"trace": true, "trace_capacity": -1})",
+        R"("telemetry": {"trace": true, "trace_capacity": 1e12})",
+        R"("faults": {"seed": -1})", R"("faults": {"gpu_transient_every": 2.5})",
+        R"("faults": {"gpu_oom_every": -3})", R"("faults": {"io_failure_every": 5e9})"}) {
     EXPECT_THROW(run_pipeline(config_with(knob)), InvalidArgument) << knob;
   }
   std::filesystem::remove_all(out_dir);

@@ -37,11 +37,11 @@ void expect_identical(const std::vector<CBenchResult>& serial,
     EXPECT_EQ(serial[i].reconstructed, parallel[i].reconstructed);
     if (modeled_timing) {
       // Modeled GPU timings are part of the result contract, not noise.
-      EXPECT_EQ(serial[i].compress_seconds(), parallel[i].compress_seconds());
-      EXPECT_EQ(serial[i].decompress_seconds(), parallel[i].decompress_seconds());
-      EXPECT_EQ(serial[i].gpu_compress().kernel, parallel[i].gpu_compress().kernel);
-      EXPECT_EQ(serial[i].gpu_compress().memcpy, parallel[i].gpu_compress().memcpy);
-      EXPECT_EQ(serial[i].gpu_decompress().kernel, parallel[i].gpu_decompress().kernel);
+      EXPECT_EQ(serial[i].compress.seconds, parallel[i].compress.seconds);
+      EXPECT_EQ(serial[i].decompress.seconds, parallel[i].decompress.seconds);
+      EXPECT_EQ(serial[i].compress.gpu_timing.kernel, parallel[i].compress.gpu_timing.kernel);
+      EXPECT_EQ(serial[i].compress.gpu_timing.memcpy, parallel[i].compress.gpu_timing.memcpy);
+      EXPECT_EQ(serial[i].decompress.gpu_timing.kernel, parallel[i].decompress.gpu_timing.kernel);
     }
   }
 }

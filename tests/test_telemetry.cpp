@@ -277,16 +277,16 @@ void expect_tracing_invariant(const std::string& codec_name, const char* gpu_nam
   EXPECT_EQ(off.stream_crc32, on.stream_crc32)
       << codec_name << ": stream differs with tracing on";
   EXPECT_EQ(off.reconstructed, on.reconstructed);
-  EXPECT_EQ(off.compress_seconds() == off.compress_seconds(), true);  // not NaN
+  EXPECT_EQ(off.compress.seconds == off.compress.seconds, true);  // not NaN
   EXPECT_EQ(off.has_gpu_timing(), on.has_gpu_timing());
   if (off.has_gpu_timing()) {
-    EXPECT_EQ(off.compress_seconds(), on.compress_seconds());
-    EXPECT_EQ(off.decompress_seconds(), on.decompress_seconds());
-    EXPECT_EQ(off.gpu_compress().init, on.gpu_compress().init);
-    EXPECT_EQ(off.gpu_compress().kernel, on.gpu_compress().kernel);
-    EXPECT_EQ(off.gpu_compress().memcpy, on.gpu_compress().memcpy);
-    EXPECT_EQ(off.gpu_compress().free, on.gpu_compress().free);
-    EXPECT_EQ(off.gpu_decompress().kernel, on.gpu_decompress().kernel);
+    EXPECT_EQ(off.compress.seconds, on.compress.seconds);
+    EXPECT_EQ(off.decompress.seconds, on.decompress.seconds);
+    EXPECT_EQ(off.compress.gpu_timing.init, on.compress.gpu_timing.init);
+    EXPECT_EQ(off.compress.gpu_timing.kernel, on.compress.gpu_timing.kernel);
+    EXPECT_EQ(off.compress.gpu_timing.memcpy, on.compress.gpu_timing.memcpy);
+    EXPECT_EQ(off.compress.gpu_timing.free, on.compress.gpu_timing.free);
+    EXPECT_EQ(off.decompress.gpu_timing.kernel, on.decompress.gpu_timing.kernel);
   }
 }
 

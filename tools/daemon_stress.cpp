@@ -25,8 +25,8 @@
 /// daemon with both AF_UNIX and TCP listeners round-trips a --stream-dim³
 /// field — larger than the 16 MiB frame cap, so it rides the chunked
 /// transfer family — over BOTH transports, asserting the compressed stream
-/// is byte-identical to a single-shot in-process reference; plus v1/v2
-/// response compatibility, unsupported-version rejection, mid-transfer
+/// is byte-identical to a single-shot in-process reference; plus a small
+/// streamed reply, unsupported-version rejection (1.0 and 3.0), mid-transfer
 /// disconnect (reassembly budget must return to zero) and watchdog reaping
 /// of abandoned transfers.
 ///
@@ -268,10 +268,12 @@ Field make_stream_field(std::size_t dim) {
 
 /// The streaming acceptance scenario (see the file doc): a clean daemon on
 /// both transports, a field past the 16 MiB frame cap uploaded and
-/// compressed byte-identically to the single-shot reference, v1/v2
-/// response compatibility, version refusal, and reassembly-budget hygiene
-/// under disconnect and idling. Failures are recorded through expect().
-void run_stream_phase(std::size_t stream_dim) {
+/// compressed byte-identically to the single-shot reference, a small
+/// streamed payload matching the --dim reference, version refusal, and
+/// reassembly-budget hygiene under disconnect and idling. Failures are
+/// recorded through expect().
+void run_stream_phase(std::size_t stream_dim, std::size_t dim,
+                      const std::map<std::string, Reference>& refs) {
   const Field field = make_stream_field(stream_dim);
   const auto* field_bytes = reinterpret_cast<const std::uint8_t*>(field.data.data());
   const std::size_t field_len = field.bytes();
@@ -293,7 +295,7 @@ void run_stream_phase(std::size_t stream_dim) {
   options.workers = 2;
   options.tcp_port = 0;  // ephemeral port: both transports, one pipeline
   options.transfer_idle_seconds = 1.0;
-  options.response_stream_threshold = 4096;  // stream even small v2 payloads
+  options.response_stream_threshold = 256;  // stream even small payloads
   foresightd::Daemon daemon(options);
   daemon.start();
   expect(daemon.bound_tcp_port() > 0, "daemon did not bind a TCP port");
@@ -355,35 +357,33 @@ void run_stream_phase(std::size_t stream_dim) {
          "AF_UNIX and TCP returned different streams");
 
   {
-    // v1 (no proto field) gets the payload inline when it fits one frame;
-    // the same request at v2 rides the response stream (threshold 4 KiB).
-    foresightd::Client compat(options.socket_path);
+    // A below-frame-cap payload past the 256-byte threshold also rides the
+    // response stream, and must match the single-shot reference.
+    foresightd::Client client(options.socket_path);
     foresightd::CompressRequest small;
     small.codec = "zfp-cpu";
     small.mode = "rate";
     small.value = 8;
-    small.dataset = foresightd::nyx_dataset(32);
+    small.dataset = dataset_spec(dim);
     small.field = "baryon_density";
     small.return_bytes = true;
-    foresightd::JobRequest v1 = small.to_request(++id);
-    v1.proto_major = 0;  // pre-versioning client: no proto field at all
-    v1.proto_minor = 0;
-    const auto v1_reply = foresightd::JobReply::parse(compat.call(v1.to_json()));
-    expect(v1_reply.ok() && !v1_reply.payload.empty() && v1_reply.payload_transfer.empty(),
-           "v1 client did not get an inline payload");
-    const foresightd::JobReply v2_reply = compat.call_reply(small.to_request(++id));
-    expect(v2_reply.ok() && !v2_reply.payload_transfer.empty(),
-           "v2 client did not get a streamed payload past the threshold");
-    expect(v1_reply.payload == v2_reply.payload,
-           "v1 inline and v2 streamed payloads differ");
+    const foresightd::JobReply streamed = client.call_reply(small.to_request(++id));
+    const Reference& small_ref = refs.at(small.codec);
+    expect(streamed.ok() && !streamed.payload_transfer.empty(),
+           "payload past the threshold was not streamed");
+    expect(streamed.payload.size() == small_ref.bytes &&
+               crc32(streamed.payload.data(), streamed.payload.size()) == small_ref.crc,
+           "streamed payload does not match the single-shot reference");
 
-    // A future major version must be refused with a structured error.
-    json::Value future = small.to_request(++id).to_json();
-    future.as_object()["proto"] = "3.0";
-    const auto refused = foresightd::JobReply::parse(compat.call(future));
-    expect(refused.kind == foresightd::ReplyKind::kError &&
-               refused.error_code == "unsupported_version",
-           "proto 3.0 was not refused with unsupported_version");
+    // Any major but the current one is refused with a structured error.
+    for (const char* proto : {"1.0", "3.0"}) {
+      json::Value other = small.to_request(++id).to_json();
+      other.as_object()["proto"] = proto;
+      const auto refused = foresightd::JobReply::parse(client.call(other));
+      expect(refused.kind == foresightd::ReplyKind::kError &&
+                 refused.error_code == "unsupported_version",
+             std::string("proto ") + proto + " was not refused with unsupported_version");
+    }
   }
 
   {
@@ -519,7 +519,7 @@ int main(int argc, char** argv) {
     // any fault plan is installed (streams must be byte-exact). ---
     const std::size_t stream_dim =
         static_cast<std::size_t>(args.get_int("stream-dim", 192));
-    if (stream_dim > 0) run_stream_phase(stream_dim);
+    if (stream_dim > 0) run_stream_phase(stream_dim, dim, refs);
 
     // --- Phase B: the stressed daemon. ---
     foresightd::DaemonOptions options;
