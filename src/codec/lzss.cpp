@@ -1,6 +1,7 @@
 #include "codec/lzss.hpp"
 
-#include <array>
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -23,6 +24,12 @@ constexpr std::size_t kWindow = 1u << kWindowBits;
 constexpr std::size_t kHashSize = 1u << 15;
 constexpr int kMaxChain = 32;
 constexpr std::size_t kDefaultChunkBytes = 1u << 20;
+/// Encoder work unit: every phase splits each stream into segments of this
+/// many bytes. A constant, so the work geometry never follows the pool.
+constexpr std::size_t kSegmentBytes = 1u << 16;
+/// Streams are encoded in waves of at most this many input bytes (at least
+/// one stream each), bounding the chain table to 4 bytes per wave byte.
+constexpr std::size_t kWaveBytes = 1u << 22;
 
 std::uint32_t hash_u32(std::uint32_t x) { return (x * 2654435761u) >> (32 - 15); }
 
@@ -52,193 +59,384 @@ inline std::size_t match_length(const std::uint8_t* input, std::size_t c, std::s
   return len;
 }
 
-/// Single-stream encode over a raw byte range (the chunked container calls
-/// this once per chunk, so each chunk's window never reaches outside it).
+/// A match (len >= kMinMatch) or, with len == 0, a literal.
+struct Token {
+  std::size_t len = 0;
+  std::size_t dist = 0;
+};
+
+/// Best token at position \p i of a single stream of \p size bytes whose
+/// full hash chains are \p prev.
 ///
-/// The fast path reproduces the reference encoder's stream byte for byte.
-/// The argument that lets it restructure the search: the emitted token at
-/// a position depends only on the *final* (best_len, best_dist) — and the
-/// final best is always the earliest candidate (in chain order, capped at
-/// kMaxChain visited) whose common prefix with the probe is maximal, with
-/// a match emitted iff that maximum reaches kMinMatch. Intermediate
-/// sub-kMinMatch "best" values the reference tracks can never change the
-/// output, so candidates whose first four bytes differ from the probe's
-/// (their prefix is < kMinMatch) are skipped without a compare. The
-/// mechanics on top of that:
+/// The stream format fixes the chains: every position below size - 3 is
+/// inserted, in order, whatever the parse does. So the chain a search
+/// walks at i is always prev[i] -> prev[prev[i]] -> ..., and the token at
+/// i is a pure function of the input and i — not of the parse that
+/// reached i. The three-phase encoder below rests on that.
+///
+/// The search itself: the token is the earliest candidate (chain order,
+/// capped at kMaxChain visited) whose common prefix with the probe is
+/// maximal, and a match iff that maximum reaches kMinMatch. So
 ///  - each candidate is gated on one 32-bit compare of its first four
-///    bytes; only gate survivors run the full match_length (8 bytes at a
-///    time: memcpy + XOR + countr_zero). Skipped candidates still count
-///    against kMaxChain, exactly like the reference walk;
+///    bytes; only gate survivors run the full match_length. Skipped
+///    candidates still count against kMaxChain;
 ///  - once a best of >= kMinMatch exists, a surviving candidate must also
 ///    match at offset best_len to beat it (in bounds: best_len < max_len
 ///    <= size - i inside the loop — a best_len == max_len match breaks
 ///    out);
 ///  - the walk exits on a single compare: cand < limit covers both the -1
-///    sentinel and the out-of-window candidate (limit >= 0 always);
-///  - tokens stream through a BitWriter::Appender, one fused pre-masked
-///    append per token, with word storage reserved up front;
-///  - the probe's hash reuses the four probe bytes already loaded for the
-///    gate, and the literal-path insert reuses the head entry the search
-///    already read (the search never writes the tables);
-///  - the head/prev chain tables are 32-bit and leased from \p arena (when
-///    given) so per-chunk runs reuse capacity instead of reallocating, and
-///    prev is never pre-filled: entries are written at insert time before
-///    any chain walk can read them.
-std::vector<std::uint8_t> encode_range(const std::uint8_t* input, std::size_t size,
-                                       ScratchArena* arena) {
-  BitWriter bw;
-  // Worst case is all literals: 9 bits per input byte + the 96-bit header.
-  // One reserve up front, no growth in the loop.
-  bw.reserve_bits(size * 9 + 96);
-
-  // Positions fit int32: the chunked container caps ranges at chunk_bytes
-  // and callers of the single-stream path are bounded by the container
-  // formats (u32 chunk sizes). Guarded here so a hypothetical >2 GiB range
-  // fails loudly instead of corrupting chains.
-  require(size <= static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()),
-          "lzss: range exceeds 2 GiB match-table limit");
-
-  ScratchArena local_arena;
-  if (arena == nullptr) arena = &local_arena;
-  ArenaLease<std::int32_t> head_lease = arena->ints();
-  ArenaLease<std::int32_t> prev_lease = arena->ints();
-  head_lease->assign(kHashSize, -1);
-  if (prev_lease->size() < size) prev_lease->resize(size);
-  std::int32_t* const head = head_lease->data();
-  std::int32_t* const prev = prev_lease->data();
-
-  BitWriter::Appender ap(bw);
-  ap.put(kMagic, 32);
-  ap.put(size, 64);
-
-  std::size_t i = 0;
-  while (i < size) {
-    std::size_t best_len = 0;
-    std::size_t best_dist = 0;
-    std::uint32_t h = 0;
-    std::int32_t cand0 = -1;
-    bool hashed = false;
-    if (i + kMinMatch <= size) {
-      std::uint32_t vi;
-      std::memcpy(&vi, input + i, 4);
-      h = hash_u32(vi);
-      hashed = true;
-      cand0 = head[h];
-      // Overlap the next position's head load with this walk (pure hint;
-      // no effect on the tables or the stream).
-      if (i + 5 <= size) __builtin_prefetch(&head[hash4(&input[i + 1])], 1);
-      const std::int32_t limit =
-          i > kWindow ? static_cast<std::int32_t>(i - kWindow) : 0;
-      std::int32_t cand = cand0;
-      const std::size_t max_len = std::min(kMaxMatch, size - i);
-      for (int chain = 0; chain < kMaxChain; ++chain) {
-        if (cand < limit) break;
-        const std::size_t c = static_cast<std::size_t>(cand);
-        std::uint32_t vc;
-        std::memcpy(&vc, input + c, 4);
-        cand = prev[c];
-        if (vc == vi &&
-            (best_len < kMinMatch || input[c + best_len] == input[i + best_len])) {
-          const std::size_t len = match_length(input, c, i, max_len);
-          if (len > best_len) {
-            best_len = len;
-            best_dist = i - c;
-            if (len == max_len) break;
-          }
-        }
+///    sentinel and the out-of-window candidate (limit >= 0 always).
+inline Token best_token(const std::uint8_t* input, const std::int32_t* prev, std::size_t size,
+                        std::size_t i) {
+  if (i + kMinMatch > size) return {};
+  std::uint32_t vi = 0;
+  std::memcpy(&vi, input + i, 4);
+  const std::int32_t limit = i > kWindow ? static_cast<std::int32_t>(i - kWindow) : 0;
+  const std::size_t max_len = std::min(kMaxMatch, size - i);
+  std::size_t best_len = 0;
+  std::size_t best_dist = 0;
+  std::int32_t cand = prev[i];
+  for (int chain = 0; chain < kMaxChain; ++chain) {
+    if (cand < limit) break;
+    const std::size_t c = static_cast<std::size_t>(cand);
+    std::uint32_t vc = 0;
+    std::memcpy(&vc, input + c, 4);
+    cand = prev[c];
+    if (vc == vi && (best_len < kMinMatch || input[c + best_len] == input[i + best_len])) {
+      const std::size_t len = match_length(input, c, i, max_len);
+      if (len > best_len) {
+        best_len = len;
+        best_dist = i - c;
+        if (len == max_len) break;
       }
-    }
-    if (best_len >= kMinMatch) {
-      // flag=1, dist-1 (16 bits), len-kMinMatch (8 bits) in one append.
-      ap.put(1ull | ((best_dist - 1) << 1) |
-                 ((best_len - kMinMatch) << (1 + kWindowBits)),
-             1 + kWindowBits + kLengthBits);
-      // Insert all covered positions into the hash chains; the first one
-      // reuses the search's hash and head entry.
-      const std::size_t end = std::min(i + best_len, size >= 4 ? size - 3 : 0);
-      std::size_t j = i;
-      if (j < end) {
-        prev[j] = cand0;
-        head[h] = static_cast<std::int32_t>(j);
-        ++j;
-      }
-      for (; j < end; ++j) {
-        const std::uint32_t h2 = hash4(&input[j]);
-        prev[j] = head[h2];
-        head[h2] = static_cast<std::int32_t>(j);
-      }
-      i += best_len;
-    } else {
-      ap.put(static_cast<std::uint64_t>(input[i]) << 1, 9);
-      if (hashed) {
-        prev[i] = cand0;
-        head[h] = static_cast<std::int32_t>(i);
-      }
-      ++i;
     }
   }
-  ap.flush();
-  return bw.finish();
+  if (best_len < kMinMatch) return {};
+  return {best_len, best_dist};
 }
 
-/// The pre-fast-path encoder, byte-at-a-time compares and per-field puts —
-/// kept as the byte-identity oracle for the fast path (see
-/// lzss_encode_reference()).
-std::vector<std::uint8_t> encode_range_reference(const std::uint8_t* input, std::size_t size) {
-  BitWriter bw;
-  bw.put(kMagic, 32);
-  bw.put(size, 64);
+/// Token tables hold matches as (position, code) int32 pairs, where code =
+/// (dist - 1) | (len - kMinMatch) << kWindowBits is the match token's
+/// payload in stream bit order.
+std::int32_t match_code(const Token& t) {
+  return static_cast<std::int32_t>((t.dist - 1) | ((t.len - kMinMatch) << kWindowBits));
+}
 
-  std::vector<std::int64_t> head(kHashSize, -1);
-  std::vector<std::int64_t> prev(size, -1);
+std::size_t code_length(std::int32_t code) {
+  return (static_cast<std::size_t>(code) >> kWindowBits) + kMinMatch;
+}
 
-  std::size_t i = 0;
-  while (i < size) {
-    std::size_t best_len = 0;
-    std::size_t best_dist = 0;
-    if (i + kMinMatch <= size) {
-      const std::uint32_t h = hash4(&input[i]);
-      std::int64_t cand = head[h];
-      int chain = 0;
-      while (cand >= 0 && i - static_cast<std::size_t>(cand) <= kWindow &&
-             chain < kMaxChain) {
-        const std::size_t c = static_cast<std::size_t>(cand);
-        std::size_t len = 0;
-        const std::size_t max_len = std::min(kMaxMatch, size - i);
-        while (len < max_len && input[c + len] == input[i + len]) ++len;
-        if (len > best_len) {
-          best_len = len;
-          best_dist = i - c;
-          if (len == max_len) break;
-        }
-        cand = prev[c];
-        ++chain;
+/// A kSegmentBytes slice of one stream: the unit of all three phases.
+struct Segment {
+  const std::uint8_t* input = nullptr;  ///< the stream's first byte
+  std::int32_t* prev = nullptr;         ///< the stream's chain table
+  std::size_t size = 0;                 ///< stream size
+  std::size_t begin = 0, end = 0;       ///< stream-relative slice
+  /// Phase 2: the speculative parse from `begin` — its matches, the bytes
+  /// they cover, and the first position at or past `end` it reaches.
+  ArenaLease<std::int32_t> matches;
+  std::size_t spec_covered = 0;
+  std::size_t spec_exit = 0;
+  /// Phase 3: the true parse covers [entry, exit) of this segment. Its
+  /// matches are the fixup pairs [fix_begin, fix_end), then the
+  /// speculative pairs from index `sync` on; they take `bits` stream bits
+  /// from `bit_offset` on. The stream's out bytes are [out_at, out_at +
+  /// out_len).
+  std::size_t entry = 0, exit = 0;
+  std::size_t fix_begin = 0, fix_end = 0;
+  std::size_t sync = 0;
+  std::uint64_t bits = 0, bit_offset = 0;
+  std::size_t out_at = 0, out_len = 0;
+  /// The first and last output words the segment touches, which it may
+  /// share with its neighbours: merged serially after phase 3b.
+  std::size_t edge_word[2] = {0, 0};
+  std::uint64_t edge_bits[2] = {0, 0};
+};
+
+/// Phase 1 over a contiguous run of segments: writes prev[j] for every
+/// chain position j. The head table carries over between consecutive
+/// segments of a stream; a run that starts mid-stream first warms it up
+/// over the kWindow bytes before its first segment. A prev entry the
+/// warm-up misses — its true value lies below begin - kWindow — reads -1
+/// instead. Both stop any walk that reaches them, because that walk is at
+/// some i > begin, whose window starts above begin - kWindow. So every
+/// split into runs yields the same tokens.
+void build_chains(std::span<Segment> run, std::int32_t* head) {
+  for (std::size_t k = 0; k < run.size(); ++k) {
+    const Segment& s = run[k];
+    // Positions below size - 3 enter the chains (a search reads 4 bytes).
+    const std::size_t chain_end = s.size >= kMinMatch ? s.size - (kMinMatch - 1) : 0;
+    if (k == 0 || s.begin == 0) {
+      std::fill_n(head, kHashSize, -1);
+      const std::size_t warm_end = std::min(s.begin, chain_end);
+      for (std::size_t j = s.begin > kWindow ? s.begin - kWindow : 0; j < warm_end; ++j) {
+        head[hash4(s.input + j)] = static_cast<std::int32_t>(j);
       }
     }
-    if (best_len >= kMinMatch) {
-      bw.put_bit(true);
-      bw.put(best_dist - 1, kWindowBits);
-      bw.put(best_len - kMinMatch, kLengthBits);
-      // Insert all covered positions into the hash chains.
-      const std::size_t end = std::min(i + best_len, size >= 4 ? size - 3 : 0);
-      for (std::size_t j = i; j < end; ++j) {
-        const std::uint32_t h = hash4(&input[j]);
-        prev[j] = head[h];
-        head[h] = static_cast<std::int64_t>(j);
-      }
-      i += best_len;
-    } else {
-      bw.put_bit(false);
-      bw.put(input[i], 8);
-      if (i + 4 <= size) {
-        const std::uint32_t h = hash4(&input[i]);
-        prev[i] = head[h];
-        head[h] = static_cast<std::int64_t>(i);
-      }
-      ++i;
+    const std::size_t end = std::min(s.end, chain_end);
+    for (std::size_t j = s.begin; j < end; ++j) {
+      const std::uint32_t h = hash4(s.input + j);
+      s.prev[j] = head[h];
+      head[h] = static_cast<std::int32_t>(j);
     }
   }
-  return bw.finish();
+}
+
+/// Phase 2: parses the segment as if a token started at `begin`.
+void speculative_parse(Segment& s) {
+  std::vector<std::int32_t>& m = *s.matches;
+  m.clear();
+  s.spec_covered = 0;
+  std::size_t i = s.begin;
+  while (i < s.end) {
+    const Token t = best_token(s.input, s.prev, s.size, i);
+    if (t.len == 0) {
+      ++i;
+      continue;
+    }
+    m.push_back(static_cast<std::int32_t>(i));
+    m.push_back(match_code(t));
+    s.spec_covered += t.len;
+    i += t.len;
+  }
+  s.spec_exit = i;
+}
+
+/// Phase 3a, serial: walks the true parse of each stream from position 0.
+/// Where it enters a segment at a position the speculative parse also
+/// visited (a literal or a match start), the two agree from there on —
+/// tokens depend only on their position — so the rest of the speculative
+/// tokens are reused as they are. Where it enters inside a speculative
+/// match, tokens are computed on the spot into \p fixups until the parses
+/// meet or the segment ends. Also sizes each segment's bits: 9 per
+/// literal, 25 per match, 96 for a stream header.
+void stitch(std::span<Segment> segs, std::vector<std::int32_t>& fixups) {
+  fixups.clear();
+  std::size_t p = 0;
+  for (Segment& s : segs) {
+    if (s.begin == 0) p = 0;
+    s.entry = p;
+    s.fix_begin = fixups.size();
+    const std::vector<std::int32_t>& m = *s.matches;
+    s.sync = m.size();
+    std::size_t k = 0;
+    std::size_t skipped = 0;  // bytes covered by speculative matches before k
+    std::size_t n_matches = 0;
+    std::size_t covered = 0;
+    while (p < s.end) {
+      for (; k < m.size(); k += 2) {
+        const std::size_t len = code_length(m[k + 1]);
+        if (static_cast<std::size_t>(m[k]) + len > p) break;
+        skipped += len;
+      }
+      if (k == m.size() || static_cast<std::size_t>(m[k]) >= p) {
+        s.sync = k;
+        n_matches += (m.size() - k) / 2;
+        covered += s.spec_covered - skipped;
+        p = s.spec_exit;
+        break;
+      }
+      const Token t = best_token(s.input, s.prev, s.size, p);
+      if (t.len == 0) {
+        ++p;
+        continue;
+      }
+      fixups.push_back(static_cast<std::int32_t>(p));
+      fixups.push_back(match_code(t));
+      ++n_matches;
+      covered += t.len;
+      p += t.len;
+    }
+    s.fix_end = fixups.size();
+    s.exit = p;
+    s.bits = (s.begin == 0 ? 96 : 0) + 9 * (s.exit - s.entry - covered) +
+             (1 + kWindowBits + kLengthBits) * n_matches;
+  }
+}
+
+void store_word(std::uint8_t* dst, std::uint64_t w) {
+  for (unsigned i = 0; i < 8; ++i) dst[i] = static_cast<std::uint8_t>(w >> (8 * i));
+}
+
+/// Phase 3b's bit cursor: packs a segment's tokens LSB-first into its
+/// stream's output bytes from the segment's bit offset on, one 64-bit
+/// word at a time. Words strictly between the first and the last it
+/// touches hold its bits alone and are stored directly; the first and
+/// last go to the segment's edge words.
+class SegmentWriter {
+ public:
+  SegmentWriter(Segment& s, std::uint8_t* stream)
+      : s_(s),
+        stream_(stream),
+        word_(s.bit_offset / 64),
+        fill_(static_cast<unsigned>(s.bit_offset % 64)) {
+    s_.edge_word[0] = s_.edge_word[1] = word_;
+    s_.edge_bits[0] = s_.edge_bits[1] = 0;
+  }
+
+  /// Same contract as BitWriter::Appender::put.
+  void put(std::uint64_t value, unsigned nbits) {
+    cur_ |= value << fill_;
+    fill_ += nbits;
+    if (fill_ >= 64) {
+      if (word_ == s_.edge_word[0]) {
+        s_.edge_bits[0] = cur_;
+      } else {
+        store_word(stream_ + 8 * word_, cur_);
+      }
+      ++word_;
+      fill_ -= 64;
+      cur_ = fill_ != 0 ? value >> (nbits - fill_) : 0;
+    }
+  }
+
+  void finish() {
+    if (word_ == s_.edge_word[0]) {
+      s_.edge_bits[0] |= cur_;
+    } else {
+      s_.edge_word[1] = word_;
+      s_.edge_bits[1] = cur_;
+    }
+  }
+
+ private:
+  Segment& s_;
+  std::uint8_t* stream_;
+  std::size_t word_;
+  unsigned fill_;
+  std::uint64_t cur_ = 0;
+};
+
+/// Phase 3b: writes the segment's share of the true parse, after the
+/// stream header in a stream's first segment, into \p out. A token is one
+/// fused put: flag + 8-bit literal, or flag + 16-bit dist-1 + 8-bit
+/// len-kMinMatch.
+void emit(Segment& s, const std::int32_t* fixups, std::uint8_t* out) {
+  SegmentWriter w(s, out + s.out_at);
+  if (s.begin == 0) {
+    w.put(kMagic, 32);
+    w.put(s.size, 64);
+  }
+  std::size_t pos = s.entry;
+  const auto put_match = [&](const std::int32_t* pair) {
+    const auto at = static_cast<std::size_t>(pair[0]);
+    for (; pos < at; ++pos) w.put(static_cast<std::uint64_t>(s.input[pos]) << 1, 9);
+    w.put(1ull | (static_cast<std::uint64_t>(pair[1]) << 1), 1 + kWindowBits + kLengthBits);
+    pos = at + code_length(pair[1]);
+  };
+  for (std::size_t k = s.fix_begin; k < s.fix_end; k += 2) put_match(fixups + k);
+  const std::vector<std::int32_t>& m = *s.matches;
+  for (std::size_t k = s.sync; k < m.size(); k += 2) put_match(m.data() + k);
+  for (; pos < s.exit; ++pos) w.put(static_cast<std::uint64_t>(s.input[pos]) << 1, 9);
+  w.finish();
+}
+
+/// ORs a segment's edge words into its stream's bytes (zero beforehand
+/// except where other segments' bits already landed).
+void merge_edges(const Segment& s, std::uint8_t* out) {
+  for (int e = 0; e < 2; ++e) {
+    const std::size_t at = 8 * s.edge_word[e];
+    for (std::size_t i = 0; i < 8 && at + i < s.out_len; ++i) {
+      out[s.out_at + at + i] |= static_cast<std::uint8_t>(s.edge_bits[e] >> (8 * i));
+    }
+  }
+}
+
+/// Runs \p fn(g) for every g in [0, n) on \p lanes pool tasks that claim
+/// indices one at a time, so segments of uneven cost still fill the pool.
+template <typename Fn>
+void for_each_index(ThreadPool* pool, std::size_t lanes, std::size_t n, Fn&& fn) {
+  std::atomic<std::size_t> next{0};
+  parallel_for(pool, lanes, [&](std::size_t, std::size_t) {
+    for (std::size_t g = next++; g < n; g = next++) fn(g);
+  }, /*min_grain=*/1);
+}
+
+/// Encodes \p input as \p n_streams consecutive single streams of
+/// \p stream_bytes each (the last one ragged), appends them to \p out and
+/// reports each stream's byte size to \p on_stream, in order. Streams are
+/// encoded in waves of up to kWaveBytes; each phase runs over the segments
+/// of all streams in a wave at once, on \p pool. Segment geometry is fixed
+/// by the stream sizes and kSegmentBytes and a token depends only on its
+/// position, so the bytes are identical for any pool, or none. All tables
+/// are leased from \p arena.
+template <typename OnStream>
+void encode_streams(std::span<const std::uint8_t> input, std::size_t stream_bytes,
+                    std::size_t n_streams, ThreadPool* pool, ScratchArena& arena,
+                    std::vector<std::uint8_t>& out, OnStream&& on_stream) {
+  // Chain entries are int32 stream positions; a >2 GiB stream must fail
+  // loudly instead of corrupting chains.
+  require(std::min(stream_bytes, input.size()) <=
+              static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()),
+          "lzss: stream exceeds 2 GiB match-table limit");
+  const std::size_t workers = pool ? pool->size() : 1;
+  // prev is never pre-filled: phase 1 writes every entry a walk can read.
+  ArenaLease<std::int32_t> prev = arena.ints();
+  ArenaLease<std::int32_t> heads = arena.ints();
+  ArenaLease<std::int32_t> fixups = arena.ints();
+  std::vector<Segment> segs;
+  for (std::size_t first = 0, last = 0; first < n_streams; first = last) {
+    const std::size_t wave_begin = first * stream_bytes;
+    for (last = first + 1;
+         last < n_streams && (last + 1) * stream_bytes - wave_begin <= kWaveBytes;) {
+      ++last;
+    }
+    const std::size_t wave_bytes = std::min(last * stream_bytes, input.size()) - wave_begin;
+    if (prev->size() < wave_bytes) prev->resize(wave_bytes);
+
+    segs.clear();
+    for (std::size_t c = first; c < last; ++c) {
+      const std::size_t offset = c * stream_bytes;
+      const std::size_t size = std::min(stream_bytes, input.size() - offset);
+      std::size_t begin = 0;
+      do {  // an empty stream still gets a segment, for its header
+        Segment& s = segs.emplace_back();
+        s.input = input.data() + offset;
+        s.prev = prev->data() + (offset - wave_begin);
+        s.size = size;
+        s.begin = begin;
+        s.end = std::min(begin + kSegmentBytes, size);
+        s.matches = arena.ints();
+        begin = s.end;
+      } while (begin < size);
+    }
+
+    // Phase 1: one contiguous run of segments per lane.
+    const std::size_t lanes = std::min(workers, segs.size());
+    if (heads->size() < lanes * kHashSize) heads->resize(lanes * kHashSize);
+    parallel_for(pool, lanes, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t lane = lo; lane < hi; ++lane) {
+        const std::size_t s0 = lane * segs.size() / lanes;
+        const std::size_t s1 = (lane + 1) * segs.size() / lanes;
+        build_chains(std::span(segs).subspan(s0, s1 - s0), heads->data() + lane * kHashSize);
+      }
+    }, /*min_grain=*/1);
+    // Phase 2.
+    for_each_index(pool, lanes, segs.size(), [&](std::size_t g) { speculative_parse(segs[g]); });
+    // Phase 3: stitch, lay the streams out back to back, emit in parallel.
+    stitch(segs, *fixups);
+    std::size_t out_end = out.size();
+    for (std::size_t g = 0; g < segs.size();) {
+      const std::size_t stream_first = g;
+      std::uint64_t bits = 0;
+      do {
+        segs[g].bit_offset = bits;
+        bits += segs[g].bits;
+      } while (++g < segs.size() && segs[g].begin != 0);
+      for (std::size_t k = stream_first; k < g; ++k) {
+        segs[k].out_at = out_end;
+        segs[k].out_len = static_cast<std::size_t>((bits + 7) / 8);
+      }
+      out_end += segs[stream_first].out_len;
+    }
+    out.resize(out_end);
+    for_each_index(pool, lanes, segs.size(),
+                   [&](std::size_t g) { emit(segs[g], fixups->data(), out.data()); });
+    for (const Segment& s : segs) {
+      merge_edges(s, out.data());
+      if (s.begin == 0) on_stream(s.out_len);
+    }
+  }
 }
 
 /// Single-stream decode into a caller-sized output range.
@@ -274,18 +472,17 @@ std::size_t max_declared_output(std::size_t payload_bytes) {
 
 }  // namespace
 
-std::vector<std::uint8_t> lzss_encode(const std::vector<std::uint8_t>& input,
-                                      ScratchArena* arena) {
-  return encode_range(input.data(), input.size(), arena);
+std::vector<std::uint8_t> lzss_encode(std::span<const std::uint8_t> input, ScratchArena* arena) {
+  ScratchArena local_arena;
+  std::vector<std::uint8_t> out;
+  encode_streams(input, input.size(), 1, nullptr, arena ? *arena : local_arena, out,
+                 [](std::size_t) {});
+  return out;
 }
 
-std::vector<std::uint8_t> lzss_encode_reference(const std::vector<std::uint8_t>& input) {
-  return encode_range_reference(input.data(), input.size());
-}
-
-std::vector<std::uint8_t> lzss_decode(const std::vector<std::uint8_t>& input) {
+std::vector<std::uint8_t> lzss_decode(std::span<const std::uint8_t> input) {
   if (is_chunked_lzss(input)) return lzss_decode_chunked(input, nullptr);
-  BitReader br(input);
+  BitReader br(input.data(), input.size());
   require_format(br.get(32) == kMagic, "lzss: bad magic");
   const std::uint64_t n = br.get(64);
   require_format(n <= max_declared_output(input.size()), "lzss: declared size exceeds payload");
@@ -294,26 +491,11 @@ std::vector<std::uint8_t> lzss_decode(const std::vector<std::uint8_t>& input) {
   return out;
 }
 
-std::vector<std::uint8_t> lzss_encode_chunked(const std::vector<std::uint8_t>& input,
+std::vector<std::uint8_t> lzss_encode_chunked(std::span<const std::uint8_t> input,
                                               ThreadPool* pool, std::size_t chunk_bytes) {
   if (chunk_bytes == 0) chunk_bytes = kDefaultChunkBytes;
   const std::size_t n_chunks =
       input.empty() ? 0 : (input.size() + chunk_bytes - 1) / chunk_bytes;
-
-  // Each chunk is an independent single-stream container; the geometry is
-  // fixed by chunk_bytes, never the pool size, so the assembled buffer is
-  // byte-identical for any thread count. Each worker range gets its own
-  // arena (arenas are not thread-safe) so the head/prev chain tables are
-  // allocated once per worker and reused across its chunks.
-  std::vector<std::vector<std::uint8_t>> payloads(n_chunks);
-  parallel_for(pool, n_chunks, [&](std::size_t lo, std::size_t hi) {
-    ScratchArena arena;
-    for (std::size_t c = lo; c < hi; ++c) {
-      const std::size_t begin = c * chunk_bytes;
-      const std::size_t end = std::min(begin + chunk_bytes, input.size());
-      payloads[c] = encode_range(input.data() + begin, end - begin, &arena);
-    }
-  }, /*min_grain=*/1);
 
   BitWriter header;
   header.put(kChunkedMagic, 32);
@@ -321,27 +503,27 @@ std::vector<std::uint8_t> lzss_encode_chunked(const std::vector<std::uint8_t>& i
   header.put(chunk_bytes, 32);
   header.put(n_chunks, 32);
   std::vector<std::uint8_t> out = header.finish();
-  std::size_t total_payload = 0;
-  for (const auto& p : payloads) total_payload += p.size();
-  out.reserve(out.size() + 4 * n_chunks + total_payload);
-  for (const auto& p : payloads) {
-    const auto len = static_cast<std::uint32_t>(p.size());
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  }
-  for (const auto& p : payloads) out.insert(out.end(), p.begin(), p.end());
+  // Chunk-size table (u32 each), patched as the chunk streams land.
+  std::size_t table = out.size();
+  out.resize(table + 4 * n_chunks);
+  ScratchArena arena;
+  encode_streams(input, chunk_bytes, n_chunks, pool, arena, out, [&](std::size_t bytes) {
+    const auto len = static_cast<std::uint32_t>(bytes);
+    for (int i = 0; i < 4; ++i) out[table++] = static_cast<std::uint8_t>(len >> (8 * i));
+  });
   return out;
 }
 
-bool is_chunked_lzss(const std::vector<std::uint8_t>& bytes) {
+bool is_chunked_lzss(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < 4) return false;
   std::uint32_t magic = 0;
   for (int i = 0; i < 4; ++i) magic |= static_cast<std::uint32_t>(bytes[i]) << (8 * i);
   return magic == kChunkedMagic;
 }
 
-std::vector<std::uint8_t> lzss_decode_chunked(const std::vector<std::uint8_t>& bytes,
+std::vector<std::uint8_t> lzss_decode_chunked(std::span<const std::uint8_t> bytes,
                                               ThreadPool* pool) {
-  BitReader br(bytes);
+  BitReader br(bytes.data(), bytes.size());
   require_format(br.get(32) == kChunkedMagic, "lzss-chunked: bad magic");
   const std::uint64_t total = br.get(64);
   const std::size_t chunk_bytes = static_cast<std::size_t>(br.get(32));

@@ -116,7 +116,11 @@ void compress_pwrel_into(std::span<const float> data, const Dims& dims,
   const std::vector<std::uint8_t> log_stream =
       compress(logs, dims, abs_params, &inner_stats, pool);
   const std::vector<std::uint8_t> class_stream = huffman_encode_chunked(classes, pool);
-  std::vector<std::uint8_t> class_packed = lzss_encode_chunked(class_stream, pool);
+  std::vector<std::uint8_t> class_packed;
+  {
+    TRACE_SPAN("sz.lzss_encode");
+    class_packed = lzss_encode_chunked(class_stream, pool);
+  }
   const bool class_lz = class_packed.size() < class_stream.size();
 
   out.clear();
@@ -176,6 +180,7 @@ void decompress_pwrel_into(std::span<const std::uint8_t> bytes, std::vector<floa
   std::vector<std::uint8_t> cls_bytes(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
                                       bytes.begin() + static_cast<std::ptrdiff_t>(pos + cls_len));
   if (class_lz) {
+    TRACE_SPAN("sz.lzss_decode");
     cls_bytes = is_chunked_lzss(cls_bytes) ? lzss_decode_chunked(cls_bytes, pool)
                                            : lzss_decode(cls_bytes);
   }

@@ -14,11 +14,10 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x535A4331;  // "SZC1"
 
-/// Little-endian byte buffer serializer.
+/// Little-endian serializer appending to a caller-owned buffer.
 struct ByteWriter {
-  std::vector<std::uint8_t> bytes;
+  std::vector<std::uint8_t>& bytes;
 
-  void u8(std::uint8_t v) { bytes.push_back(v); }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
@@ -36,6 +35,17 @@ struct ByteWriter {
     u64(bits);
   }
   void raw(const std::uint8_t* p, std::size_t n) { bytes.insert(bytes.end(), p, p + n); }
+  /// Appends \p n floats' bit patterns, 4 little-endian bytes each.
+  void f32s(const float* v, std::size_t n) {
+    const std::size_t at = bytes.size();
+    bytes.resize(at + 4 * n);
+    std::uint8_t* dst = bytes.data() + at;
+    for (std::size_t k = 0; k < n; ++k, dst += 4) {
+      std::uint32_t bits;
+      std::memcpy(&bits, &v[k], 4);
+      for (int i = 0; i < 4; ++i) dst[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+    }
+  }
 };
 
 /// Little-endian byte buffer deserializer with bounds checks.
@@ -250,7 +260,13 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
     huff = huffman_encode_chunked(codes, pool);
   }
 
-  ByteWriter w;
+  // The container is written straight into `out` after its flag byte;
+  // the lossless stage then packs that range in place of it when smaller.
+  out.clear();
+  out.reserve(1 + 80 /* header */ + block_flags.size() + 16 * coefs.size() + huff.size() +
+              4 * unpred.size());
+  out.push_back(0);
+  ByteWriter w{out};
   w.u32(kMagic);
   w.u64(dims.nx);
   w.u64(dims.ny);
@@ -270,22 +286,17 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
     w.f32(c.d);
   }
   w.raw(huff.data(), huff.size());
-  for (const float v : unpred) w.f32(v);
+  w.f32s(unpred.data(), unpred.size());
 
-  out.clear();
   if (params.lossless) {
     TRACE_SPAN("sz.lzss_encode");
-    std::vector<std::uint8_t> packed = lzss_encode_chunked(w.bytes, pool);
-    if (packed.size() < w.bytes.size()) {
-      out.push_back(1);
+    const std::vector<std::uint8_t> packed =
+        lzss_encode_chunked(std::span(out).subspan(1), pool);
+    if (packed.size() < out.size() - 1) {
+      out.resize(1);
+      out[0] = 1;
       out.insert(out.end(), packed.begin(), packed.end());
-    } else {
-      out.push_back(0);
-      out.insert(out.end(), w.bytes.begin(), w.bytes.end());
     }
-  } else {
-    out.push_back(0);
-    out.insert(out.end(), w.bytes.begin(), w.bytes.end());
   }
 
   if (stats) {
@@ -313,7 +324,7 @@ void decompress_into(std::span<const std::uint8_t> bytes, std::vector<float>& re
   std::span<const std::uint8_t> payload;
   if (packed) {
     TRACE_SPAN("sz.lzss_decode");
-    const std::vector<std::uint8_t> lossless(bytes.begin() + 1, bytes.end());
+    const std::span<const std::uint8_t> lossless = bytes.subspan(1);
     payload_storage =
         is_chunked_lzss(lossless) ? lzss_decode_chunked(lossless, pool) : lzss_decode(lossless);
     payload = payload_storage;

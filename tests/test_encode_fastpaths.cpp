@@ -15,6 +15,7 @@
 #include "codec/lzss.hpp"
 #include "common/scratch_arena.hpp"
 #include "common/thread_pool.hpp"
+#include "lzss_reference.hpp"
 #include "random/rng.hpp"
 
 namespace cosmo {
@@ -139,7 +140,7 @@ TEST(EncodeFastPaths, HuffmanFastMatchesReferenceByteForByte) {
 TEST(EncodeFastPaths, LzssFastMatchesReferenceByteForByte) {
   for (const auto& input : encode_byte_cases()) {
     const auto fast = lzss_encode(input);
-    const auto reference = lzss_encode_reference(input);
+    const auto reference = test::lzss_encode_reference(input);
     ASSERT_EQ(fast, reference) << "case size " << input.size();
     EXPECT_EQ(lzss_decode(fast), input);
   }
@@ -162,19 +163,22 @@ TEST(EncodeFastPaths, LzssEncodeIgnoresArenaReuseState) {
 }
 
 TEST(EncodeFastPaths, LzssArenaHighWaterCoversChainTables) {
-  // head table: 2^15 int32 entries; prev table: one int32 per input byte.
-  const std::size_t n = 1u << 16;
+  // The serial encoder leases the prev table (one int32 per input byte),
+  // one 2^15-entry head table, the stitch's fixup table and one token
+  // table per 64 KiB segment.
+  const std::size_t n = 1u << 17;
   std::vector<std::uint8_t> input(n);
   Rng rng(9);
   for (auto& b : input) b = static_cast<std::uint8_t>(rng.uniform_index(256));
   ScratchArena arena;
   (void)lzss_encode(input, &arena);
   const auto stats = arena.stats();
+  EXPECT_EQ(stats.requests, 3u + n / (1u << 16));
   const std::size_t expected = ((1u << 15) + n) * sizeof(std::int32_t);
   EXPECT_GE(stats.high_water_bytes, expected);
-  // Re-encoding must reuse both table leases rather than allocating.
+  // Re-encoding must reuse every table lease rather than allocating.
   (void)lzss_encode(input, &arena);
-  EXPECT_GE(arena.stats().reuses, 2u);
+  EXPECT_EQ(arena.stats().reuses, stats.requests);
   EXPECT_EQ(arena.stats().high_water_bytes, stats.high_water_bytes);
 }
 

@@ -6,8 +6,11 @@
 /// leave ragged chunk boundaries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/cic.hpp"
@@ -19,6 +22,7 @@
 #include "cosmo/hacc_synth.hpp"
 #include "cosmo/nyx_synth.hpp"
 #include "fft/fft.hpp"
+#include "lzss_reference.hpp"
 #include "random/rng.hpp"
 #include "sz/pwrel.hpp"
 #include "sz/sz.hpp"
@@ -162,6 +166,63 @@ TEST(ParallelDeterminism, ChunkedLzssRoundtripAndIdentical) {
     EXPECT_TRUE(bytes_equal(bytes, baseline));
     EXPECT_EQ(lzss_decode_chunked(bytes, pool.get()), input);
     EXPECT_EQ(lzss_decode(bytes), input);
+  }
+}
+
+TEST(ParallelDeterminism, LzssSegmentParallelMatchesReference) {
+  // Default 1 MiB chunks, so the encoder's 64 KiB segments split the work
+  // inside each chunk; every input is checked against the serial
+  // reference encoder and decoded back.
+  std::vector<std::pair<const char*, std::vector<std::uint8_t>>> cases;
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  const auto xorshift = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return static_cast<std::uint8_t>(x);
+  };
+  {
+    std::vector<std::uint8_t> random((1u << 20) + 200003);
+    for (auto& b : random) b = xorshift();
+    cases.emplace_back("random", std::move(random));
+  }
+  cases.emplace_back("zeros", std::vector<std::uint8_t>((1u << 20) + 70001, 0));
+  {
+    // The true parse enters the second segment inside a speculative
+    // 259-byte match of the zero run, so the stitch recomputes tokens
+    // until the two parses meet at the end of the run.
+    std::vector<std::uint8_t> straddle(300000);
+    for (auto& b : straddle) b = static_cast<std::uint8_t>(xorshift() | 1);
+    std::fill(straddle.begin() + (1 << 16) - 1000, straddle.begin() + (1 << 16) + 3000, 0);
+    cases.emplace_back("zero run across a segment boundary", std::move(straddle));
+  }
+  {
+    const std::string words[] = {"halo ", "density ", "snapshot ", "redshift ", "particle ",
+                                 "the ", "of ", "power spectrum "};
+    std::string text;
+    Rng rng(41);
+    while (text.size() < (1u << 20) + 90001) text += words[rng.uniform_index(8)];
+    cases.emplace_back("repetitive text", std::vector<std::uint8_t>(text.begin(), text.end()));
+  }
+  {
+    NyxConfig config;
+    config.dim = 64;
+    config.seed = 3;
+    const Field field = generate_nyx_delta(config);
+    sz::Params params;
+    params.abs_error_bound = 1e-2;
+    params.lossless = false;
+    cases.emplace_back("sz container", sz::compress(field.data, field.dims, params));
+  }
+
+  for (const auto& [name, input] : cases) {
+    const auto reference = test::lzss_encode_chunked_reference(input, 1u << 20);
+    for (const std::size_t threads : {1u, 2u, 3u, 4u, 7u}) {
+      ThreadPool pool(threads);
+      const auto bytes = lzss_encode_chunked(input, &pool);
+      EXPECT_TRUE(bytes_equal(bytes, reference)) << name << ", " << threads << " threads";
+      EXPECT_EQ(lzss_decode_chunked(bytes, &pool), input) << name << ", " << threads << " threads";
+    }
   }
 }
 

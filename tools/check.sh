@@ -18,8 +18,9 @@
 # parallel_for call sites or shared-state code change.
 #
 # --asan builds with AddressSanitizer + UBSan and runs the codec test
-# surface (bitstream, Huffman, LZSS/RLE, ZFP, and the malformed-stream
-# fast-path suite). This is what backs the "truncated/corrupted streams
+# surface (bitstream, Huffman, LZSS/RLE, ZFP, the malformed-stream
+# fast-path suite, and the encoders' byte-identity tests against their
+# reference oracles). This is what backs the "truncated/corrupted streams
 # never read out of bounds" contract; run it whenever codec hot paths or
 # stream parsing change.
 #
@@ -155,12 +156,13 @@ case "${mode}" in
     ;;
   asan)
     # The codec surface: bitstream I/O, entropy/dictionary coders, ZFP block
-    # transforms, and the malformed-stream suite (truncated/corrupted inputs
-    # must throw, never touch out-of-bounds memory).
+    # transforms, the malformed-stream suite (truncated/corrupted inputs
+    # must throw, never touch out-of-bounds memory), and the encoders'
+    # byte-identity tests against their reference oracles.
     ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" \
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
       "${build_dir}/tests/cosmo_tests" \
-      --gtest_filter='BitStream.*:Huffman.*:Rle.*:Lzss.*:CodecFastPaths.*:Zfp*.*:Sz.*:Robustness.*'
+      --gtest_filter='BitStream.*:Huffman.*:Rle.*:Lzss.*:CodecFastPaths.*:EncodeFastPaths.*:ParallelDeterminism.Lzss*:Zfp*.*:Sz.*:Robustness.*'
     ;;
   ubsan)
     # Full suite: UBSan alone is cheap enough to run everything.
