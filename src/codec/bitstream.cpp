@@ -1,26 +1,45 @@
 #include "codec/bitstream.hpp"
 
+#include <algorithm>
+
 namespace cosmo {
 
-void BitWriter::append(const BitWriter& other) {
-  for (const std::uint64_t w : other.words_) put(w, 64);
-  if (other.cur_bits_ > 0) put(other.cur_, other.cur_bits_);
+void BitWriter::copy_bytes(std::uint64_t first_bit, std::size_t nbytes,
+                           std::uint8_t* dst) const {
+  const std::size_t w0 = static_cast<std::size_t>(first_bit / 64);
+  const unsigned shift = static_cast<unsigned>(first_bit % 64);
+  // Whole words serialize LSB-first, i.e. little-endian byte order.
+  const auto store = [](std::uint8_t* at, std::uint64_t v, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  // Interior: output words built from full words only.
+  const std::size_t n_words = nbytes / 8;
+  const std::size_t reach = w0 + (shift != 0);  // last source word an output word needs
+  const std::size_t full = words_.size() > reach ? words_.size() - reach : 0;
+  const std::size_t fast = std::min(n_words, full);
+  const std::uint64_t* src = words_.data() + w0;
+  for (std::size_t j = 0; j < fast; ++j, dst += 8) {
+    store(dst, shift == 0 ? src[j] : (src[j] >> shift) | (src[j + 1] << (64 - shift)), 8);
+  }
+  // Edge: word i of the stream is a full word, the partial tail word, then
+  // zeros (the tail's bits past cur_bits_ are zero by construction).
+  const auto word = [this](std::size_t i) -> std::uint64_t {
+    return i < words_.size() ? words_[i] : i == words_.size() ? cur_ : 0;
+  };
+  nbytes -= fast * 8;
+  for (std::size_t w = w0 + fast; nbytes != 0; ++w) {
+    const std::uint64_t v =
+        shift == 0 ? word(w) : (word(w) >> shift) | (word(w + 1) << (64 - shift));
+    const std::size_t n = std::min<std::size_t>(nbytes, 8);
+    store(dst, v, n);
+    dst += n;
+    nbytes -= n;
+  }
 }
 
 std::vector<std::uint8_t> BitWriter::finish() const {
-  // Whole words serialize LSB-first, i.e. little-endian byte order; writing
-  // into a pre-sized buffer (instead of push_back per byte) keeps the loop
-  // store-bound. Bytes are identical to the byte-at-a-time version.
   std::vector<std::uint8_t> out((bit_count_ + 7) / 8);
-  std::uint8_t* dst = out.data();
-  for (const std::uint64_t w : words_) {
-    for (unsigned i = 0; i < 8; ++i) dst[i] = static_cast<std::uint8_t>(w >> (8 * i));
-    dst += 8;
-  }
-  if (cur_bits_ > 0) {
-    const unsigned tail = (cur_bits_ + 7) / 8;
-    for (unsigned i = 0; i < tail; ++i) dst[i] = static_cast<std::uint8_t>(cur_ >> (8 * i));
-  }
+  copy_bytes(0, out.size(), out.data());
   return out;
 }
 

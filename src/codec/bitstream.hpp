@@ -88,15 +88,16 @@ class BitWriter {
 
   class Appender;
 
-  /// Bit-level concatenation of another writer's content (the other writer
-  /// is unchanged). Concatenation is associative, so encoding ranges into
-  /// private writers and appending them in range order reproduces the
-  /// single-writer stream bit for bit — the mechanism behind the
-  /// thread-count-independent parallel codec paths.
-  void append(const BitWriter& other);
-
   /// Total bits written so far.
   [[nodiscard]] std::uint64_t bit_count() const { return bit_count_; }
+
+  /// Writes \p nbytes bytes of the stream starting at bit \p first_bit to
+  /// \p dst: byte j holds bits [first_bit + 8j, first_bit + 8j + 8), LSB
+  /// first, and bits past bit_count() read as zero. A range encoded into
+  /// its own writer is placed at any bit offset of a shared buffer this way
+  /// — the mechanism behind the thread-count-independent parallel ZFP
+  /// payload (see docs/architecture.md, "ZFP block kernel").
+  void copy_bytes(std::uint64_t first_bit, std::size_t nbytes, std::uint8_t* dst) const;
 
   /// Pads to a whole byte with zero bits and returns the byte buffer.
   [[nodiscard]] std::vector<std::uint8_t> finish() const;

@@ -1,7 +1,6 @@
 #include "zfp/zfp.hpp"
 
 #include <algorithm>
-#include <array>
 #include <climits>
 #include <cmath>
 #include <cstring>
@@ -16,82 +15,40 @@ namespace {
 constexpr std::uint32_t kMagic = 0x5A465031;  // "ZFP1"
 constexpr unsigned kMinBlockBits = 12;        // flag (1) + exponent (10) + >= 1 payload bit
 
-std::size_t block_count_1d(std::size_t n) { return (n + 3) / 4; }
-
-std::size_t block_values(int rank) { return rank == 1 ? 4u : rank == 2 ? 16u : 64u; }
-
-/// Gathers a 4^rank block at block coordinates (bx, by, bz); edge values are
-/// replicated for partial blocks (ZFP's padding strategy keeps values in the
-/// field's range so the aligned exponent is unaffected).
-void gather(std::span<const float> data, const Dims& dims, int rank, std::size_t bx,
-            std::size_t by, std::size_t bz, std::span<float> block) {
-  const std::size_t ze = rank >= 3 ? 4 : 1;
-  const std::size_t ye = rank >= 2 ? 4 : 1;
-  std::size_t o = 0;
-  for (std::size_t dz = 0; dz < ze; ++dz) {
-    const std::size_t z = std::min(bz * 4 + dz, dims.nz - 1);
-    for (std::size_t dy = 0; dy < ye; ++dy) {
-      const std::size_t y = std::min(by * 4 + dy, dims.ny - 1);
-      for (std::size_t dx = 0; dx < 4; ++dx) {
-        const std::size_t x = std::min(bx * 4 + dx, dims.nx - 1);
-        block[o++] = data[dims.index(x, y, z)];
-      }
-    }
-  }
-}
-
-/// Writes a decoded block back, skipping padded lanes.
-void scatter(std::span<float> data, const Dims& dims, int rank, std::size_t bx,
-             std::size_t by, std::size_t bz, std::span<const float> block) {
-  const std::size_t ze = rank >= 3 ? 4 : 1;
-  const std::size_t ye = rank >= 2 ? 4 : 1;
-  std::size_t o = 0;
-  for (std::size_t dz = 0; dz < ze; ++dz) {
-    const std::size_t z = bz * 4 + dz;
-    for (std::size_t dy = 0; dy < ye; ++dy) {
-      const std::size_t y = by * 4 + dy;
-      for (std::size_t dx = 0; dx < 4; ++dx, ++o) {
-        const std::size_t x = bx * 4 + dx;
-        if (x < dims.nx && y < dims.ny && z < dims.nz) {
-          data[dims.index(x, y, z)] = block[o];
-        }
-      }
-    }
-  }
-}
-
-template <typename Fn>
-void for_each_block(const Dims& dims, int rank, Fn&& fn) {
-  const std::size_t nbx = block_count_1d(dims.nx);
-  const std::size_t nby = rank >= 2 ? block_count_1d(dims.ny) : 1;
-  const std::size_t nbz = rank >= 3 ? block_count_1d(dims.nz) : 1;
-  for (std::size_t bz = 0; bz < nbz; ++bz)
-    for (std::size_t by = 0; by < nby; ++by)
-      for (std::size_t bx = 0; bx < nbx; ++bx) fn(bx, by, bz);
-}
-
-/// Linear-index view of the block grid (same bz-outer / bx-inner order as
-/// for_each_block) so block ranges can be partitioned across threads.
-struct BlockGrid {
-  std::size_t nbx, nby, nbz;
-
-  BlockGrid(const Dims& dims, int rank)
-      : nbx(block_count_1d(dims.nx)),
-        nby(rank >= 2 ? block_count_1d(dims.ny) : 1),
-        nbz(rank >= 3 ? block_count_1d(dims.nz) : 1) {}
-
-  [[nodiscard]] std::size_t count() const { return nbx * nby * nbz; }
-
-  void coords(std::size_t i, std::size_t& bx, std::size_t& by, std::size_t& bz) const {
-    bx = i % nbx;
-    by = (i / nbx) % nby;
-    bz = i / (nbx * nby);
-  }
-};
-
 /// Blocks per encode range: 512 4^3 blocks = 32K values, enough to amortize
-/// task overhead while keeping ranges plentiful for load balancing.
+/// task overhead while keeping ranges plentiful for load balancing. A
+/// fixed-rate range spans 512 * maxbits bits, a whole number of words.
 constexpr std::size_t kBlocksPerRange = 512;
+
+/// Largest per-block budget compress() writes for any mode: 16 + 32 * 64.
+constexpr unsigned kMaxBlockBits = 16u + 32u * 64u;
+
+/// Places range r's bits at its bit offset in \p payload. Range r owns the
+/// payload bytes whose first bit lies in [offset[r], offset[r + 1]): all
+/// but possibly the last come from its own writer; a last byte straddling
+/// the range end also takes the first bits of the ranges after it. Every
+/// payload byte is written by exactly one range, so ranges place in
+/// parallel.
+void place_range(const std::vector<BitWriter>& parts, const std::vector<std::uint64_t>& offset,
+                 std::size_t r, std::uint8_t* payload) {
+  const std::uint64_t begin = offset[r], end = offset[r + 1];
+  const std::uint64_t first = (begin + 7) / 8, full = end / 8;
+  if (full > first) {
+    parts[r].copy_bytes(8 * first - begin, static_cast<std::size_t>(full - first),
+                        payload + first);
+  }
+  if (end % 8 == 0 || full < first) return;
+  std::uint8_t byte = 0;
+  parts[r].copy_bytes(8 * full - begin, 1, &byte);
+  std::uint64_t filled = end - 8 * full;
+  for (std::size_t q = r + 1; filled < 8 && q < parts.size(); ++q) {
+    std::uint8_t next = 0;
+    parts[q].copy_bytes(0, 1, &next);
+    byte = static_cast<std::uint8_t>(byte | (next << filled));
+    filled += parts[q].bit_count();
+  }
+  payload[full] = byte;
+}
 
 }  // namespace
 
@@ -121,7 +78,8 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
     maxprec = kIntPrec;
     minexp = INT_MIN;
   } else if (params.mode == Mode::kFixedAccuracy) {
-    require(params.tolerance > 0.0, "zfp: tolerance must be positive");
+    require(std::isfinite(params.tolerance) && params.tolerance > 0.0,
+            "zfp: tolerance must be finite and positive");
     maxbits = 16u + 32u * static_cast<unsigned>(block_values(rank));  // effectively unbounded
     maxprec = kIntPrec;
     minexp = static_cast<int>(std::floor(std::log2(params.tolerance)));
@@ -133,41 +91,27 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
     minexp = INT_MIN;
   }
 
-  const BlockGrid grid(dims, rank);
-  const std::size_t n_blocks = grid.count();
+  const BlockParams block_params{maxbits, maxprec, minexp, params.mode == Mode::kFixedRate};
+  const std::size_t n_blocks = block_count(dims);
+  const std::size_t n_ranges = (n_blocks + kBlocksPerRange - 1) / kBlocksPerRange;
   TRACE_SPAN("zfp.block_scan.encode");
-  BitWriter bw;
-  if (pool != nullptr && n_blocks > kBlocksPerRange) {
-    // Encode fixed block ranges into private writers, then concatenate in
-    // range order: associativity makes the result bit-identical to the
-    // serial single-writer stream for any thread count.
-    const std::size_t n_ranges = (n_blocks + kBlocksPerRange - 1) / kBlocksPerRange;
-    std::vector<BitWriter> parts(n_ranges);
+  // Every range is encoded into its own writer, then placed at its
+  // prefix-summed bit offset: the payload is the serial single-writer
+  // stream bit for bit, for any thread count (pool == nullptr runs the
+  // same ranges inline).
+  std::vector<BitWriter> parts(n_ranges);
+  dispatch_rank(rank, [&](auto r) {
     parallel_for(pool, n_ranges, [&](std::size_t lo, std::size_t hi) {
-      std::vector<float> block(block_values(rank));
-      for (std::size_t r = lo; r < hi; ++r) {
-        BitWriter& part = parts[r];
-        const std::size_t b0 = r * kBlocksPerRange;
-        const std::size_t b1 = std::min(b0 + kBlocksPerRange, n_blocks);
-        for (std::size_t b = b0; b < b1; ++b) {
-          std::size_t bx, by, bz;
-          grid.coords(b, bx, by, bz);
-          gather(data, dims, rank, bx, by, bz, block);
-          encode_block_float(part, block, rank, maxbits, maxprec, minexp,
-                             params.mode == Mode::kFixedRate);
-        }
+      for (std::size_t i = lo; i < hi; ++i) {
+        encode_range<decltype(r)::value>(parts[i], data, dims, i * kBlocksPerRange,
+                                         std::min((i + 1) * kBlocksPerRange, n_blocks),
+                                         block_params);
       }
     }, /*min_grain=*/1);
-    for (const auto& part : parts) bw.append(part);
-  } else {
-    std::vector<float> block(block_values(rank));
-    for_each_block(dims, rank, [&](std::size_t bx, std::size_t by, std::size_t bz) {
-      gather(data, dims, rank, bx, by, bz, block);
-      encode_block_float(bw, block, rank, maxbits, maxprec, minexp,
-                         params.mode == Mode::kFixedRate);
-    });
-  }
-  const std::vector<std::uint8_t> payload = bw.finish();
+  });
+  std::vector<std::uint64_t> offset(n_ranges + 1, 0);
+  for (std::size_t i = 0; i < n_ranges; ++i) offset[i + 1] = offset[i] + parts[i].bit_count();
+  const std::size_t payload_len = static_cast<std::size_t>((offset.back() + 7) / 8);
 
   out.clear();
   auto u32 = [&out](std::uint32_t v) {
@@ -190,8 +134,13 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
     std::memcpy(&bits, &m2, 8);
     u64(bits);
   }
-  u64(payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
+  u64(payload_len);
+  const std::size_t header_len = out.size();
+  out.resize(header_len + payload_len);
+  std::uint8_t* payload = out.data() + header_len;
+  parallel_for(pool, n_ranges, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) place_range(parts, offset, i, payload);
+  }, /*min_grain=*/1);
 
   if (stats) {
     stats->total_points = data.size();
@@ -244,50 +193,47 @@ void decompress_into(std::span<const std::uint8_t> bytes, std::vector<float>& ou
   unsigned maxprec = kIntPrec;
   int minexp = INT_MIN;
   if (mode == Mode::kFixedAccuracy) {
+    // Validated before the cast: floor(log2(t)) of a finite t > 0 lies in
+    // [-1075, 1023], while 0, Inf or NaN would overflow it.
+    require_format(std::isfinite(mode_param) && mode_param > 0.0,
+                   "zfp: stored tolerance must be finite and positive");
     minexp = static_cast<int>(std::floor(std::log2(mode_param)));
   } else if (mode == Mode::kFixedPrecision) {
+    require_format(mode_param >= 1.0 && mode_param <= kIntPrec &&
+                       mode_param == std::floor(mode_param),
+                   "zfp: stored precision must be an integer in [1, 32]");
     maxprec = static_cast<unsigned>(mode_param);
-    require_format(maxprec >= 1 && maxprec <= kIntPrec, "zfp: bad stored precision");
   }
 
   // Bound the output allocation by the payload actually present: every
   // encoded block spends at least one bit (the all-zero flag), so a stream
   // with fewer payload bits than blocks is corrupt. This also keeps the
   // fixed-rate seek below (lo * maxbits) far from overflow, together with
-  // the maxbits range check — 16 + 32*64 is the largest value compress()
-  // ever writes for any mode.
+  // the maxbits range check — kMaxBlockBits is the largest value
+  // compress() ever writes for any mode.
   const std::size_t count = checked_stream_count(dims, "zfp");
-  require_format(maxbits >= 1 && maxbits <= 16u + 32u * 64u, "zfp: stored maxbits out of range");
-  const BlockGrid grid(dims, rank);
-  const std::size_t n_blocks = grid.count();
+  require_format(maxbits >= 1 && maxbits <= kMaxBlockBits, "zfp: stored maxbits out of range");
+  const std::size_t n_blocks = block_count(dims);
   require_format(n_blocks <= payload_len * 8, "zfp: block count exceeds payload");
+  const BlockParams block_params{maxbits, maxprec, minexp, mode == Mode::kFixedRate};
   TRACE_SPAN("zfp.block_scan.decode");
-  out.assign(count, 0.0f);
-  if (mode == Mode::kFixedRate && pool != nullptr && n_blocks > kBlocksPerRange) {
-    // Fixed-rate blocks all occupy exactly maxbits bits, so block b starts
-    // at bit offset b * maxbits and ranges decode independently. Scatter
-    // targets are disjoint per block.
-    std::span<float> out_span(out);
-    parallel_for(pool, n_blocks, [&](std::size_t lo, std::size_t hi) {
-      BitReader range_br(bytes.data() + pos, payload_len);
-      range_br.seek(static_cast<std::uint64_t>(lo) * maxbits);
-      std::vector<float> block(block_values(rank));
-      for (std::size_t b = lo; b < hi; ++b) {
-        std::size_t bx, by, bz;
-        grid.coords(b, bx, by, bz);
-        decode_block_float(range_br, block, rank, maxbits, maxprec, minexp, true);
-        scatter(out_span, dims, rank, bx, by, bz, block);
-      }
-    }, /*min_grain=*/kBlocksPerRange);
-  } else {
-    BitReader br(bytes.data() + pos, payload_len);
-    std::vector<float> block(block_values(rank));
-    for_each_block(dims, rank, [&](std::size_t bx, std::size_t by, std::size_t bz) {
-      decode_block_float(br, block, rank, maxbits, maxprec, minexp,
-                         mode == Mode::kFixedRate);
-      scatter(out, dims, rank, bx, by, bz, block);
-    });
-  }
+  out.resize(count);  // every value is written by the block scatter
+  dispatch_rank(rank, [&](auto r) {
+    if (mode == Mode::kFixedRate) {
+      // Fixed-rate blocks all occupy exactly maxbits bits, so block b starts
+      // at bit offset b * maxbits and ranges decode independently (inline
+      // when pool is null or the grid is one range). Scatter targets are
+      // disjoint per block.
+      parallel_for(pool, n_blocks, [&](std::size_t lo, std::size_t hi) {
+        BitReader range_br(bytes.data() + pos, payload_len);
+        range_br.seek(static_cast<std::uint64_t>(lo) * maxbits);
+        decode_range<decltype(r)::value>(range_br, out, dims, lo, hi, block_params);
+      }, /*min_grain=*/kBlocksPerRange);
+    } else {
+      BitReader br(bytes.data() + pos, payload_len);
+      decode_range<decltype(r)::value>(br, out, dims, 0, n_blocks, block_params);
+    }
+  });
   if (out_dims) *out_dims = dims;
 }
 

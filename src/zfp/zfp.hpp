@@ -43,11 +43,12 @@ struct Stats {
   double bit_rate = 0.0;
 };
 
-/// Compresses a float field; the stream is self-describing. When \p pool is
-/// non-null the 4^rank block grid is encoded block-range-parallel into
-/// private bit writers concatenated in range order — bit-stream
-/// concatenation is associative, so the output is byte-identical to the
-/// serial stream for any thread count.
+/// Compresses a float field; the stream is self-describing. The 4^rank
+/// block grid is encoded in fixed 512-block ranges, each into its own bit
+/// writer, and each range's bits are then placed at its prefix-summed bit
+/// offset in the output — both steps range-parallel on \p pool (inline
+/// when it is null). The ranges are fixed, so the output is byte-identical
+/// to the serial stream for any thread count.
 std::vector<std::uint8_t> compress(std::span<const float> data, const Dims& dims,
                                    const Params& params, Stats* stats = nullptr,
                                    ThreadPool* pool = nullptr);

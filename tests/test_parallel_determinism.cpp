@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -27,6 +28,7 @@
 #include "sz/pwrel.hpp"
 #include "sz/sz.hpp"
 #include "zfp/zfp.hpp"
+#include "zfp_reference.hpp"
 
 namespace {
 
@@ -82,6 +84,79 @@ TEST(ParallelDeterminism, ZfpStreamsByteIdenticalAcrossThreads) {
             << "zfp mode " << static_cast<int>(mode) << " stream differs";
         const auto recon = zfp::decompress(bytes, nullptr, pool.get());
         EXPECT_TRUE(floats_identical(recon, baseline_recon));
+      }
+    }
+  }
+}
+
+/// Finite value classes the ZFP kernel must code exactly like the oracle.
+std::vector<std::pair<std::string, std::vector<float>>> zfp_value_classes(const Dims& dims) {
+  const std::size_t n = dims.count();
+  Rng rng(41);
+  std::vector<std::pair<std::string, std::vector<float>>> classes;
+  classes.emplace_back("smooth", smooth_field(dims, 24));
+  classes.emplace_back("zeros", std::vector<float>(n, 0.0f));
+  std::vector<float> denormal(n), extreme(n), mixed(n);
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float huge = std::numeric_limits<float>::max();
+  for (std::size_t i = 0; i < n; ++i) {
+    const float sign = rng.uniform(0.0, 1.0) < 0.5 ? -1.0f : 1.0f;
+    denormal[i] = sign * tiny * static_cast<float>(rng.uniform_index(1u << 23));
+    extreme[i] = sign * (rng.uniform(0.0, 1.0) < 0.7 ? huge : huge * 0.37f);
+    mixed[i] = sign * (rng.uniform(0.0, 1.0) < 0.5 ? 1e-30f : 1e30f) *
+               static_cast<float>(rng.uniform(1.0, 2.0));
+  }
+  classes.emplace_back("denormal", std::move(denormal));
+  classes.emplace_back("flt_max", std::move(extreme));
+  classes.emplace_back("mixed_1e-30_1e30", std::move(mixed));
+  return classes;
+}
+
+TEST(ParallelDeterminism, ZfpKernelsMatchReference) {
+  // The rank-specialized range kernel and the parallel payload placement
+  // against the serial per-value oracle: every rank (ragged shapes above
+  // the 512-block range size), every mode, several thread counts.
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (const std::size_t threads : {2, 3, 4, 7}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  std::vector<zfp::Params> modes;
+  for (const double rate : {4.0, 8.0, 16.0, 32.0}) {
+    zfp::Params p;
+    p.rate = rate;
+    modes.push_back(p);
+  }
+  for (const unsigned precision : {8u, 32u}) {
+    zfp::Params p;
+    p.mode = zfp::Mode::kFixedPrecision;
+    p.precision = precision;
+    modes.push_back(p);
+  }
+  {
+    zfp::Params p;
+    p.mode = zfp::Mode::kFixedAccuracy;
+    p.tolerance = 1e-3;
+    modes.push_back(p);
+  }
+  // 1025, 33 x 17 = 561 and 13 x 9 x 7 = 819 blocks, partial on every axis.
+  for (const Dims& dims : {Dims::d1(4099), Dims::d2(131, 67), Dims::d3(50, 33, 27)}) {
+    for (const auto& [name, data] : zfp_value_classes(dims)) {
+      for (const zfp::Params& params : modes) {
+        const auto expected = test::zfp_compress_reference(data, dims, params);
+        const auto expected_recon = test::zfp_decompress_reference(expected);
+        for (const auto& pool : pools) {
+          const std::string where = "rank " + std::to_string(dims.rank()) + " " + name +
+                                    " mode " + std::to_string(static_cast<int>(params.mode)) +
+                                    " rate " + std::to_string(params.rate) + " precision " +
+                                    std::to_string(params.precision) + " threads " +
+                                    std::to_string(pool ? pool->size() : 1);
+          const auto bytes = zfp::compress(data, dims, params, nullptr, pool.get());
+          ASSERT_TRUE(bytes_equal(bytes, expected)) << where;
+          EXPECT_TRUE(floats_identical(zfp::decompress(bytes, nullptr, pool.get()),
+                                       expected_recon))
+              << where;
+        }
       }
     }
   }

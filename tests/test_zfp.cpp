@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "random/rng.hpp"
 #include "zfp/zfp.hpp"
@@ -192,6 +194,45 @@ TEST(Zfp, CorruptStreamThrows) {
   EXPECT_THROW(decompress(bytes), FormatError);
   bytes = {1, 2, 3, 4, 5};
   EXPECT_THROW(decompress(bytes), FormatError);
+}
+
+TEST(Zfp, HostileModeParameterIsFormatError) {
+  // The stored mode parameter feeds a float -> int conversion (floor(log2
+  // tolerance), or the precision itself); values outside its range must be
+  // rejected before that cast, not decoded through it.
+  const Dims dims = Dims::d3(8, 8, 8);
+  const auto data = smooth_field(dims, 101);
+  constexpr std::size_t kParamOffset = 33;  // magic, mode byte, 3 extents, maxbits
+  const auto stream_with = [&](Mode mode, double stored) {
+    Params params;
+    params.mode = mode;
+    params.tolerance = 0.5;
+    params.precision = 12;
+    auto bytes = compress(data, dims, params);
+    std::memcpy(bytes.data() + kParamOffset, &stored, sizeof(stored));
+    return bytes;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double tolerance : {0.0, -0.0, -1.0, inf, -inf, nan}) {
+    EXPECT_THROW(decompress(stream_with(Mode::kFixedAccuracy, tolerance)), FormatError)
+        << "tolerance " << tolerance;
+  }
+  for (const double precision : {0.0, -5.0, 4.5, 33.0, 1e30, inf, nan}) {
+    EXPECT_THROW(decompress(stream_with(Mode::kFixedPrecision, precision)), FormatError)
+        << "precision " << precision;
+  }
+  // The patch itself is sound: rewriting the encoded values still decodes.
+  EXPECT_NO_THROW(decompress(stream_with(Mode::kFixedAccuracy, 0.5)));
+  EXPECT_NO_THROW(decompress(stream_with(Mode::kFixedPrecision, 12.0)));
+
+  // compress() rejects a non-finite tolerance with a typed error.
+  Params params;
+  params.mode = Mode::kFixedAccuracy;
+  for (const double tolerance : {inf, nan}) {
+    params.tolerance = tolerance;
+    EXPECT_THROW(compress(data, dims, params), InvalidArgument) << "tolerance " << tolerance;
+  }
 }
 
 TEST(Zfp, BlockBitsForRate) {

@@ -331,6 +331,20 @@ int main(int argc, char** argv) {
                         (void)io::load(container_path);
                       }});
 
+  // The variable-length ZFP modes: blocks end wherever their bit planes
+  // do, so the serial accuracy/precision decode is a surface of its own.
+  // (Appended last, so the earlier surfaces keep their per-index seeds.)
+  zfp::Params zfp_accuracy;
+  zfp_accuracy.mode = zfp::Mode::kFixedAccuracy;
+  zfp_accuracy.tolerance = 0.01;
+  surfaces.push_back({"zfp-accuracy", zfp::compress(field.data, field.dims, zfp_accuracy),
+                      [](const std::vector<std::uint8_t>& b) { (void)zfp::decompress(b); }});
+  zfp::Params zfp_precision;
+  zfp_precision.mode = zfp::Mode::kFixedPrecision;
+  zfp_precision.precision = 14;
+  surfaces.push_back({"zfp-precision", zfp::compress(field.data, field.dims, zfp_precision),
+                      [](const std::vector<std::uint8_t>& b) { (void)zfp::decompress(b); }});
+
   int rc = 0;
   for (std::size_t i = 0; i < surfaces.size(); ++i) {
     // Distinct seed per surface so corpora don't correlate across codecs.
