@@ -14,8 +14,11 @@
 ///
 /// This port keeps the exact stream format independent of thread count:
 /// values are split into fixed-size chunks (each Lorenzo-predicted from a
-/// zero seed, so chunks are independent), chunks are encoded in parallel,
-/// and the payloads are concatenated deterministically.
+/// zero seed, so chunks are independent). Each task codes its chunks four
+/// at a time in lockstep into a private staging buffer; the payload sizes
+/// are then prefix-summed and every payload is copied, in parallel, to its
+/// offset after the header and size table. Offsets depend only on the
+/// chunks, never on the partition.
 #pragma once
 
 #include <cstdint>

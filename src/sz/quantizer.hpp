@@ -32,7 +32,7 @@ class Quantizer {
 
   /// Quantizes an (original, predicted) pair. Returns the code and the
   /// reconstructed value, or code 0 (unpredictable) when the error exceeds
-  /// the code space or reconstruction would break the bound.
+  /// the code space, is not finite, or reconstruction would break the bound.
   struct Result {
     std::uint32_t code;  ///< 0 = unpredictable
     float reconstructed; ///< valid only when code != 0
@@ -41,7 +41,9 @@ class Quantizer {
     const double diff = static_cast<double>(original) - static_cast<double>(predicted);
     const double scaled = diff / (2.0 * eb_);
     const double rounded = std::nearbyint(scaled);
-    if (std::fabs(rounded) >= static_cast<double>(radius_)) {
+    // Written so that NaN fails the test too: a non-finite input (NaN, or
+    // Inf - Inf) is unpredictable and never reaches the integer cast.
+    if (!(std::fabs(rounded) < static_cast<double>(radius_))) {
       return {0, 0.0f};  // outside code space -> unpredictable
     }
     const std::uint32_t code =

@@ -5,7 +5,9 @@
 /// are consistent, and dims survive the stream.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/thread_pool.hpp"
 #include "cosmo/hacc_synth.hpp"
@@ -125,6 +127,35 @@ TEST(Fz, UnpredictableValuesStoredVerbatim) {
   EXPECT_EQ(recon[100], -2.5e28f);
   EXPECT_EQ(recon[4095], 1.0e20f);
   expect_bound_held(data, recon, params.abs_error_bound);
+}
+
+TEST(Fz, NonFiniteValuesRoundTripBitExact) {
+  // NaN (quiet, negative, signalling) and +-Inf, alone and repeated, over
+  // two chunks: every non-finite value is unpredictable, stored verbatim
+  // and restored bit for bit; the finite ones keep the bound.
+  std::vector<float> data(8192);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<float>(std::sin(0.01 * static_cast<double>(i)));
+    if (i % 97 == 3) data[i] = std::numeric_limits<float>::quiet_NaN();
+    if (i % 89 == 5 || i % 89 == 6) data[i] = inf;
+    if (i % 83 == 7 || i % 83 == 8) data[i] = -inf;
+    if (i % 101 == 9) data[i] = std::bit_cast<float>(0xFFC00001u);
+    if (i % 103 == 10) data[i] = std::bit_cast<float>(0x7F800001u);
+  }
+  fz::Params params;
+  params.abs_error_bound = 1e-3;
+  const auto recon = fz::decompress(fz::compress(data, Dims::d1(data.size()), params));
+  ASSERT_EQ(recon.size(), data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (std::isfinite(data[i])) {
+      ASSERT_LE(std::fabs(static_cast<double>(recon[i]) - data[i]), params.abs_error_bound)
+          << "at " << i;
+    } else {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(recon[i]), std::bit_cast<std::uint32_t>(data[i]))
+          << "at " << i;
+    }
+  }
 }
 
 TEST(Fz, BitshuffleRoundTripsAwkwardLengths) {

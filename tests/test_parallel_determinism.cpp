@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -23,6 +24,8 @@
 #include "cosmo/hacc_synth.hpp"
 #include "cosmo/nyx_synth.hpp"
 #include "fft/fft.hpp"
+#include "fz/fz.hpp"
+#include "fz_reference.hpp"
 #include "lzss_reference.hpp"
 #include "random/rng.hpp"
 #include "sz/pwrel.hpp"
@@ -156,6 +159,61 @@ TEST(ParallelDeterminism, ZfpKernelsMatchReference) {
           EXPECT_TRUE(floats_identical(zfp::decompress(bytes, nullptr, pool.get()),
                                        expected_recon))
               << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelDeterminism, FzKernelsMatchReference) {
+  // The lockstep chunk kernel, transpose shuffle, word-wise zero run and
+  // parallel payload placement against the serial per-chunk oracle. Chunk
+  // counts are not multiples of the 4-chunk lane group, and a ragged last
+  // chunk runs alone; with 203 small chunks the pooled tasks hold several
+  // lane groups too.
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (const std::size_t threads : {2, 3, 4, 7}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  for (const std::size_t chunk_values : {1, 7, 8, 4096, 4097}) {
+    const std::size_t chunks = chunk_values <= 8 ? 202 : 9;
+    for (const std::size_t n : {chunks * chunk_values + std::max<std::size_t>(1, chunk_values / 2),
+                                5 * chunk_values}) {
+      auto classes = zfp_value_classes(Dims::d1(n));
+      // Non-finite values are unpredictable and stored verbatim: quiet,
+      // negative and signalling NaN, and +-Inf alone and repeated (the
+      // Inf - Inf case).
+      std::vector<float> nonfinite = smooth_field(Dims::d1(n), 25);
+      const float inf = std::numeric_limits<float>::infinity();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i % 13 == 3) nonfinite[i] = std::numeric_limits<float>::quiet_NaN();
+        if (i % 17 == 5 || i % 17 == 6) nonfinite[i] = inf;
+        if (i % 19 == 7) nonfinite[i] = -inf;
+        if (i % 23 == 11) nonfinite[i] = std::bit_cast<float>(0xFFC00001u);
+        if (i % 29 == 13) nonfinite[i] = std::bit_cast<float>(0x7F800001u);
+      }
+      classes.emplace_back("nonfinite", std::move(nonfinite));
+      for (const auto& [name, data] : classes) {
+        for (const std::uint32_t radius : {2u, 1u << 15}) {
+          fz::Params params;
+          params.abs_error_bound = 0.01;
+          params.chunk_values = chunk_values;
+          params.radius = radius;
+          const Dims dims = Dims::d1(n);
+          const auto expected = test::fz_compress_reference(data, dims, params);
+          const auto expected_recon = test::fz_decompress_reference(expected);
+          for (const auto& pool : pools) {
+            const std::string where = name + " n " + std::to_string(n) + " chunk_values " +
+                                      std::to_string(chunk_values) + " radius " +
+                                      std::to_string(radius) + " threads " +
+                                      std::to_string(pool ? pool->size() : 1);
+            const auto bytes = fz::compress(data, dims, params, nullptr, pool.get());
+            ASSERT_TRUE(bytes_equal(bytes, expected)) << where;
+            EXPECT_TRUE(floats_identical(fz::decompress(bytes, nullptr, pool.get()),
+                                         expected_recon))
+                << where;
+          }
         }
       }
     }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "random/rng.hpp"
 #include "sz/sz.hpp"
@@ -48,6 +50,35 @@ TEST(Sz, RoundTripRespectsErrorBound3d) {
   EXPECT_LE(max_abs_error(data, recon), params.abs_error_bound * (1 + 1e-9));
   EXPECT_EQ(stats.total_points, data.size());
   EXPECT_GT(stats.total_blocks, 0u);
+}
+
+TEST(Sz, NonFiniteValuesRoundTripBitExactInAbsMode) {
+  // NaN (quiet, negative, signalling) and +-Inf, alone and repeated: every
+  // non-finite value is unpredictable, stored verbatim and restored bit
+  // for bit; the finite ones keep the bound.
+  std::vector<float> data(8192);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<float>(std::sin(0.01 * static_cast<double>(i)));
+    if (i % 97 == 3) data[i] = std::numeric_limits<float>::quiet_NaN();
+    if (i % 89 == 5 || i % 89 == 6) data[i] = inf;
+    if (i % 83 == 7 || i % 83 == 8) data[i] = -inf;
+    if (i % 101 == 9) data[i] = std::bit_cast<float>(0xFFC00001u);
+    if (i % 103 == 10) data[i] = std::bit_cast<float>(0x7F800001u);
+  }
+  Params params;
+  params.abs_error_bound = 1e-3;
+  const auto recon = decompress(compress(data, Dims::d1(data.size()), params));
+  ASSERT_EQ(recon.size(), data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (std::isfinite(data[i])) {
+      ASSERT_LE(std::fabs(static_cast<double>(recon[i]) - data[i]), params.abs_error_bound)
+          << "at " << i;
+    } else {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(recon[i]), std::bit_cast<std::uint32_t>(data[i]))
+          << "at " << i;
+    }
+  }
 }
 
 TEST(Sz, CompressesSmoothDataWell) {

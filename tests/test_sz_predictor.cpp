@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "random/rng.hpp"
 #include "sz/predictor.hpp"
@@ -171,6 +172,21 @@ TEST(Quantizer, HugeErrorIsUnpredictable) {
   const Quantizer q(1e-6);
   const auto result = q.quantize(1e6f, 0.0f);
   EXPECT_EQ(result.code, 0u);
+}
+
+TEST(Quantizer, NonFiniteInputIsUnpredictable) {
+  // A NaN on either side, or Inf - Inf, makes the scaled error NaN; a lone
+  // Inf makes it infinite. Each is code 0 and never reaches the integer
+  // cast.
+  const Quantizer q(1e-3);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(q.quantize(nan, 0.0f).code, 0u);
+  EXPECT_EQ(q.quantize(1.0f, nan).code, 0u);
+  EXPECT_EQ(q.quantize(inf, inf).code, 0u);
+  EXPECT_EQ(q.quantize(-inf, -inf).code, 0u);
+  EXPECT_EQ(q.quantize(inf, 0.0f).code, 0u);
+  EXPECT_EQ(q.quantize(0.0f, -inf).code, 0u);
 }
 
 TEST(Quantizer, CodeSpaceEdges) {

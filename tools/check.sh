@@ -158,13 +158,14 @@ case "${mode}" in
     ;;
   asan)
     # The codec surface: bitstream I/O, entropy/dictionary coders, ZFP block
-    # transforms, the malformed-stream suite (truncated/corrupted inputs
-    # must throw, never touch out-of-bounds memory), and the encoders'
-    # byte-identity tests against their reference oracles.
+    # transforms, the FZ chunk kernel, the malformed-stream suite
+    # (truncated/corrupted inputs must throw, never touch out-of-bounds
+    # memory), and the encoders' byte-identity tests against their
+    # reference oracles.
     ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" \
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
       "${build_dir}/tests/cosmo_tests" \
-      --gtest_filter='BitStream.*:Huffman.*:Rle.*:Lzss.*:CodecFastPaths.*:EncodeFastPaths.*:ParallelDeterminism.Lzss*:ParallelDeterminism.Zfp*:Zfp*.*:Sz.*:Robustness.*'
+      --gtest_filter='BitStream.*:Huffman.*:Rle.*:Lzss.*:CodecFastPaths.*:EncodeFastPaths.*:ParallelDeterminism.Lzss*:ParallelDeterminism.Zfp*:ParallelDeterminism.Fz*:Zfp*.*:Fz.*:Sz.*:Robustness.*'
     ;;
   ubsan)
     # Full suite: UBSan alone is cheap enough to run everything.

@@ -345,6 +345,14 @@ int main(int argc, char** argv) {
   surfaces.push_back({"zfp-precision", zfp::compress(field.data, field.dims, zfp_precision),
                       [](const std::vector<std::uint8_t>& b) { (void)zfp::decompress(b); }});
 
+  // The same field in 600-value FZ chunks: 7 chunks, the last one ragged,
+  // so the chunk table and the multi-chunk decode paths are fuzzed too.
+  // (Appended last, so the earlier surfaces keep their per-index seeds.)
+  fz::Params fz_multichunk = fz_params;
+  fz_multichunk.chunk_values = 600;
+  surfaces.push_back({"fz-multichunk", fz::compress(field.data, field.dims, fz_multichunk),
+                      [](const std::vector<std::uint8_t>& b) { (void)fz::decompress(b); }});
+
   int rc = 0;
   for (std::size_t i = 0; i < surfaces.size(); ++i) {
     // Distinct seed per surface so corpora don't correlate across codecs.
