@@ -1,7 +1,9 @@
 #include "common/cli.hpp"
 
+#include <charconv>
 #include <cstdlib>
 
+#include "common/error.hpp"
 #include "common/str.hpp"
 
 namespace cosmo {
@@ -35,6 +37,19 @@ std::string CliArgs::get(const std::string& key, const std::string& fallback) co
 long CliArgs::get_int(const std::string& key, long fallback) const {
   const auto it = flags_.find(key);
   return it == flags_.end() ? fallback : std::strtol(it->second.c_str(), nullptr, 10);
+}
+
+std::size_t CliArgs::get_count(const std::string& key, std::size_t fallback) const {
+  const auto it = flags_.find(key);
+  if (it == flags_.end()) return fallback;
+  const std::string& text = it->second;
+  std::size_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    throw InvalidArgument("--" + key + " expects a non-negative whole number (got '" + text +
+                          "')");
+  }
+  return value;
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {

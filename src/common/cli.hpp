@@ -2,6 +2,7 @@
 /// \brief Minimal command-line flag parsing for examples and benches.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -17,6 +18,9 @@ class CliArgs {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const;
   [[nodiscard]] long get_int(const std::string& key, long fallback) const;
+  /// A count flag (threads, sizes, seeds): only a whole non-negative decimal
+  /// integer is accepted; anything else throws InvalidArgument naming the flag.
+  [[nodiscard]] std::size_t get_count(const std::string& key, std::size_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 

@@ -1,17 +1,9 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 
 namespace cosmo {
-
-namespace {
-
-/// Nanoseconds spent inside parallel_for regions (monotonic, process-wide).
-std::atomic<std::uint64_t> g_parallel_region_ns{0};
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t n) {
   if (n == 0) n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -93,7 +85,6 @@ void parallel_for(ThreadPool* pool, std::size_t n,
     body(0, n);
     return;
   }
-  const auto t0 = std::chrono::steady_clock::now();
   const std::size_t chunks = std::min(workers * 4, (n + min_grain - 1) / min_grain);
   const std::size_t step = (n + chunks - 1) / chunks;
   std::vector<std::future<void>> futs;
@@ -123,21 +114,12 @@ void parallel_for(ThreadPool* pool, std::size_t n,
       if (!first_error) first_error = std::current_exception();
     }
   }
-  g_parallel_region_ns.fetch_add(
-      static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                     std::chrono::steady_clock::now() - t0)
-                                     .count()),
-      std::memory_order_relaxed);
   if (first_error) std::rethrow_exception(first_error);
 }
 
 ThreadPool& global_pool() {
   static ThreadPool pool;
   return pool;
-}
-
-double parallel_region_seconds() {
-  return static_cast<double>(g_parallel_region_ns.load(std::memory_order_relaxed)) * 1e-9;
 }
 
 PoolHandle::PoolHandle(std::size_t threads) {

@@ -80,12 +80,6 @@ void parallel_for(ThreadPool* pool, std::size_t n,
 /// Process-wide default pool (lazily constructed, hardware concurrency).
 ThreadPool& global_pool();
 
-/// Wall seconds spent inside parallel_for regions, process-wide. The bench
-/// tooling uses this to measure the parallelizable fraction of a codec run
-/// on hosts with fewer cores than the requested thread count (the modeled
-/// multicore rows of EXPERIMENTS.md).
-double parallel_region_seconds();
-
 /// Maps the CLI-facing `threads` knob onto a pool:
 ///   1 => null (serial, the timing-faithful default),
 ///   0 => the process-wide global pool,

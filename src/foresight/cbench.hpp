@@ -13,8 +13,8 @@
 /// sweeps, the optimizer and foresightd alike. Jobs are pre-indexed into
 /// result slots, so the parallel scheduler produces output identical to the
 /// serial path — only wall-clock changes. Codecs that cannot run sessions
-/// concurrently (simulated-GPU timing, zfp-omp) always take the serial
-/// path, keeping their modeled timings byte-for-byte stable.
+/// concurrently (the simulated-GPU codecs' shared timing stream) always take
+/// the serial path, keeping their modeled timings byte-for-byte stable.
 #pragma once
 
 #include <functional>

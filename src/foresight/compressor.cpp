@@ -5,10 +5,8 @@
 #include "common/str.hpp"
 #include "common/telemetry.hpp"
 #include "common/timer.hpp"
-#include "common/thread_pool.hpp"
 #include "sz/pwrel.hpp"
 #include "sz/sz.hpp"
-#include "zfp/chunked.hpp"
 #include "zfp/zfp.hpp"
 
 namespace cosmo::foresight {
@@ -366,51 +364,6 @@ class ZfpCpuCompressor final : public Compressor {
   }
 };
 
-/// ZFP with OpenMP-style chunk parallelism over the global thread pool —
-/// the "ZFP OpenMP" row of Fig. 8, plus the parallel decompression the
-/// released library lacked (every chunk is self-describing).
-class ZfpOmpSession final : public CodecSession {
- public:
-  explicit ZfpOmpSession(ScratchArena* arena) : CodecSession(arena) {}
-
-  void compress(const Field& field, const CompressorConfig& config,
-                CompressResult& out) override {
-    TRACE_SPAN("zfp-omp.compress");
-    check_mode(config.mode, "zfp-omp");
-    out.telemetry.reset_cpu();
-    out.throughput_reportable = true;
-    out.original_values = field.data.size();
-    const zfp::Params params = zfp_params_for(config);
-    ThreadPool& pool = global_pool();
-    Timer timer;
-    out.bytes = zfp::compress_chunked(field.data, field.dims, params, &pool);
-    out.telemetry.seconds = timer.seconds();
-  }
-
-  void decompress(const CompressResult& compressed, DecompressResult& out) override {
-    TRACE_SPAN("zfp-omp.decompress");
-    out.telemetry.reset_cpu();
-    ThreadPool& pool = global_pool();
-    Timer timer;
-    out.values = zfp::decompress_chunked(compressed.bytes, &pool);
-    drop_padding(compressed, out.values);
-    out.telemetry.seconds = timer.seconds();
-  }
-};
-
-class ZfpOmpCompressor final : public Compressor {
- public:
-  [[nodiscard]] const CodecCapabilities& capabilities() const override {
-    return CodecRegistry::instance().capabilities("zfp-omp");
-  }
-  /// Ignores the session pool: chunks already fan out over the global pool.
-  [[nodiscard]] std::unique_ptr<CodecSession> open_session(ScratchArena* arena,
-                                                          ThreadPool* /*pool*/) override {
-    TRACE_SPAN("session.open");
-    return std::make_unique<ZfpOmpSession>(arena);
-  }
-};
-
 /// The shared ABS-bound lattice: log-spaced fractions of the field's value
 /// range, matching the paper's per-field bound scaling.
 std::vector<SweepAxis> sz_style_sweep() {
@@ -505,19 +458,6 @@ void register_paper_codecs(CodecRegistry& registry) {
     caps.default_sweep = {rate_axis(), accuracy_axis(), precision};
     registry.add(std::move(caps), [](gpu::GpuSimulator*) -> std::unique_ptr<Compressor> {
       return std::make_unique<ZfpCpuCompressor>();
-    });
-  }
-  {
-    CodecCapabilities caps;
-    caps.name = "zfp-omp";
-    caps.summary = "CPU ZFP with OpenMP-style chunk parallelism (global pool)";
-    caps.modes = {"rate", "accuracy"};
-    // Chunks already fan out over the global pool; a pool worker opening a
-    // nested chunked run could deadlock waiting for its own queue.
-    caps.concurrent_sessions_safe = false;
-    caps.default_sweep = {rate_axis(), accuracy_axis()};
-    registry.add(std::move(caps), [](gpu::GpuSimulator*) -> std::unique_ptr<Compressor> {
-      return std::make_unique<ZfpOmpCompressor>();
     });
   }
 }

@@ -5,8 +5,8 @@
 /// open: compressors self-register in the CodecRegistry (codec_registry.hpp)
 /// with a factory plus a CodecCapabilities descriptor, and make_compressor /
 /// available_compressors are thin views over that registry. The built-in
-/// set covers the paper's evaluation codecs (gpu-sz, cuzfp, sz-cpu, zfp-cpu,
-/// zfp-omp) plus the FZ-GPU-style bitshuffle pipeline (fz-cpu, fz-gpu);
+/// set covers the paper's evaluation codecs (gpu-sz, cuzfp, sz-cpu, zfp-cpu)
+/// plus the FZ-GPU-style bitshuffle pipeline (fz-cpu, fz-gpu);
 /// `foresight_cli codecs` prints the live roster.
 ///
 /// The execution path is staged: a Compressor opens a CodecSession, and the
@@ -145,8 +145,7 @@ class Compressor {
   /// True when sessions of this compressor may run concurrently with
   /// identical results. False for the simulated-GPU codecs (they share the
   /// simulator's jitter stream, so modeled timings are call-order
-  /// dependent) and for zfp-omp (its chunks already occupy the global
-  /// pool); the sweep scheduler runs those serially.
+  /// dependent); the sweep scheduler runs those serially.
   [[nodiscard]] bool concurrent_sessions_safe() const {
     return capabilities().concurrent_sessions_safe;
   }

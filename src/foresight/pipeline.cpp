@@ -396,8 +396,8 @@ PipelineSummary run_pipeline(const json::Value& config) {
   }
 
   // Parallel execution is opt-in ("jobs": N). Compressors whose sessions
-  // are order-sensitive (simulated-GPU timing, zfp-omp) force the inline
-  // path so modeled timings stay reproducible.
+  // are order-sensitive (simulated-GPU timing) force the inline path so
+  // modeled timings stay reproducible.
   const std::size_t jobs_requested = count_knob(config, "jobs", 0.0);
   bool parallel_ok = jobs_requested > 1;
   for (const auto& c : compressors) {

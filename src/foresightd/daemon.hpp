@@ -222,8 +222,8 @@ class Daemon {
   DatasetCache dataset_cache_;
 
   /// Serializes jobs whose codec sessions cannot run concurrently
-  /// (simulated-GPU timing streams, zfp-omp's global pool); their streams
-  /// stay byte-identical either way, this keeps modeled timings sane.
+  /// (the simulated-GPU codecs' shared timing stream); their streams stay
+  /// byte-identical either way, this keeps modeled timings sane.
   std::mutex serial_mu_;
 
   std::atomic<std::uint64_t> admitted_{0};

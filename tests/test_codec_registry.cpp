@@ -67,6 +67,9 @@ struct TracerOffGuard {
 // ---------------------------------------------------------------------------
 
 TEST(RegistryConformance, EveryCodecRoundTripsEverySupportedMode) {
+  // Each run goes once through a serial session and once through a 4-thread
+  // session pool: the bound must hold on both, and a concurrent-safe codec
+  // must write the same stream on both.
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const Field field = conformance_field();
   for (const auto& name : available_compressors()) {
@@ -77,19 +80,31 @@ TEST(RegistryConformance, EveryCodecRoundTripsEverySupportedMode) {
       ASSERT_NE(std::find(kAllModes.begin(), kAllModes.end(), mode), kAllModes.end())
           << name << " registers unknown mode " << mode;
       const CompressorConfig config = config_for_mode(mode);
-      const CBenchResult out = CBench().run_one(field, *codec, config);
-      ASSERT_EQ(out.reconstructed.size(), field.data.size()) << name << " " << mode;
-      ASSERT_GT(out.compressed_bytes, 0u) << name << " " << mode;
-      for (std::size_t i = 0; i < field.data.size(); ++i) {
-        const double err =
-            std::fabs(static_cast<double>(out.reconstructed[i]) - field.data[i]);
-        ASSERT_TRUE(std::isfinite(out.reconstructed[i]))
-            << name << " " << mode << " at " << i;
-        if (mode == "abs" || mode == "accuracy") {
-          ASSERT_LE(err, config.value * (1 + 1e-9)) << name << " " << mode << " at " << i;
-        } else if (mode == "pw_rel") {
-          ASSERT_LE(err, config.value * std::fabs(field.data[i]) * (1 + 1e-6))
-              << name << " at " << i;
+      std::uint32_t serial_crc = 0;
+      for (const std::size_t threads : {1u, 4u}) {
+        const CBenchResult out =
+            CBench({.session_threads = threads}).run_one(field, *codec, config);
+        ASSERT_EQ(out.reconstructed.size(), field.data.size())
+            << name << " " << mode << " threads " << threads;
+        ASSERT_GT(out.compressed_bytes, 0u) << name << " " << mode << " threads " << threads;
+        for (std::size_t i = 0; i < field.data.size(); ++i) {
+          const double err =
+              std::fabs(static_cast<double>(out.reconstructed[i]) - field.data[i]);
+          ASSERT_TRUE(std::isfinite(out.reconstructed[i]))
+              << name << " " << mode << " threads " << threads << " at " << i;
+          if (mode == "abs" || mode == "accuracy") {
+            ASSERT_LE(err, config.value * (1 + 1e-9))
+                << name << " " << mode << " threads " << threads << " at " << i;
+          } else if (mode == "pw_rel") {
+            ASSERT_LE(err, config.value * std::fabs(field.data[i]) * (1 + 1e-6))
+                << name << " threads " << threads << " at " << i;
+          }
+        }
+        if (threads == 1) {
+          serial_crc = out.stream_crc32;
+        } else if (caps.concurrent_sessions_safe) {
+          EXPECT_EQ(out.stream_crc32, serial_crc)
+              << name << " " << mode << ": stream depends on the thread count";
         }
       }
     }

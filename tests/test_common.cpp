@@ -123,6 +123,29 @@ TEST(Cli, FlagForms) {
   EXPECT_EQ(args.positional()[0], "pos1");
 }
 
+TEST(Cli, CountAcceptsWholeNonNegativeNumbers) {
+  const char* argv[] = {"prog", "--threads", "4", "--seed=0", "--big", "18446744073709551615"};
+  CliArgs args(6, argv);
+  EXPECT_EQ(args.get_count("threads", 1), 4u);
+  EXPECT_EQ(args.get_count("seed", 42), 0u);
+  EXPECT_EQ(args.get_count("big", 0), 18446744073709551615ull);
+  EXPECT_EQ(args.get_count("missing", 7), 7u);
+}
+
+TEST(Cli, CountRejectsEverythingElseNamingTheFlag) {
+  for (const char* bad : {"--probes=-1", "--probes=four", "--probes=12x", "--probes=",
+                          "--probes=+3", "--probes= 3", "--probes=18446744073709551616"}) {
+    const char* argv[] = {"prog", bad};
+    CliArgs args(2, argv);
+    try {
+      (void)args.get_count("probes", 3);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("--probes"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(Env, FallbackBehaviour) {
   EXPECT_EQ(env_size("COSMO_TEST_UNSET_VAR", 17u), 17u);
   ::setenv("COSMO_TEST_SET_VAR", "64", 1);

@@ -176,8 +176,6 @@ TEST(CorruptionMatrix, SzCpuPwRel) {
 
 TEST(CorruptionMatrix, ZfpCpu) { run_corruption_matrix("zfp-cpu", {"rate", 8.0}, nullptr); }
 
-TEST(CorruptionMatrix, ZfpOmp) { run_corruption_matrix("zfp-omp", {"rate", 8.0}, nullptr); }
-
 TEST(CorruptionMatrix, GpuSz) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   run_corruption_matrix("gpu-sz", {"abs", 0.1}, &sim);

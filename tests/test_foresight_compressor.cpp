@@ -21,7 +21,8 @@ Field smooth_field(const Dims& dims, std::uint64_t seed) {
 
 TEST(Registry, AllCompressorsAvailable) {
   const auto names = available_compressors();
-  ASSERT_EQ(names.size(), 7u);  // the paper's five plus fz-cpu / fz-gpu
+  EXPECT_EQ(names, (std::vector<std::string>{"gpu-sz", "cuzfp", "sz-cpu", "zfp-cpu", "fz-cpu",
+                                             "fz-gpu"}));
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   for (const auto& name : names) {
     const auto codec = make_compressor(name, &sim);
@@ -127,27 +128,6 @@ TEST(Compressor, CuZfpProducesGpuTiming) {
   EXPECT_GT(out.compress.gpu_timing.kernel, 0.0);
   EXPECT_GT(out.decompress.gpu_timing.memcpy, 0.0);
   EXPECT_DOUBLE_EQ(out.compress.seconds, out.compress.gpu_timing.total());
-}
-
-TEST(Compressor, ZfpOmpMatchesZfpCpuQuality) {
-  const auto omp = make_compressor("zfp-omp");
-  const auto cpu = make_compressor("zfp-cpu");
-  const Field f = smooth_field(Dims::d3(16, 16, 32), 168);
-  const CBenchResult omp_out = CBench().run_one(f, *omp, {"rate", 8.0});
-  const CBenchResult cpu_out = CBench().run_one(f, *cpu, {"rate", 8.0});
-  ASSERT_EQ(omp_out.reconstructed.size(), f.data.size());
-  double omp_rmse = 0.0, cpu_rmse = 0.0;
-  for (std::size_t i = 0; i < f.data.size(); ++i) {
-    omp_rmse += std::pow(omp_out.reconstructed[i] - f.data[i], 2.0);
-    cpu_rmse += std::pow(cpu_out.reconstructed[i] - f.data[i], 2.0);
-  }
-  EXPECT_NEAR(std::sqrt(omp_rmse), std::sqrt(cpu_rmse),
-              std::sqrt(cpu_rmse) * 0.1 + 1e-6);
-  // Accuracy mode holds its bound through the chunked path too.
-  const CBenchResult acc = CBench().run_one(f, *omp, {"accuracy", 0.05});
-  for (std::size_t i = 0; i < f.data.size(); ++i) {
-    EXPECT_LE(std::fabs(acc.reconstructed[i] - f.data[i]), 0.05);
-  }
 }
 
 TEST(Compressor, CuZfp1dReshapeRoundTrip) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "codec/lzss.hpp"
-#include "codec/rle.hpp"
 #include "common/error.hpp"
 #include "random/rng.hpp"
 
@@ -12,43 +11,6 @@ std::vector<std::uint8_t> random_bytes(Rng& rng, std::size_t n, std::size_t alph
   std::vector<std::uint8_t> out(n);
   for (auto& b : out) b = static_cast<std::uint8_t>(rng.uniform_index(alphabet));
   return out;
-}
-
-// ---------- RLE ----------
-
-TEST(Rle, RoundTripBasic) {
-  const std::vector<std::uint8_t> input = {1, 1, 1, 1, 1, 2, 3, 3, 3, 3, 3, 3, 4};
-  EXPECT_EQ(rle_decode(rle_encode(input)), input);
-}
-
-TEST(Rle, EmptyInput) {
-  const std::vector<std::uint8_t> input;
-  EXPECT_EQ(rle_decode(rle_encode(input)), input);
-}
-
-TEST(Rle, LongRunsCompress) {
-  const std::vector<std::uint8_t> input(10000, 0);
-  const auto encoded = rle_encode(input);
-  EXPECT_LT(encoded.size(), 200u);
-  EXPECT_EQ(rle_decode(encoded), input);
-}
-
-TEST(Rle, EscapeByteLiteralHandled) {
-  const std::vector<std::uint8_t> input = {0xFF, 1, 0xFF, 0xFF, 2};
-  EXPECT_EQ(rle_decode(rle_encode(input)), input);
-}
-
-TEST(Rle, RandomizedProperty) {
-  Rng rng(21);
-  for (int round = 0; round < 30; ++round) {
-    const auto input = random_bytes(rng, rng.uniform_index(5000), 4);
-    EXPECT_EQ(rle_decode(rle_encode(input)), input) << "round " << round;
-  }
-}
-
-TEST(Rle, TruncatedEscapeThrows) {
-  std::vector<std::uint8_t> bad = {0xFF, 5};
-  EXPECT_THROW(rle_decode(bad), FormatError);
 }
 
 // ---------- LZSS ----------

@@ -11,7 +11,6 @@
 #include "random/rng.hpp"
 #include "sz/pwrel.hpp"
 #include "sz/temporal.hpp"
-#include "zfp/chunked.hpp"
 
 namespace cosmo {
 namespace {
@@ -90,33 +89,6 @@ TEST_P(TemporalKeySweep, BoundHoldsAndKeyCountIsExact) {
 
 INSTANTIATE_TEST_SUITE_P(KeyIntervals, TemporalKeySweep,
                          ::testing::Values(0u, 1u, 2u, 3u, 5u));
-
-// ---------- Chunked ZFP: any chunk count round-trips identically ----------
-
-class ChunkCountSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ChunkCountSweep, ReconstructionIndependentOfChunkCount) {
-  const Dims dims = Dims::d3(8, 8, 24);
-  Rng rng(402);
-  std::vector<float> data(dims.count());
-  for (auto& v : data) v = static_cast<float>(rng.normal(0.0, 50.0));
-  zfp::Params params;
-  params.rate = 10.0;
-  static std::vector<float> reference;
-  const auto recon =
-      zfp::decompress_chunked(zfp::compress_chunked(data, dims, params, nullptr, GetParam()),
-                              nullptr);
-  if (GetParam() == 1) {
-    reference = recon;
-  } else if (!reference.empty()) {
-    // 4-aligned slab cuts make chunked output block-identical regardless of
-    // the chunk count.
-    EXPECT_EQ(recon, reference) << GetParam();
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ChunkCounts, ChunkCountSweep,
-                         ::testing::Values(1u, 2u, 3u, 6u, 100u));
 
 // ---------- PW_REL: zero-threshold ratio sweep ----------
 

@@ -47,7 +47,7 @@ TEST(Sweep, RateSweepPassesThrough) {
 TEST(Sweep, DefaultCandidatesPerCodec) {
   const Field f = ramp_field();
   EXPECT_EQ(default_grid_candidates("cuzfp", f)[0].mode, "rate");
-  EXPECT_EQ(default_grid_candidates("zfp-omp", f).size(), 4u);
+  EXPECT_EQ(default_grid_candidates("zfp-cpu", f).size(), 4u);
   EXPECT_EQ(default_grid_candidates("gpu-sz", f)[0].mode, "abs");
   EXPECT_EQ(default_grid_candidates("sz-cpu", f).size(), 4u);
   EXPECT_THROW(default_grid_candidates("nope", f), InvalidArgument);

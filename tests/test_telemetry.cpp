@@ -296,9 +296,6 @@ TEST(TracingInvariance, SzCpu) { expect_tracing_invariant("sz-cpu", nullptr, {"a
 TEST(TracingInvariance, ZfpCpu) {
   expect_tracing_invariant("zfp-cpu", nullptr, {"rate", 8.0});
 }
-TEST(TracingInvariance, ZfpOmp) {
-  expect_tracing_invariant("zfp-omp", nullptr, {"rate", 8.0});
-}
 
 // ---------------------------------------------------------------------------
 // Span determinism across sweep thread counts

@@ -19,14 +19,8 @@
 /// runs across builds can be checked for byte-identity, and --baseline
 /// turns the tool into a regression gate (check.sh --bench-smoke).
 ///
-/// Speedup accounting: when the host has at least as many hardware threads
-/// as the entry requests, the reported speedup is the measured wall-clock
-/// ratio. On smaller hosts (the CI container has one core) wall clock
-/// cannot speed up, so the entry reports a modeled speedup instead —
-/// Amdahl with the *measured* parallel fraction of that very run (from
-/// parallel_region_seconds()) and the 0.85 per-thread efficiency the
-/// EXPERIMENTS.md multicore rows already use — and is flagged
-/// "modeled": true so nobody mistakes it for a measurement.
+/// Every speedup is measured: wall time at 1 thread over wall time at N.
+/// `hardware_threads` records the host's core count beside them.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -59,8 +53,6 @@ namespace {
 
 using namespace cosmo;
 
-constexpr double kParallelEfficiency = 0.85;
-
 /// Smooth Nyx-like scalar field (same shape the codec microbenches use).
 std::vector<float> nyx_like_field(const Dims& dims, std::uint64_t seed) {
   Rng rng(seed);
@@ -88,14 +80,9 @@ std::vector<float> hacc_like_field(const Dims& dims, std::uint64_t seed) {
   return data;
 }
 
-struct PhaseTiming {
-  double seconds = 0.0;           ///< best-of-repeats wall time
-  double parallel_fraction = 0.0; ///< region seconds / wall, for that best run
-};
-
 struct RunResult {
-  PhaseTiming compress;
-  PhaseTiming decompress;
+  double compress_seconds = 1e300;    ///< best-of-repeats wall time
+  double decompress_seconds = 1e300;  ///< best-of-repeats wall time
   std::vector<std::uint8_t> bytes;
   std::vector<float> recon;
 };
@@ -106,40 +93,25 @@ RunResult run_codec(const CompressFn& compress_into, const DecompressFn& decompr
   const PoolHandle handle(threads);
   ThreadPool* pool = handle.get();
   RunResult r;
-  r.compress.seconds = 1e300;
-  r.decompress.seconds = 1e300;
   for (int rep = 0; rep < repeats; ++rep) {
-    const double region0 = parallel_region_seconds();
     Timer t;
     compress_into(r.bytes, pool);
-    const double wall = t.seconds();
-    if (wall < r.compress.seconds) {
-      r.compress.seconds = wall;
-      r.compress.parallel_fraction =
-          wall > 0.0 ? std::min(1.0, (parallel_region_seconds() - region0) / wall) : 0.0;
-    }
+    r.compress_seconds = std::min(r.compress_seconds, t.seconds());
   }
   for (int rep = 0; rep < repeats; ++rep) {
-    const double region0 = parallel_region_seconds();
     Timer t;
     decompress_into(r.bytes, r.recon, pool);
-    const double wall = t.seconds();
-    if (wall < r.decompress.seconds) {
-      r.decompress.seconds = wall;
-      r.decompress.parallel_fraction =
-          wall > 0.0 ? std::min(1.0, (parallel_region_seconds() - region0) / wall) : 0.0;
-    }
+    r.decompress_seconds = std::min(r.decompress_seconds, t.seconds());
   }
   return r;
 }
 
-double amdahl(double parallel_fraction, std::size_t threads) {
-  const double n = static_cast<double>(threads) * kParallelEfficiency;
-  return 1.0 / ((1.0 - parallel_fraction) + parallel_fraction / n);
-}
-
 double mb_per_s(std::size_t bytes, double seconds) {
   return seconds > 0.0 ? static_cast<double>(bytes) / seconds / 1e6 : 0.0;
+}
+
+double speedup(double seconds_1_thread, double seconds_n_threads) {
+  return seconds_n_threads > 0.0 ? seconds_1_thread / seconds_n_threads : 0.0;
 }
 
 int usage() {
@@ -887,59 +859,33 @@ int main(int argc, char** argv) {
                          cur.recon.size() * sizeof(float)) == 0);
         all_identical = all_identical && stream_identical && recon_identical;
 
-        const double t1_total = baseline.compress.seconds + baseline.decompress.seconds;
-        const double tn_total = cur.compress.seconds + cur.decompress.seconds;
-        const double measured_c = cur.compress.seconds > 0.0
-                                      ? baseline.compress.seconds / cur.compress.seconds
-                                      : 0.0;
-        const double measured_d =
-            cur.decompress.seconds > 0.0
-                ? baseline.decompress.seconds / cur.decompress.seconds
-                : 0.0;
-        const double measured_total = tn_total > 0.0 ? t1_total / tn_total : 0.0;
-        // Combined parallel fraction weights each phase by its wall share.
-        const double combined_fraction =
-            tn_total > 0.0
-                ? (cur.compress.parallel_fraction * cur.compress.seconds +
-                   cur.decompress.parallel_fraction * cur.decompress.seconds) /
-                      tn_total
-                : 0.0;
-        const bool modeled = threads > 1 && hw_threads < threads;
-
         json::Object e;
         e["codec"] = codec;
         e["field"] = field.name;
         e["threads"] = threads;
-        e["compress_seconds"] = cur.compress.seconds;
-        e["decompress_seconds"] = cur.decompress.seconds;
-        e["compress_mb_s"] = mb_per_s(field_bytes, cur.compress.seconds);
-        e["decompress_mb_s"] = mb_per_s(field_bytes, cur.decompress.seconds);
+        e["compress_seconds"] = cur.compress_seconds;
+        e["decompress_seconds"] = cur.decompress_seconds;
+        e["compress_mb_s"] = mb_per_s(field_bytes, cur.compress_seconds);
+        e["decompress_mb_s"] = mb_per_s(field_bytes, cur.decompress_seconds);
         e["compressed_bytes"] = cur.bytes.size();
         e["stream_identical_to_1_thread"] = stream_identical;
         e["recon_identical_to_1_thread"] = recon_identical;
-        e["parallel_fraction_compress"] = cur.compress.parallel_fraction;
-        e["parallel_fraction_decompress"] = cur.decompress.parallel_fraction;
-        e["modeled"] = modeled;
-        e["measured_wall_speedup"] = measured_total;
-        if (modeled) {
-          e["compress_speedup"] = amdahl(cur.compress.parallel_fraction, threads);
-          e["decompress_speedup"] = amdahl(cur.decompress.parallel_fraction, threads);
-          e["combined_speedup"] = amdahl(combined_fraction, threads);
-        } else {
-          e["compress_speedup"] = threads == 1 ? 1.0 : measured_c;
-          e["decompress_speedup"] = threads == 1 ? 1.0 : measured_d;
-          e["combined_speedup"] = threads == 1 ? 1.0 : measured_total;
-        }
+        e["compress_speedup"] = speedup(baseline.compress_seconds, cur.compress_seconds);
+        e["decompress_speedup"] =
+            speedup(baseline.decompress_seconds, cur.decompress_seconds);
+        e["combined_speedup"] =
+            speedup(baseline.compress_seconds + baseline.decompress_seconds,
+                    cur.compress_seconds + cur.decompress_seconds);
         entries.push_back(json::Value(std::move(e)));
 
         std::printf(
             "%-4s %-20s threads=%zu  comp %8.1f MB/s  dec %8.1f MB/s  "
-            "x%.2f%s  bytes %s\n",
+            "x%.2f  bytes %s\n",
             codec.c_str(), field.name.c_str(), threads,
-            mb_per_s(field_bytes, cur.compress.seconds),
-            mb_per_s(field_bytes, cur.decompress.seconds),
+            mb_per_s(field_bytes, cur.compress_seconds),
+            mb_per_s(field_bytes, cur.decompress_seconds),
             entries.back().at("combined_speedup").as_number(),
-            modeled ? " (modeled)" : "", stream_identical ? "identical" : "DIFFER");
+            stream_identical ? "identical" : "DIFFER");
       }
     }
   }
@@ -950,7 +896,6 @@ int main(int argc, char** argv) {
   root["field_bytes"] = field_bytes;
   root["repeats"] = repeats;
   root["hardware_threads"] = hw_threads;
-  root["parallel_efficiency_model"] = kParallelEfficiency;
   root["all_streams_identical"] = all_identical;
   root["entries"] = json::Value(std::move(entries));
 

@@ -18,7 +18,7 @@
 # parallel_for call sites or shared-state code change.
 #
 # --asan builds with AddressSanitizer + UBSan and runs the codec test
-# surface (bitstream, Huffman, LZSS/RLE, ZFP, the malformed-stream
+# surface (bitstream, Huffman, LZSS, ZFP, the malformed-stream
 # fast-path suite, and the encoders' byte-identity tests against their
 # reference oracles). This is what backs the "truncated/corrupted streams
 # never read out of bounds" contract; run it whenever codec hot paths or
@@ -165,7 +165,7 @@ case "${mode}" in
     ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" \
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
       "${build_dir}/tests/cosmo_tests" \
-      --gtest_filter='BitStream.*:Huffman.*:Rle.*:Lzss.*:CodecFastPaths.*:EncodeFastPaths.*:ParallelDeterminism.Lzss*:ParallelDeterminism.Zfp*:ParallelDeterminism.Fz*:Zfp*.*:Fz.*:Sz.*:Robustness.*'
+      --gtest_filter='BitStream.*:Huffman.*:Lzss.*:CodecFastPaths.*:EncodeFastPaths.*:ParallelDeterminism.Lzss*:ParallelDeterminism.Zfp*:ParallelDeterminism.Fz*:Zfp*.*:Fz.*:Sz.*:Robustness.*'
     ;;
   ubsan)
     # Full suite: UBSan alone is cheap enough to run everything.
@@ -256,7 +256,7 @@ case "${mode}" in
   trace)
     # The registry roster must list every built-in codec, fz included.
     codecs_out="$("${build_dir}/tools/foresight_cli" codecs)"
-    for codec in gpu-sz cuzfp sz-cpu zfp-cpu zfp-omp fz-cpu fz-gpu; do
+    for codec in gpu-sz cuzfp sz-cpu zfp-cpu fz-cpu fz-gpu; do
       if ! grep -q "^${codec} " <<< "${codecs_out}"; then
         echo "error: codec '${codec}' missing from 'foresight_cli codecs'" >&2
         exit 1

@@ -120,8 +120,8 @@ int cmd_generate(const CliArgs& args) {
   }
   if (type == "nyx") {
     NyxConfig config;
-    config.dim = static_cast<std::size_t>(args.get_int("dim", 64));
-    config.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    config.dim = args.get_count("dim", 64);
+    config.seed = args.get_count("seed", 42);
     const auto c = generate_nyx(config);
     io::save(c, out, io::Dialect::kHdf5Lite);
     std::printf("wrote %s (%s)\n", out.c_str(), human_bytes(c.payload_bytes()).c_str());
@@ -129,8 +129,8 @@ int cmd_generate(const CliArgs& args) {
   }
   if (type == "hacc") {
     HaccConfig config;
-    config.particles = static_cast<std::size_t>(args.get_int("particles", 200000));
-    config.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+    config.particles = args.get_count("particles", 200000);
+    config.seed = args.get_count("seed", 7);
     const auto c = generate_hacc(config);
     io::save(c, out, io::Dialect::kGenericIo);
     std::printf("wrote %s (%s)\n", out.c_str(), human_bytes(c.payload_bytes()).c_str());
@@ -163,15 +163,10 @@ int cmd_compress(const CliArgs& args) {
     std::fprintf(stderr, "compress: --input and --value are required\n");
     return 2;
   }
-  const int threads_arg = args.get_int("threads", 1);
-  if (threads_arg < 0) {
-    std::fprintf(stderr, "compress: --threads must be >= 0 (got %d)\n", threads_arg);
-    return 2;
-  }
+  const std::size_t threads = args.get_count("threads", 1);
   const auto data = io::load(input);
   gpu::GpuSimulator sim(gpu::find_device(args.get("gpu", "Tesla V100")));
   const auto codec = foresight::make_compressor(codec_name, &sim);
-  const auto threads = static_cast<std::size_t>(threads_arg);
   // One knob serves both levels: a multi-field sweep parallelizes across
   // fields (sessions serial); a single-field run falls back to the serial
   // sweep path, where session_threads fans the codec kernels out instead.
@@ -201,24 +196,23 @@ int cmd_estimate(const CliArgs& args) {
     std::fprintf(stderr, "estimate: --input, --field and --bound are required\n");
     return 2;
   }
-  const int stride = args.get_int("stride", 1);
+  const std::size_t stride = args.get_count("stride", 1);
   if (stride < 1) {
-    std::fprintf(stderr, "estimate: --stride must be >= 1 (got %d)\n", stride);
+    std::fprintf(stderr, "estimate: --stride must be >= 1 (got %zu)\n", stride);
     return 2;
   }
   const auto data = io::load(input);
   const Field& field = data.find(field_name).field;
   sz::Params params;
   params.abs_error_bound = bound;
-  const auto est = sz::estimate_rate(field.data, field.dims, params,
-                                     static_cast<std::size_t>(stride));
+  const auto est = sz::estimate_rate(field.data, field.dims, params, stride);
   std::printf("field %s, abs bound %g:\n", field_name.c_str(), bound);
   std::printf("  code entropy        %.3f bits/value\n", est.entropy_bits_per_value);
   std::printf("  unpredictable       %.2f%%\n", 100.0 * est.unpredictable_fraction);
   std::printf("  estimated bitrate   %.3f bits/value (~%.2fx ratio)\n",
               est.estimated_bits_per_value, 32.0 / est.estimated_bits_per_value);
   if (est.sampled_blocks != est.total_blocks) {
-    std::printf("  sampled             %zu of %zu blocks (stride %d)\n",
+    std::printf("  sampled             %zu of %zu blocks (stride %zu)\n",
                 est.sampled_blocks, est.total_blocks, stride);
   }
   return 0;
@@ -244,13 +238,8 @@ int cmd_optimize(const CliArgs& args) {
   }
   foresight::OptimizerOptions options;
   options.search = foresight::parse_search_mode(args.get("search", "exhaustive"));
-  options.probes = static_cast<std::size_t>(args.get_int("probes", 3));
-  const int threads_arg = args.get_int("threads", 1);
-  if (threads_arg < 0) {
-    std::fprintf(stderr, "optimize: --threads must be >= 0 (got %d)\n", threads_arg);
-    return 2;
-  }
-  options.threads = static_cast<std::size_t>(threads_arg);
+  options.probes = args.get_count("probes", 3);
+  options.threads = args.get_count("threads", 1);
 
   io::Container data;
   const std::string input = args.get("input", "");
@@ -258,13 +247,13 @@ int cmd_optimize(const CliArgs& args) {
     data = io::load(input);
   } else if (args.get("type", "nyx") == "hacc") {
     HaccConfig config;
-    config.particles = static_cast<std::size_t>(args.get_int("particles", 200000));
-    config.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+    config.particles = args.get_count("particles", 200000);
+    config.seed = args.get_count("seed", 7);
     data = generate_hacc(config);
   } else {
     NyxConfig config;
-    config.dim = static_cast<std::size_t>(args.get_int("dim", 64));
-    config.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    config.dim = args.get_count("dim", 64);
+    config.seed = args.get_count("seed", 42);
     data = generate_nyx(config);
   }
 
@@ -275,7 +264,7 @@ int cmd_optimize(const CliArgs& args) {
   if (is_particle_container(data)) {
     analysis::FofParams fof_params;
     fof_params.linking_length = args.get_double("linking-length", 1.5);
-    fof_params.min_members = static_cast<std::size_t>(args.get_int("min-members", 10));
+    fof_params.min_members = args.get_count("min-members", 10);
     result = foresight::optimize_particle_dataset(
         data, *codec, foresight::default_position_candidates(codec->capabilities()),
         foresight::default_velocity_candidates(codec->capabilities(),
@@ -428,11 +417,11 @@ int cmd_daemon(const CliArgs& args) {
       json::Object spec;
       spec["type"] = args.get("type", "nyx");
       if (spec["type"] == json::Value("hacc")) {
-        spec["particles"] = static_cast<std::size_t>(args.get_int("particles", 100000));
+        spec["particles"] = args.get_count("particles", 100000);
       } else {
-        spec["dim"] = static_cast<std::size_t>(args.get_int("dim", 32));
+        spec["dim"] = args.get_count("dim", 32);
       }
-      spec["seed"] = static_cast<std::size_t>(args.get_int("seed", 42));
+      spec["seed"] = args.get_count("seed", 42);
       dataset = json::Value(std::move(spec));
     }
     foresightd::JobOptions options;

@@ -1,14 +1,13 @@
 /// \file fuzz_smoke.cpp
 /// \brief Seeded corruption fuzzing over every decode surface.
 ///
-/// For each codec (SZ, SZ-pw_rel, ZFP, ZFP-chunked, Huffman, LZSS, RLE,
-/// FPC, FZ plus its bitshuffle / zero-run stage decoders) and the
-/// container loader, this tool encodes a clean stream once,
-/// then decodes N seeded mutations of it. The containment contract: every
-/// case either decodes or throws a cosmo::Error. Anything else — a crash,
-/// a sanitizer report (run under check.sh --fuzz-smoke), std::bad_alloc
-/// from an unbounded header-driven allocation, or a hang (ctest timeout) —
-/// fails the run.
+/// For each codec (SZ, SZ-pw_rel, ZFP, Huffman, LZSS, FPC, FZ plus its
+/// bitshuffle / zero-run stage decoders) and the container loader, this
+/// tool encodes a clean stream once, then decodes N seeded mutations of it.
+/// The containment contract: every case either decodes or throws a
+/// cosmo::Error. Anything else — a crash, a sanitizer report (run under
+/// check.sh --fuzz-smoke), std::bad_alloc from an unbounded header-driven
+/// allocation, or a hang (ctest timeout) — fails the run.
 ///
 /// Usage: fuzz_smoke [--cases N] [--seed S] [--tmp DIR]
 #include <cstdint>
@@ -22,7 +21,6 @@
 #include "codec/fpc.hpp"
 #include "codec/huffman.hpp"
 #include "codec/lzss.hpp"
-#include "codec/rle.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
@@ -33,7 +31,6 @@
 #include "io/crc32.hpp"
 #include "sz/pwrel.hpp"
 #include "sz/sz.hpp"
-#include "zfp/chunked.hpp"
 #include "zfp/zfp.hpp"
 
 using namespace cosmo;
@@ -163,9 +160,6 @@ int main(int argc, char** argv) {
   surfaces.push_back({"zfp", zfp::compress(field.data, field.dims, zfp_params),
                       [](const std::vector<std::uint8_t>& b) { (void)zfp::decompress(b); }});
   surfaces.push_back(
-      {"zfp-chunked", zfp::compress_chunked(field.data, field.dims, zfp_params, nullptr, 4),
-       [](const std::vector<std::uint8_t>& b) { (void)zfp::decompress_chunked(b, nullptr); }});
-  surfaces.push_back(
       {"huffman", huffman_encode(symbols),
        [](const std::vector<std::uint8_t>& b) { (void)huffman_decode(b); }});
   surfaces.push_back(
@@ -177,9 +171,6 @@ int main(int argc, char** argv) {
   surfaces.push_back(
       {"lzss-chunked", lzss_encode_chunked(raw_bytes, nullptr),
        [](const std::vector<std::uint8_t>& b) { (void)lzss_decode_chunked(b, nullptr); }});
-  surfaces.push_back({"rle", rle_encode(raw_bytes), [](const std::vector<std::uint8_t>& b) {
-                        (void)rle_decode(b);
-                      }});
   surfaces.push_back({"fpc", fpc_encode(field.data), [](const std::vector<std::uint8_t>& b) {
                         (void)fpc_decode(b);
                       }});
