@@ -86,6 +86,8 @@ void BM_ZfpDecompress(benchmark::State& state) {
 }
 BENCHMARK(BM_ZfpDecompress)->Arg(32)->Arg(64);
 
+// The Huffman and LZSS rows encode the chunked HUFC / LZSC containers on
+// one thread, as SZ's lossless stage does with a serial session.
 void BM_HuffmanEncode(benchmark::State& state) {
   Rng rng(5);
   std::vector<std::uint32_t> symbols(static_cast<std::size_t>(state.range(0)));

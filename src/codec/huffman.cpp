@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <queue>
+
+#include "codec/chunk_table.hpp"
 
 namespace cosmo {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x48554646;         // "HUFF"
+constexpr std::uint32_t kMagic = 0x48554646;         // "HUFF" (decode only)
 constexpr std::uint32_t kChunkedMagic = 0x48554643;  // "HUFC"
 constexpr unsigned kMaxCodeLen = 58;                 // fits in a u64 alongside length
 constexpr std::size_t kDefaultChunkSymbols = 1u << 18;
@@ -105,7 +108,7 @@ FreqTable count_freqs(const std::uint32_t* syms, std::size_t n) {
 }
 
 /// Canonical entries for a histogram (tree + length-limited check +
-/// canonical ordering) — the codebook both container formats share.
+/// canonical ordering) — the codebook of the HUFC container.
 std::vector<CanonicalEntry> entries_for(const FreqTable& ft) {
   std::vector<unsigned> lengths = huffman_code_lengths(ft.freqs);
   for (const auto len : lengths) {
@@ -249,8 +252,8 @@ struct DecodeTable {
     }
   }
 
-  /// Canonical bit-at-a-time decode of one symbol — the reference path and
-  /// the fallback for codes longer than kFastBits.
+  /// Canonical bit-at-a-time decode of one symbol — the fallback for codes
+  /// longer than kFastBits.
   std::uint32_t decode_one_canonical(BitReader& br) const {
     std::uint64_t acc = 0;
     unsigned len = 0;
@@ -285,15 +288,9 @@ struct DecodeTable {
       }
     }
   }
-
-  /// decode_into without the table — kept for the fast-vs-fallback
-  /// equivalence test (huffman_decode_reference).
-  void decode_into_reference(BitReader& br, std::uint32_t* out, std::uint64_t count) const {
-    for (std::uint64_t i = 0; i < count; ++i) out[i] = decode_one_canonical(br);
-  }
 };
 
-/// Reads the (symbol, length) header section shared by both formats.
+/// Reads the (symbol, length) header section shared by HUFF and HUFC.
 std::vector<CanonicalEntry> read_entries(BitReader& br, std::uint32_t alpha_size) {
   // Each table entry occupies 38 stream bits, so an alphabet the remaining
   // payload cannot hold is corrupt; reject it before the allocation (a bad
@@ -306,6 +303,18 @@ std::vector<CanonicalEntry> read_entries(BitReader& br, std::uint32_t alpha_size
     require_format(e.length >= 1 && e.length <= kMaxCodeLen, "huffman: bad code length");
   }
   return entries;
+}
+
+/// Decodes the rest of a single-stream HUFF buffer (magic already read).
+std::vector<std::uint32_t> decode_single(BitReader& br) {
+  const std::uint64_t count = br.get(64);
+  const auto alpha_size = static_cast<std::uint32_t>(br.get(32));
+  require_format(count == 0 || alpha_size > 0, "huffman: empty alphabet with nonzero count");
+  const DecodeTable table(read_entries(br, alpha_size));
+  require_format(count <= br.remaining(), "huffman: symbol count exceeds payload");
+  std::vector<std::uint32_t> out(count);
+  table.decode_into(br, out.data(), count);
+  return out;
 }
 
 }  // namespace
@@ -358,89 +367,30 @@ double shannon_entropy_bits(const std::vector<std::uint64_t>& freqs) {
   return h;
 }
 
-std::vector<std::uint8_t> huffman_encode(const std::vector<std::uint32_t>& symbols) {
-  // Dense (radix) histogram over the bounded quantizer alphabet, sparse-map
-  // fallback for wide alphabets — identical counts, in symbol order, to the
-  // old std::map frequency pass.
-  const FreqTable ft = count_freqs(symbols.data(), symbols.size());
-  const auto entries = entries_for(ft);
-  const EncodeTable table(entries);
-
-  BitWriter bw;
-  bw.reserve_bits(128 + 38 * static_cast<std::uint64_t>(entries.size()) +
-                  table.payload_bits(ft));
-  bw.put(kMagic, 32);
-  bw.put(symbols.size(), 64);
-  bw.put(entries.size(), 32);
-  for (const auto& e : entries) {
-    bw.put(e.symbol, 32);
-    bw.put(e.length, 6);
-  }
-  table.encode_all(bw, symbols.data(), symbols.size());
-  return bw.finish();
+std::vector<std::uint8_t> huffman_encode(std::span<const std::uint32_t> symbols,
+                                         ThreadPool* pool, std::size_t chunk_symbols) {
+  std::vector<std::uint8_t> out;
+  huffman_encode_into(symbols, out, pool, chunk_symbols);
+  return out;
 }
 
-std::vector<std::uint8_t> huffman_encode_reference(const std::vector<std::uint32_t>& symbols) {
-  std::map<std::uint32_t, std::uint64_t> freq_map;
-  for (const auto s : symbols) ++freq_map[s];
-  FreqTable ft;
-  for (const auto& [sym, f] : freq_map) {
-    ft.alphabet.push_back(sym);
-    ft.freqs.push_back(f);
-  }
-  const auto entries = entries_for(ft);
-  // MSB-first bit-at-a-time emission from the canonical codes — maximally
-  // independent of the table-driven path it is the oracle for.
-  std::map<std::uint32_t, CanonicalEntry> by_symbol;
-  for (const auto& e : entries) by_symbol[e.symbol] = e;
-  BitWriter bw;
-  bw.put(kMagic, 32);
-  bw.put(symbols.size(), 64);
-  bw.put(entries.size(), 32);
-  for (const auto& e : entries) {
-    bw.put(e.symbol, 32);
-    bw.put(e.length, 6);
-  }
-  for (const auto s : symbols) {
-    const CanonicalEntry& e = by_symbol.at(s);
-    for (unsigned b = e.length; b-- > 0;) bw.put_bit(((e.code >> b) & 1u) != 0);
-  }
-  return bw.finish();
-}
-
-std::vector<std::uint8_t> huffman_encode_chunked(const std::vector<std::uint32_t>& symbols,
-                                                 ThreadPool* pool,
-                                                 std::size_t chunk_symbols) {
+void huffman_encode_into(std::span<const std::uint32_t> symbols, std::vector<std::uint8_t>& out,
+                         ThreadPool* pool, std::size_t chunk_symbols) {
   if (chunk_symbols == 0) chunk_symbols = kDefaultChunkSymbols;
-  const std::size_t n_chunks =
-      symbols.empty() ? 0 : (symbols.size() + chunk_symbols - 1) / chunk_symbols;
+  require(chunk_symbols <= std::numeric_limits<std::uint32_t>::max(),
+          "huffman: chunk size exceeds the u32 header field");
+  const std::size_t n = symbols.size();
+  const std::size_t n_chunks = n / chunk_symbols + (n % chunk_symbols != 0 ? 1 : 0);
 
-  // Global histogram in one dense counting pass. The old per-chunk
-  // std::map partials merged to the same counts for any thread count; a
-  // single serial pass is both faster than the parallel map builds were
-  // and trivially thread-count-independent.
-  const FreqTable ft = count_freqs(symbols.data(), symbols.size());
+  // Global histogram in one dense counting pass, so the codebook is the
+  // same for any thread count.
+  const FreqTable ft = count_freqs(symbols.data(), n);
   const auto entries = entries_for(ft);
   const EncodeTable table(entries);
-
-  // Chunk payloads, each byte-aligned (BitWriter::finish pads), encoded in
-  // parallel with the shared codebook. The writer (and its word storage)
-  // is reused across each worker's chunks.
-  std::vector<std::vector<std::uint8_t>> payloads(n_chunks);
-  parallel_for(pool, n_chunks, [&](std::size_t lo, std::size_t hi) {
-    BitWriter bw;
-    for (std::size_t c = lo; c < hi; ++c) {
-      bw.clear();
-      const std::size_t begin = c * chunk_symbols;
-      const std::size_t end = std::min(begin + chunk_symbols, symbols.size());
-      table.encode_all(bw, symbols.data() + begin, end - begin);
-      payloads[c] = bw.finish();
-    }
-  }, /*min_grain=*/1);
 
   BitWriter header;
   header.put(kChunkedMagic, 32);
-  header.put(symbols.size(), 64);
+  header.put(n, 64);
   header.put(chunk_symbols, 32);
   header.put(n_chunks, 32);
   header.put(entries.size(), 32);
@@ -448,36 +398,52 @@ std::vector<std::uint8_t> huffman_encode_chunked(const std::vector<std::uint32_t
     header.put(e.symbol, 32);
     header.put(e.length, 6);
   }
-  std::vector<std::uint8_t> out = header.finish();
-  std::size_t total_payload = 0;
-  for (const auto& p : payloads) total_payload += p.size();
-  out.reserve(out.size() + 4 * n_chunks + total_payload);
-  for (const auto& p : payloads) {
-    const auto len = static_cast<std::uint32_t>(p.size());
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  }
-  for (const auto& p : payloads) out.insert(out.end(), p.begin(), p.end());
-  return out;
+  const std::vector<std::uint8_t> head = header.finish();
+  out.insert(out.end(), head.begin(), head.end());
+
+  // Each task codes its chunks with the shared codebook into one writer,
+  // padding every chunk to a whole byte, and finishes the writer into its
+  // staging buffer (indexed by its first chunk). The writer is reserved
+  // for the task's share of the exact total payload.
+  const std::uint64_t payload_bits = table.payload_bits(ft);
+  std::vector<std::vector<std::uint8_t>> staging(n_chunks);
+  std::vector<const std::uint8_t*> payloads(n_chunks);
+  std::vector<std::size_t> sizes(n_chunks);
+  parallel_for(pool, n_chunks, [&](std::size_t lo, std::size_t hi) {
+    const std::size_t task_begin = lo * chunk_symbols;
+    const std::size_t task_end = std::min(hi * chunk_symbols, n);
+    BitWriter bw;
+    bw.reserve_bits(static_cast<std::uint64_t>(static_cast<double>(payload_bits) *
+                                               static_cast<double>(task_end - task_begin) /
+                                               static_cast<double>(n)) +
+                    8 * (hi - lo));
+    for (std::size_t c = lo; c < hi; ++c) {
+      const std::uint64_t start = bw.bit_count();
+      const std::size_t begin = c * chunk_symbols;
+      table.encode_all(bw, symbols.data() + begin, std::min(chunk_symbols, n - begin));
+      bw.put(0, static_cast<unsigned>(-bw.bit_count() & 7));
+      sizes[c] = static_cast<std::size_t>((bw.bit_count() - start) / 8);
+    }
+    staging[lo] = bw.finish();
+    const std::uint8_t* p = staging[lo].data();
+    for (std::size_t c = lo; c < hi; p += sizes[c++]) payloads[c] = p;
+  }, /*min_grain=*/1);
+  write_chunk_table(out, out.size(), payloads, sizes, pool);
 }
 
-bool is_chunked_huffman(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < 4) return false;
-  std::uint32_t magic = 0;
-  for (int i = 0; i < 4; ++i) magic |= static_cast<std::uint32_t>(bytes[i]) << (8 * i);
-  return magic == kChunkedMagic;
-}
-
-std::vector<std::uint32_t> huffman_decode_chunked(const std::vector<std::uint8_t>& bytes,
-                                                  ThreadPool* pool) {
-  BitReader br(bytes);
-  require_format(br.get(32) == kChunkedMagic, "huffman-chunked: bad magic");
+std::vector<std::uint32_t> huffman_decode(std::span<const std::uint8_t> bytes,
+                                          ThreadPool* pool) {
+  BitReader br(bytes.data(), bytes.size());
+  const auto magic = static_cast<std::uint32_t>(br.get(32));
+  if (magic == kMagic) return decode_single(br);
+  require_format(magic == kChunkedMagic, "huffman: bad magic");
   const std::uint64_t count = br.get(64);
   const std::size_t chunk_symbols = static_cast<std::size_t>(br.get(32));
   const std::size_t n_chunks = static_cast<std::size_t>(br.get(32));
   const auto alpha_size = static_cast<std::uint32_t>(br.get(32));
-  require_format(count == 0 || alpha_size > 0, "huffman-chunked: empty alphabet");
+  require_format(count == 0 || alpha_size > 0, "huffman: empty alphabet with nonzero count");
   require_format(chunk_symbols > 0 || (n_chunks == 0 && count == 0),
-                 "huffman-chunked: zero chunk size");
+                 "huffman: zero chunk size");
   // Overflow-free chunk-count check (count + chunk_symbols - 1 wraps for a
   // corrupted count near 2^64), plus a payload bound on count before the
   // output allocation: every symbol costs at least one payload bit.
@@ -485,109 +451,23 @@ std::vector<std::uint32_t> huffman_decode_chunked(const std::vector<std::uint8_t
       chunk_symbols == 0 ? 0
                          : static_cast<std::size_t>(count / chunk_symbols +
                                                     (count % chunk_symbols != 0 ? 1 : 0));
-  require_format(n_chunks == want_chunks, "huffman-chunked: chunk count mismatch");
+  require_format(n_chunks == want_chunks, "huffman: chunk count mismatch");
   require_format(count <= 8 * static_cast<std::uint64_t>(bytes.size()),
-                 "huffman-chunked: symbol count exceeds payload");
+                 "huffman: symbol count exceeds payload");
   const DecodeTable table(read_entries(br, alpha_size));
-
-  std::size_t pos = static_cast<std::size_t>((br.position() + 7) / 8);
-  struct ChunkMeta {
-    std::size_t offset, len;
-  };
-  // Each chunk costs a 4-byte table entry in the remaining bytes.
-  require_format(n_chunks <= (bytes.size() - pos) / 4,
-                 "huffman-chunked: chunk count exceeds payload");
-  std::vector<ChunkMeta> metas(n_chunks);
-  for (auto& m : metas) {
-    require_format(pos + 4 <= bytes.size(), "huffman-chunked: truncated chunk table");
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(bytes[pos++]) << (8 * i);
-    m.len = len;
-  }
-  for (auto& m : metas) {
-    m.offset = pos;
-    pos += m.len;
-    require_format(pos <= bytes.size(), "huffman-chunked: chunk overruns buffer");
-  }
+  const ChunkTable chunks(bytes, static_cast<std::size_t>((br.position() + 7) / 8), n_chunks);
 
   std::vector<std::uint32_t> out(count);
   parallel_for(pool, n_chunks, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t c = lo; c < hi; ++c) {
       const std::uint64_t begin = static_cast<std::uint64_t>(c) * chunk_symbols;
       const std::uint64_t n = std::min<std::uint64_t>(chunk_symbols, count - begin);
-      BitReader chunk_br(bytes.data() + metas[c].offset, metas[c].len);
+      BitReader chunk_br(chunks[c].data(), chunks[c].size());
       table.decode_into(chunk_br, out.data() + begin, n);
+      // A chunk ends in its padding byte, like every chunk-table payload.
+      require_format(chunk_br.remaining() < 8, "huffman: trailing bytes in chunk");
     }
   }, /*min_grain=*/1);
-  return out;
-}
-
-std::vector<std::uint32_t> huffman_decode(const std::vector<std::uint8_t>& bytes,
-                                          ThreadPool* pool) {
-  if (is_chunked_huffman(bytes)) return huffman_decode_chunked(bytes, pool);
-  BitReader br(bytes);
-  require_format(br.get(32) == kMagic, "huffman: bad magic");
-  const std::uint64_t count = br.get(64);
-  const auto alpha_size = static_cast<std::uint32_t>(br.get(32));
-  require_format(count == 0 || alpha_size > 0, "huffman: empty alphabet with nonzero count");
-  const DecodeTable table(read_entries(br, alpha_size));
-  require_format(count <= br.remaining(), "huffman: symbol count exceeds payload");
-  std::vector<std::uint32_t> out(count);
-  table.decode_into(br, out.data(), count);
-  return out;
-}
-
-std::vector<std::uint32_t> huffman_decode_reference(const std::vector<std::uint8_t>& bytes) {
-  if (is_chunked_huffman(bytes)) {
-    // Re-parse the chunked container serially with the canonical decoder.
-    BitReader br(bytes);
-    require_format(br.get(32) == kChunkedMagic, "huffman-chunked: bad magic");
-    const std::uint64_t count = br.get(64);
-    const std::size_t chunk_symbols = static_cast<std::size_t>(br.get(32));
-    const std::size_t n_chunks = static_cast<std::size_t>(br.get(32));
-    const auto alpha_size = static_cast<std::uint32_t>(br.get(32));
-    require_format(count == 0 || alpha_size > 0, "huffman-chunked: empty alphabet");
-    require_format(chunk_symbols > 0 || (n_chunks == 0 && count == 0),
-                   "huffman-chunked: zero chunk size");
-    const std::size_t want_chunks =
-        chunk_symbols == 0 ? 0
-                           : static_cast<std::size_t>(count / chunk_symbols +
-                                                      (count % chunk_symbols != 0 ? 1 : 0));
-    require_format(n_chunks == want_chunks, "huffman-chunked: chunk count mismatch");
-    require_format(count <= 8 * static_cast<std::uint64_t>(bytes.size()),
-                   "huffman-chunked: symbol count exceeds payload");
-    const DecodeTable table(read_entries(br, alpha_size));
-    std::size_t pos = static_cast<std::size_t>((br.position() + 7) / 8);
-    require_format(n_chunks <= (bytes.size() - pos) / 4,
-                   "huffman-chunked: chunk count exceeds payload");
-    std::vector<std::size_t> lens(n_chunks);
-    for (auto& len : lens) {
-      require_format(pos + 4 <= bytes.size(), "huffman-chunked: truncated chunk table");
-      std::uint32_t l = 0;
-      for (int i = 0; i < 4; ++i) l |= static_cast<std::uint32_t>(bytes[pos++]) << (8 * i);
-      len = l;
-    }
-    std::vector<std::uint32_t> out(count);
-    std::uint64_t begin = 0;
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      require_format(pos + lens[c] <= bytes.size(), "huffman-chunked: chunk overruns buffer");
-      const std::uint64_t n = std::min<std::uint64_t>(chunk_symbols, count - begin);
-      BitReader chunk_br(bytes.data() + pos, lens[c]);
-      table.decode_into_reference(chunk_br, out.data() + begin, n);
-      pos += lens[c];
-      begin += n;
-    }
-    return out;
-  }
-  BitReader br(bytes);
-  require_format(br.get(32) == kMagic, "huffman: bad magic");
-  const std::uint64_t count = br.get(64);
-  const auto alpha_size = static_cast<std::uint32_t>(br.get(32));
-  require_format(count == 0 || alpha_size > 0, "huffman: empty alphabet with nonzero count");
-  const DecodeTable table(read_entries(br, alpha_size));
-  require_format(count <= br.remaining(), "huffman: symbol count exceeds payload");
-  std::vector<std::uint32_t> out(count);
-  table.decode_into_reference(br, out.data(), count);
   return out;
 }
 

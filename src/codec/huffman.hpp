@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "codec/bitstream.hpp"
@@ -16,43 +17,27 @@
 
 namespace cosmo {
 
-/// Encodes \p symbols into a self-describing byte buffer
-/// (header: alphabet + code lengths; payload: bit-packed codes).
-std::vector<std::uint8_t> huffman_encode(const std::vector<std::uint32_t>& symbols);
+/// Encodes \p symbols into the chunked `HUFC` container: one canonical
+/// codebook built from the global histogram, then the payload cut into
+/// byte-aligned chunks of \p chunk_symbols symbols (0 selects the default,
+/// 1<<18) laid out by the shared chunk table (codec/chunk_table.hpp).
+/// Chunks encode in parallel on \p pool; the chunk geometry is fixed by
+/// chunk_symbols — never by the pool size — so the stream is byte-identical
+/// for any thread count (the cuSZ+-style coarse-grained coding pass).
+std::vector<std::uint8_t> huffman_encode(std::span<const std::uint32_t> symbols,
+                                         ThreadPool* pool = nullptr,
+                                         std::size_t chunk_symbols = 0);
 
-/// Decodes a buffer produced by huffman_encode() or
-/// huffman_encode_chunked() (dispatches on the magic). Chunked containers
-/// decode chunk-parallel on \p pool; single-stream buffers are serial
-/// regardless. Throws FormatError on malformed input.
-std::vector<std::uint32_t> huffman_decode(const std::vector<std::uint8_t>& bytes,
+/// In/out variant: appends the container to \p out, so a caller can write
+/// it straight into its own stream.
+void huffman_encode_into(std::span<const std::uint32_t> symbols, std::vector<std::uint8_t>& out,
+                         ThreadPool* pool = nullptr, std::size_t chunk_symbols = 0);
+
+/// Decodes a `HUFC` container, chunk-parallel on \p pool, or a legacy
+/// single-stream `HUFF` buffer (serially; no encoder writes that format any
+/// more), dispatching on the magic. Throws FormatError on malformed input.
+std::vector<std::uint32_t> huffman_decode(std::span<const std::uint8_t> bytes,
                                           ThreadPool* pool = nullptr);
-
-/// Decodes with the bit-at-a-time canonical fallback only (no direct-lookup
-/// table, no chunk parallelism). Exposed so tests can pin the fast path to
-/// the reference path on the same stream; not a production entry point.
-std::vector<std::uint32_t> huffman_decode_reference(const std::vector<std::uint8_t>& bytes);
-
-/// Encodes with the reference pipeline (std::map histogram, per-symbol
-/// MSB-first bit-at-a-time emission) — the byte-identity oracle for the
-/// table-driven huffman_encode() fast path; not a production entry point.
-std::vector<std::uint8_t> huffman_encode_reference(const std::vector<std::uint32_t>& symbols);
-
-/// Chunked container: one codebook built from the global histogram, payload
-/// split into byte-aligned chunks of \p chunk_symbols symbols (0 selects
-/// the default, 1<<18). Both directions parallelize over chunks on \p pool;
-/// the chunk geometry is fixed by chunk_symbols — never by the pool size —
-/// so the stream is byte-identical for any thread count (the cuSZ+-style
-/// coarse-grained coding pass).
-std::vector<std::uint8_t> huffman_encode_chunked(const std::vector<std::uint32_t>& symbols,
-                                                 ThreadPool* pool = nullptr,
-                                                 std::size_t chunk_symbols = 0);
-
-/// True when \p bytes starts with the chunked-container magic.
-bool is_chunked_huffman(const std::vector<std::uint8_t>& bytes);
-
-/// Decodes a huffman_encode_chunked() container, chunk-parallel on \p pool.
-std::vector<std::uint32_t> huffman_decode_chunked(const std::vector<std::uint8_t>& bytes,
-                                                  ThreadPool* pool = nullptr);
 
 /// Computes the per-symbol canonical code lengths for a frequency table
 /// (exposed for testing and for entropy estimation). Returned parallel to

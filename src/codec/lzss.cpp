@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "codec/bitstream.hpp"
+#include "codec/chunk_table.hpp"
 #include "common/error.hpp"
 #include "common/scratch_arena.hpp"
 
@@ -14,7 +15,7 @@ namespace cosmo {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x4C5A5353;         // "LZSS"
+constexpr std::uint32_t kMagic = 0x4C5A5353;         // "LZSS": one chunk stream
 constexpr std::uint32_t kChunkedMagic = 0x4C5A5343;  // "LZSC"
 constexpr unsigned kWindowBits = 16;                 // 64 KiB window
 constexpr unsigned kLengthBits = 8;
@@ -460,6 +461,8 @@ void decode_range(const std::uint8_t* input, std::size_t size, std::uint8_t* out
       out[produced++] = static_cast<std::uint8_t>(br.get(8));
     }
   }
+  // The stream ends in its padding byte.
+  require_format(br.remaining() < 8, "lzss: trailing bytes after stream");
 }
 
 /// Largest output a payload of \p payload_bytes can legitimately declare:
@@ -472,30 +475,13 @@ std::size_t max_declared_output(std::size_t payload_bytes) {
 
 }  // namespace
 
-std::vector<std::uint8_t> lzss_encode(std::span<const std::uint8_t> input, ScratchArena* arena) {
-  ScratchArena local_arena;
-  std::vector<std::uint8_t> out;
-  encode_streams(input, input.size(), 1, nullptr, arena ? *arena : local_arena, out,
-                 [](std::size_t) {});
-  return out;
-}
-
-std::vector<std::uint8_t> lzss_decode(std::span<const std::uint8_t> input) {
-  if (is_chunked_lzss(input)) return lzss_decode_chunked(input, nullptr);
-  BitReader br(input.data(), input.size());
-  require_format(br.get(32) == kMagic, "lzss: bad magic");
-  const std::uint64_t n = br.get(64);
-  require_format(n <= max_declared_output(input.size()), "lzss: declared size exceeds payload");
-  std::vector<std::uint8_t> out(n);
-  decode_range(input.data(), input.size(), out.data(), n);
-  return out;
-}
-
-std::vector<std::uint8_t> lzss_encode_chunked(std::span<const std::uint8_t> input,
-                                              ThreadPool* pool, std::size_t chunk_bytes) {
+std::vector<std::uint8_t> lzss_encode(std::span<const std::uint8_t> input, ThreadPool* pool,
+                                      std::size_t chunk_bytes) {
   if (chunk_bytes == 0) chunk_bytes = kDefaultChunkBytes;
+  require(chunk_bytes <= std::numeric_limits<std::uint32_t>::max(),
+          "lzss: chunk size exceeds the u32 header field");
   const std::size_t n_chunks =
-      input.empty() ? 0 : (input.size() + chunk_bytes - 1) / chunk_bytes;
+      input.size() / chunk_bytes + (input.size() % chunk_bytes != 0 ? 1 : 0);
 
   BitWriter header;
   header.put(kChunkedMagic, 32);
@@ -503,68 +489,43 @@ std::vector<std::uint8_t> lzss_encode_chunked(std::span<const std::uint8_t> inpu
   header.put(chunk_bytes, 32);
   header.put(n_chunks, 32);
   std::vector<std::uint8_t> out = header.finish();
-  // Chunk-size table (u32 each), patched as the chunk streams land.
-  std::size_t table = out.size();
-  out.resize(table + 4 * n_chunks);
+  // The chunk streams are emitted straight into `out` after the table;
+  // their sizes land in it as each stream completes.
+  ChunkTableWriter table(out, n_chunks);
   ScratchArena arena;
-  encode_streams(input, chunk_bytes, n_chunks, pool, arena, out, [&](std::size_t bytes) {
-    const auto len = static_cast<std::uint32_t>(bytes);
-    for (int i = 0; i < 4; ++i) out[table++] = static_cast<std::uint8_t>(len >> (8 * i));
-  });
+  encode_streams(input, chunk_bytes, n_chunks, pool, arena, out,
+                 [&](std::size_t bytes) { table.push(bytes); });
   return out;
 }
 
-bool is_chunked_lzss(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < 4) return false;
-  std::uint32_t magic = 0;
-  for (int i = 0; i < 4; ++i) magic |= static_cast<std::uint32_t>(bytes[i]) << (8 * i);
-  return magic == kChunkedMagic;
-}
-
-std::vector<std::uint8_t> lzss_decode_chunked(std::span<const std::uint8_t> bytes,
-                                              ThreadPool* pool) {
+std::vector<std::uint8_t> lzss_decode(std::span<const std::uint8_t> bytes, ThreadPool* pool) {
   BitReader br(bytes.data(), bytes.size());
-  require_format(br.get(32) == kChunkedMagic, "lzss-chunked: bad magic");
+  const auto magic = static_cast<std::uint32_t>(br.get(32));
   const std::uint64_t total = br.get(64);
+  // Bound the declared output before allocating it.
+  require_format(total <= max_declared_output(bytes.size()), "lzss: declared size exceeds payload");
+  if (magic == kMagic) {
+    std::vector<std::uint8_t> out(total);
+    decode_range(bytes.data(), bytes.size(), out.data(), out.size());
+    return out;
+  }
+  require_format(magic == kChunkedMagic, "lzss: bad magic");
   const std::size_t chunk_bytes = static_cast<std::size_t>(br.get(32));
   const std::size_t n_chunks = static_cast<std::size_t>(br.get(32));
-  require_format(chunk_bytes > 0 || n_chunks == 0, "lzss-chunked: zero chunk size");
-  // Bound the declared output before allocating it, and compute the chunk
-  // count without forming total + chunk_bytes - 1 (which wraps for a
-  // corrupted total near 2^64).
-  require_format(total <= max_declared_output(bytes.size()),
-                 "lzss-chunked: declared size exceeds payload");
+  require_format(chunk_bytes > 0 || n_chunks == 0, "lzss: zero chunk size");
+  // Chunk count without forming total + chunk_bytes - 1, which wraps for a
+  // corrupted total near 2^64.
   const std::size_t want_chunks =
       chunk_bytes == 0 ? 0 : total / chunk_bytes + (total % chunk_bytes != 0 ? 1 : 0);
-  require_format(n_chunks == want_chunks, "lzss-chunked: chunk count mismatch");
-
-  std::size_t pos = static_cast<std::size_t>((br.position() + 7) / 8);
-  // Each chunk costs a 4-byte table entry; reject counts the remaining
-  // bytes cannot hold before sizing the table.
-  require_format(n_chunks <= (bytes.size() - std::min(pos, bytes.size())) / 4,
-                 "lzss-chunked: chunk count exceeds payload");
-  struct ChunkMeta {
-    std::size_t offset, len;
-  };
-  std::vector<ChunkMeta> metas(n_chunks);
-  for (auto& m : metas) {
-    require_format(pos + 4 <= bytes.size(), "lzss-chunked: truncated chunk table");
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(bytes[pos++]) << (8 * i);
-    m.len = len;
-  }
-  for (auto& m : metas) {
-    m.offset = pos;
-    pos += m.len;
-    require_format(pos <= bytes.size(), "lzss-chunked: chunk overruns buffer");
-  }
+  require_format(n_chunks == want_chunks, "lzss: chunk count mismatch");
+  const ChunkTable chunks(bytes, static_cast<std::size_t>(br.position() / 8), n_chunks);
 
   std::vector<std::uint8_t> out(total);
   parallel_for(pool, n_chunks, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t c = lo; c < hi; ++c) {
       const std::size_t begin = c * chunk_bytes;
       const std::size_t expected = std::min(chunk_bytes, static_cast<std::size_t>(total) - begin);
-      decode_range(bytes.data() + metas[c].offset, metas[c].len, out.data() + begin, expected);
+      decode_range(chunks[c].data(), chunks[c].size(), out.data() + begin, expected);
     }
   }, /*min_grain=*/1);
   return out;

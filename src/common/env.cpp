@@ -18,8 +18,4 @@ std::string env_string(const char* name, const std::string& fallback) {
   return (v && *v) ? std::string(v) : fallback;
 }
 
-std::size_t default_nyx_dim() { return env_size("REPRO_NYX_DIM", 128); }
-
-std::size_t default_hacc_particles() { return env_size("REPRO_HACC_N", 1000000); }
-
 }  // namespace cosmo

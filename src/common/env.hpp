@@ -18,10 +18,4 @@ std::size_t env_size(const char* name, std::size_t fallback);
 /// Reads a string environment variable with fallback.
 std::string env_string(const char* name, const std::string& fallback);
 
-/// Default Nyx grid edge for benches/examples (REPRO_NYX_DIM, default 128).
-std::size_t default_nyx_dim();
-
-/// Default HACC particle count for benches/examples (REPRO_HACC_N, default 1'000'000).
-std::size_t default_hacc_particles();
-
 }  // namespace cosmo

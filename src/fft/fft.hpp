@@ -45,7 +45,4 @@ std::vector<cplx> fft_3d_real(std::span<const float> values, const Dims& dims,
 /// (observability hook for tests).
 std::size_t& fft_twiddle_cache_entries();
 
-/// Naive O(N^2) DFT used as the correctness oracle in tests.
-std::vector<cplx> dft_reference(std::span<const cplx> data, bool inverse);
-
 }  // namespace cosmo

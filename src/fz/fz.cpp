@@ -8,6 +8,7 @@
 #include <memory>
 #include <type_traits>
 
+#include "codec/chunk_table.hpp"
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
 #include "sz/quantizer.hpp"
@@ -395,8 +396,7 @@ struct Encoder {
 /// Chunk decoder: parses L chunk payloads into symbols, then reconstructs
 /// them in lockstep straight into the output.
 struct Decoder {
-  std::span<const std::uint8_t> payloads;
-  const std::vector<std::size_t>& offsets;
+  const ChunkTable& chunks;
   std::size_t chunk_values;
   std::uint32_t radius;
   sz::Quantizer quantizer;
@@ -409,7 +409,7 @@ struct Decoder {
     std::array<std::size_t, L> n_unpred;
     const std::size_t expected_planes = kPlanes * plane_bytes(count);
     for (std::size_t l = 0; l < L; ++l) {
-      ByteReader r{payloads.subspan(offsets[c + l], offsets[c + l + 1] - offsets[c + l])};
+      ByteReader r{chunks[c + l]};
       n_unpred[l] = r.u32();
       require_format(n_unpred[l] <= count, "fz: unpredictable count exceeds chunk");
       require_format(n_unpred[l] <= r.remaining() / 4, "fz: unpredictable table truncated");
@@ -524,12 +524,9 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
                },
                /*min_grain=*/1);
 
-  // Prefix-sum the payload sizes, write the header and size table, then
-  // every chunk copies its payload to its offset.
-  std::vector<std::size_t> offsets(n_chunks + 1, 0);
-  for (std::size_t c = 0; c < n_chunks; ++c) offsets[c + 1] = offsets[c] + enc.payload_bytes[c];
-  const std::size_t body = kHeaderBytes + 4 * n_chunks;
-  out.resize(body + offsets[n_chunks]);
+  // The chunk table places every payload at its offset after the header,
+  // then the header is written in front of it.
+  write_chunk_table(out, kHeaderBytes, enc.payload, enc.payload_bytes, pool, kPlaceGrain);
   std::uint8_t* p = out.data();
   put_u32(p, kMagic);
   put_u32(p + 4, 0);  // reserved flags
@@ -540,16 +537,6 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
   put_u32(p + 40, params.radius);
   put_u32(p + 44, static_cast<std::uint32_t>(cv));
   put_u32(p + 48, static_cast<std::uint32_t>(n_chunks));
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    put_u32(p + kHeaderBytes + 4 * c, static_cast<std::uint32_t>(enc.payload_bytes[c]));
-  }
-  parallel_for(pool, n_chunks,
-               [&](std::size_t lo, std::size_t hi) {
-                 for (std::size_t c = lo; c < hi; ++c) {
-                   std::memcpy(p + body + offsets[c], enc.payload[c], enc.payload_bytes[c]);
-                 }
-               },
-               kPlaceGrain);
 
   if (stats != nullptr) {
     stats->n_values = n;
@@ -590,15 +577,10 @@ void decompress_into(std::span<const std::uint8_t> bytes, std::vector<float>& ou
   // Every value costs at least ~1/64 byte in the shuffled bitmap, so a
   // genuine stream bounds n by its own size — the overalloc guard.
   require_format(n / 64 <= bytes.size(), "fz: declared value count exceeds stream bound");
-  require_format(n_chunks <= r.remaining() / 4, "fz: truncated chunk table");
-
-  std::vector<std::size_t> offsets(n_chunks + 1, 0);
-  for (std::size_t c = 0; c < n_chunks; ++c) offsets[c + 1] = offsets[c] + r.u32();
-  require_format(offsets[n_chunks] == r.remaining(), "fz: payload size mismatch");
+  const ChunkTable chunks(bytes, r.pos, n_chunks);
 
   out.resize(n);
-  const Decoder dec{r.view(offsets[n_chunks]), offsets, chunk_values, radius,
-                    sz::Quantizer(bound, radius), out};
+  const Decoder dec{chunks, chunk_values, radius, sz::Quantizer(bound, radius), out};
   parallel_for(pool, n_chunks,
                [&](std::size_t lo, std::size_t hi) {
                  Scratch scratch(std::min(hi - lo, kLanes), chunk_values, /*encode=*/false);

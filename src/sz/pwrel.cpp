@@ -115,11 +115,11 @@ void compress_pwrel_into(std::span<const float> data, const Dims& dims,
   Stats inner_stats;
   const std::vector<std::uint8_t> log_stream =
       compress(logs, dims, abs_params, &inner_stats, pool);
-  const std::vector<std::uint8_t> class_stream = huffman_encode_chunked(classes, pool);
+  const std::vector<std::uint8_t> class_stream = huffman_encode(classes, pool);
   std::vector<std::uint8_t> class_packed;
   {
     TRACE_SPAN("sz.lzss_encode");
-    class_packed = lzss_encode_chunked(class_stream, pool);
+    class_packed = lzss_encode(class_stream, pool);
   }
   const bool class_lz = class_packed.size() < class_stream.size();
 
@@ -177,12 +177,12 @@ void decompress_pwrel_into(std::span<const std::uint8_t> bytes, std::vector<floa
   Dims dims;
   std::vector<float> logs = decompress(bytes.subspan(pos, log_len), &dims, pool);
   pos += log_len;
-  std::vector<std::uint8_t> cls_bytes(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                                      bytes.begin() + static_cast<std::ptrdiff_t>(pos + cls_len));
+  std::span<const std::uint8_t> cls_bytes = bytes.subspan(pos, cls_len);
+  std::vector<std::uint8_t> cls_unpacked;
   if (class_lz) {
     TRACE_SPAN("sz.lzss_decode");
-    cls_bytes = is_chunked_lzss(cls_bytes) ? lzss_decode_chunked(cls_bytes, pool)
-                                           : lzss_decode(cls_bytes);
+    cls_unpacked = lzss_decode(cls_bytes, pool);
+    cls_bytes = cls_unpacked;
   }
   const std::vector<std::uint32_t> classes = huffman_decode(cls_bytes, pool);
 

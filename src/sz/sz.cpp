@@ -35,6 +35,10 @@ struct ByteWriter {
     u64(bits);
   }
   void raw(const std::uint8_t* p, std::size_t n) { bytes.insert(bytes.end(), p, p + n); }
+  /// Overwrites the u64 at byte \p at (a length written before it was known).
+  void u64_at(std::size_t at, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
   /// Appends \p n floats' bit patterns, 4 little-endian bytes each.
   void f32s(const float* v, std::size_t n) {
     const std::size_t at = bytes.size();
@@ -88,10 +92,9 @@ struct ByteReader {
     std::memcpy(&v, &bits, 8);
     return v;
   }
-  std::vector<std::uint8_t> raw(std::size_t n) {
+  std::span<const std::uint8_t> raw(std::size_t n) {
     need(n);
-    std::vector<std::uint8_t> out(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                                  bytes.begin() + static_cast<std::ptrdiff_t>(pos + n));
+    const auto out = bytes.subspan(pos, n);
     pos += n;
     return out;
   }
@@ -252,18 +255,11 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
     unpred.insert(unpred.end(), block_unpred[b].begin(), block_unpred[b].end());
   }
 
-  // Chunked container in both the serial and threaded paths: the chunk
-  // geometry is a fixed constant, so the bytes match for any thread count.
-  std::vector<std::uint8_t> huff;
-  {
-    TRACE_SPAN("sz.huffman_encode");
-    huff = huffman_encode_chunked(codes, pool);
-  }
-
-  // The container is written straight into `out` after its flag byte;
+  // The container is written straight into `out` after its flag byte,
+  // the Huffman container included (its length is patched in once known);
   // the lossless stage then packs that range in place of it when smaller.
   out.clear();
-  out.reserve(1 + 80 /* header */ + block_flags.size() + 16 * coefs.size() + huff.size() +
+  out.reserve(1 + 80 /* header */ + block_flags.size() + 16 * coefs.size() +
               4 * unpred.size());
   out.push_back(0);
   ByteWriter w{out};
@@ -276,7 +272,8 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
   w.u64(edge);
   w.u64(n_blocks);
   w.u64(coefs.size());
-  w.u64(huff.size());
+  const std::size_t huff_len_at = out.size();
+  w.u64(0);
   w.u64(unpred.size());
   w.raw(block_flags.data(), block_flags.size());
   for (const auto& c : coefs) {
@@ -285,13 +282,17 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
     w.f32(c.c);
     w.f32(c.d);
   }
-  w.raw(huff.data(), huff.size());
+  {
+    TRACE_SPAN("sz.huffman_encode");
+    const std::size_t huff_at = out.size();
+    huffman_encode_into(codes, out, pool);
+    w.u64_at(huff_len_at, out.size() - huff_at);
+  }
   w.f32s(unpred.data(), unpred.size());
 
   if (params.lossless) {
     TRACE_SPAN("sz.lzss_encode");
-    const std::vector<std::uint8_t> packed =
-        lzss_encode_chunked(std::span(out).subspan(1), pool);
+    const std::vector<std::uint8_t> packed = lzss_encode(std::span(out).subspan(1), pool);
     if (packed.size() < out.size() - 1) {
       out.resize(1);
       out[0] = 1;
@@ -324,9 +325,7 @@ void decompress_into(std::span<const std::uint8_t> bytes, std::vector<float>& re
   std::span<const std::uint8_t> payload;
   if (packed) {
     TRACE_SPAN("sz.lzss_decode");
-    const std::span<const std::uint8_t> lossless = bytes.subspan(1);
-    payload_storage =
-        is_chunked_lzss(lossless) ? lzss_decode_chunked(lossless, pool) : lzss_decode(lossless);
+    payload_storage = lzss_decode(bytes.subspan(1), pool);
     payload = payload_storage;
   } else {
     payload = bytes.subspan(1);
@@ -358,7 +357,7 @@ void decompress_into(std::span<const std::uint8_t> bytes, std::vector<float>& re
   require_format(huff_len <= r.remaining(), "sz: huffman section exceeds payload");
   require_format(n_unpred <= r.remaining() / 4, "sz: unpredictable count exceeds payload");
 
-  const std::vector<std::uint8_t> block_flags = r.raw(n_blocks);
+  const std::span<const std::uint8_t> block_flags = r.raw(n_blocks);
   std::vector<RegressionCoef> coefs(n_coefs);
   for (auto& c : coefs) {
     c.a = r.f32();
@@ -366,7 +365,7 @@ void decompress_into(std::span<const std::uint8_t> bytes, std::vector<float>& re
     c.c = r.f32();
     c.d = r.f32();
   }
-  const std::vector<std::uint8_t> huff = r.raw(huff_len);
+  const std::span<const std::uint8_t> huff = r.raw(huff_len);
   std::vector<float> unpred(n_unpred);
   for (auto& v : unpred) v = r.f32();
 

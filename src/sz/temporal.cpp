@@ -34,8 +34,9 @@ struct Reader {
   std::span<const std::uint8_t> bytes;
   std::size_t pos = 0;
 
+  // Overflow-safe: compare against what remains instead of forming pos + n.
   void need(std::size_t n) const {
-    require_format(pos + n <= bytes.size(), "sz-temporal: truncated stream");
+    require_format(n <= bytes.size() - pos, "sz-temporal: truncated stream");
   }
   std::uint32_t u32() {
     need(4);
@@ -124,6 +125,7 @@ std::vector<std::uint8_t> compress_temporal(const std::vector<Field>& frames,
           recon[i] = q.reconstructed;
         }
       }
+      // The codes go out as a HUFC container, LZSC-packed when smaller.
       std::vector<std::uint8_t> huff = huffman_encode(codes);
       bool used_lzss = false;
       if (params.lossless) {
@@ -162,6 +164,9 @@ std::vector<Field> decompress_temporal(std::span<const std::uint8_t> bytes) {
   dims.nz = r.u64();
   const double eb = r.f64();
   const Quantizer quant(eb);
+  const std::size_t count = checked_stream_count(dims, "sz-temporal");
+  // Every frame costs at least its flag byte.
+  require_format(frame_count <= r.bytes.size() - r.pos, "sz-temporal: frame count exceeds payload");
 
   std::vector<Field> out;
   out.reserve(frame_count);
@@ -172,20 +177,24 @@ std::vector<Field> decompress_temporal(std::span<const std::uint8_t> bytes) {
     if (key) {
       const std::size_t len = r.u64();
       const auto section = r.raw(len);
+      std::vector<float> values = decompress(section);
+      require_format(values.size() == count, "sz-temporal: key frame size mismatch");
       Field frame(strprintf("frame_t%03llu", static_cast<unsigned long long>(t)), dims,
-                  decompress(section));
+                  std::move(values));
       prev_recon = frame.data;
       out.push_back(std::move(frame));
     } else {
+      require_format(prev_recon.size() == count, "sz-temporal: delta frame before a key frame");
       r.need(1);
       const bool packed = r.bytes[r.pos++] == 1;
       const std::size_t huff_len = r.u64();
       const std::size_t unpred_count = r.u64();
-      const auto huff_span = r.raw(huff_len);
-      std::vector<std::uint8_t> huff(huff_span.begin(), huff_span.end());
-      if (packed) huff = lzss_decode(huff);
-      const std::vector<std::uint32_t> codes = huffman_decode(huff);
-      require_format(codes.size() == dims.count(), "sz-temporal: code count mismatch");
+      const auto huff = r.raw(huff_len);
+      const std::vector<std::uint32_t> codes =
+          packed ? huffman_decode(lzss_decode(huff)) : huffman_decode(huff);
+      require_format(codes.size() == count, "sz-temporal: code count mismatch");
+      require_format(unpred_count <= (r.bytes.size() - r.pos) / 4,
+                     "sz-temporal: unpredictable count exceeds payload");
       std::vector<float> unpred(unpred_count);
       for (auto& v : unpred) v = r.f32();
 

@@ -20,7 +20,8 @@
 
 namespace cosmo::test {
 
-/// Single LZSS stream of \p input, as lzss_encode() must produce it.
+/// Single LZSS stream of \p input: one chunk of an LZSC container, or a
+/// legacy standalone stream when \p input is the whole payload.
 inline std::vector<std::uint8_t> lzss_encode_reference(const std::vector<std::uint8_t>& input) {
   constexpr std::uint32_t kMagic = 0x4C5A5353;  // "LZSS"
   constexpr unsigned kWindowBits = 16;
@@ -91,7 +92,7 @@ inline std::vector<std::uint8_t> lzss_encode_reference(const std::vector<std::ui
   return bw.finish();
 }
 
-/// lzss_encode_chunked() as the reference encoder would assemble it: the
+/// lzss_encode() as the reference encoder would assemble it: the
 /// container header, the u32 chunk-size table, then one reference stream
 /// per chunk of \p chunk_bytes.
 inline std::vector<std::uint8_t> lzss_encode_chunked_reference(

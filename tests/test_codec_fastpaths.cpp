@@ -14,7 +14,9 @@
 #include "codec/lzss.hpp"
 #include "common/thread_pool.hpp"
 #include "fz/fz.hpp"
+#include "huffman_reference.hpp"
 #include "io/crc32.hpp"
+#include "lzss_reference.hpp"
 #include "random/rng.hpp"
 #include "zfp/block_codec.hpp"
 #include "zfp/zfp.hpp"
@@ -62,13 +64,13 @@ std::vector<std::vector<std::uint32_t>> fastpath_symbol_cases() {
 
 TEST(CodecFastPaths, HuffmanTableMatchesReferenceDecoder) {
   for (const auto& symbols : fastpath_symbol_cases()) {
-    const auto single = huffman_encode(symbols);
+    const auto single = test::huffman_encode_reference(symbols);  // legacy HUFF
     EXPECT_EQ(huffman_decode(single), symbols);
-    EXPECT_EQ(huffman_decode_reference(single), symbols);
+    EXPECT_EQ(test::huffman_decode_reference(single), symbols);
 
-    const auto chunked = huffman_encode_chunked(symbols, nullptr, 4096);
+    const auto chunked = huffman_encode(symbols, nullptr, 4096);
     EXPECT_EQ(huffman_decode(chunked), symbols);
-    EXPECT_EQ(huffman_decode_reference(chunked), symbols);
+    EXPECT_EQ(test::huffman_decode_reference(chunked), symbols);
   }
 }
 
@@ -94,7 +96,7 @@ TEST(CodecFastPaths, HuffmanLongCodesExerciseFallback) {
 
   const auto encoded = huffman_encode(symbols);
   EXPECT_EQ(huffman_decode(encoded), symbols);
-  EXPECT_EQ(huffman_decode_reference(encoded), symbols);
+  EXPECT_EQ(test::huffman_decode_reference(encoded), symbols);
 }
 
 TEST(CodecFastPaths, HuffmanDecodeWrapperUsesPool) {
@@ -103,8 +105,7 @@ TEST(CodecFastPaths, HuffmanDecodeWrapperUsesPool) {
   for (int i = 0; i < 50000; ++i) {
     symbols.push_back(static_cast<std::uint32_t>(rng.uniform_index(300)));
   }
-  const auto chunked = huffman_encode_chunked(symbols, nullptr, 4096);
-  ASSERT_TRUE(is_chunked_huffman(chunked));
+  const auto chunked = huffman_encode(symbols, nullptr, 4096);
   ThreadPool pool(3);
   EXPECT_EQ(huffman_decode(chunked, &pool), symbols);
   EXPECT_EQ(huffman_decode(chunked, &pool), huffman_decode(chunked, nullptr));
@@ -118,7 +119,7 @@ TEST(CodecFastPaths, TruncatedHuffmanThrowsEverywhere) {
   }
   for (const bool chunked : {false, true}) {
     const auto encoded =
-        chunked ? huffman_encode_chunked(symbols, nullptr, 1024) : huffman_encode(symbols);
+        chunked ? huffman_encode(symbols, nullptr, 1024) : test::huffman_encode_reference(symbols);
     // Cut in the header, in the chunk table, and at several payload depths.
     for (const std::size_t keep :
          {std::size_t{4}, std::size_t{10}, encoded.size() / 4, encoded.size() / 2,
@@ -126,7 +127,7 @@ TEST(CodecFastPaths, TruncatedHuffmanThrowsEverywhere) {
       auto cut = encoded;
       cut.resize(keep);
       EXPECT_THROW(huffman_decode(cut), FormatError) << "chunked=" << chunked << " keep=" << keep;
-      EXPECT_THROW(huffman_decode_reference(cut), FormatError)
+      EXPECT_THROW(test::huffman_decode_reference(cut), FormatError)
           << "chunked=" << chunked << " keep=" << keep;
     }
   }
@@ -147,7 +148,7 @@ TEST(CodecFastPaths, OverfullHuffmanHeaderRejected) {
   bw.put(0, 64);  // payload filler (content irrelevant; the header must throw)
   const auto bytes = bw.finish();
   EXPECT_THROW(huffman_decode(bytes), FormatError);
-  EXPECT_THROW(huffman_decode_reference(bytes), FormatError);
+  EXPECT_THROW(test::huffman_decode_reference(bytes), FormatError);
 }
 
 TEST(CodecFastPaths, TruncatedLzssThrows) {
@@ -157,7 +158,7 @@ TEST(CodecFastPaths, TruncatedLzssThrows) {
   }
   for (const bool chunked : {false, true}) {
     const auto encoded =
-        chunked ? lzss_encode_chunked(input, nullptr, 8192) : lzss_encode(input);
+        chunked ? lzss_encode(input, nullptr, 8192) : test::lzss_encode_reference(input);
     for (const std::size_t keep :
          {std::size_t{4}, std::size_t{11}, encoded.size() / 3, encoded.size() - 2}) {
       auto cut = encoded;

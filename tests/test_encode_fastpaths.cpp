@@ -13,8 +13,8 @@
 #include "codec/bitstream.hpp"
 #include "codec/huffman.hpp"
 #include "codec/lzss.hpp"
-#include "common/scratch_arena.hpp"
 #include "common/thread_pool.hpp"
+#include "huffman_reference.hpp"
 #include "lzss_reference.hpp"
 #include "random/rng.hpp"
 
@@ -129,57 +129,30 @@ std::vector<std::vector<std::uint8_t>> encode_byte_cases() {
 }
 
 TEST(EncodeFastPaths, HuffmanFastMatchesReferenceByteForByte) {
+  // 4096-symbol chunks split the larger cases with a ragged last chunk;
+  // 0 selects the default 1<<18, one chunk per case.
   for (const auto& symbols : encode_symbol_cases()) {
-    const auto fast = huffman_encode(symbols);
-    const auto reference = huffman_encode_reference(symbols);
-    ASSERT_EQ(fast, reference) << "case size " << symbols.size();
-    EXPECT_EQ(huffman_decode(fast), symbols);
+    for (const std::size_t chunk : {std::size_t{4096}, std::size_t{0}}) {
+      const auto fast = huffman_encode(symbols, nullptr, chunk);
+      const auto reference =
+          test::huffman_encode_chunked_reference(symbols, chunk ? chunk : 1u << 18);
+      ASSERT_EQ(fast, reference) << "case size " << symbols.size() << ", chunk " << chunk;
+      EXPECT_EQ(huffman_decode(fast), symbols);
+    }
   }
 }
 
 TEST(EncodeFastPaths, LzssFastMatchesReferenceByteForByte) {
+  // 64 KiB chunks split the larger cases with a ragged last chunk; 0
+  // selects the default 1 MiB, one chunk per case.
   for (const auto& input : encode_byte_cases()) {
-    const auto fast = lzss_encode(input);
-    const auto reference = test::lzss_encode_reference(input);
-    ASSERT_EQ(fast, reference) << "case size " << input.size();
-    EXPECT_EQ(lzss_decode(fast), input);
+    for (const std::size_t chunk : {std::size_t{1} << 16, std::size_t{0}}) {
+      const auto fast = lzss_encode(input, nullptr, chunk);
+      const auto reference = test::lzss_encode_chunked_reference(input, chunk ? chunk : 1u << 20);
+      ASSERT_EQ(fast, reference) << "case size " << input.size() << ", chunk " << chunk;
+      EXPECT_EQ(lzss_decode(fast), input);
+    }
   }
-}
-
-TEST(EncodeFastPaths, LzssEncodeIgnoresArenaReuseState) {
-  // A dirty arena (stale chain tables from a previous, different input)
-  // must not change the stream.
-  const auto cases = encode_byte_cases();
-  ScratchArena arena;
-  for (const auto& input : cases) {
-    const auto with_arena = lzss_encode(input, &arena);
-    EXPECT_EQ(with_arena, lzss_encode(input)) << "case size " << input.size();
-  }
-  // Encode again in reverse order so every lease is a reuse.
-  for (auto it = cases.rbegin(); it != cases.rend(); ++it) {
-    EXPECT_EQ(lzss_encode(*it, &arena), lzss_encode(*it));
-  }
-  EXPECT_GT(arena.stats().reuses, 0u);
-}
-
-TEST(EncodeFastPaths, LzssArenaHighWaterCoversChainTables) {
-  // The serial encoder leases the prev table (one int32 per input byte),
-  // one 2^15-entry head table, the stitch's fixup table and one token
-  // table per 64 KiB segment.
-  const std::size_t n = 1u << 17;
-  std::vector<std::uint8_t> input(n);
-  Rng rng(9);
-  for (auto& b : input) b = static_cast<std::uint8_t>(rng.uniform_index(256));
-  ScratchArena arena;
-  (void)lzss_encode(input, &arena);
-  const auto stats = arena.stats();
-  EXPECT_EQ(stats.requests, 3u + n / (1u << 16));
-  const std::size_t expected = ((1u << 15) + n) * sizeof(std::int32_t);
-  EXPECT_GE(stats.high_water_bytes, expected);
-  // Re-encoding must reuse every table lease rather than allocating.
-  (void)lzss_encode(input, &arena);
-  EXPECT_EQ(arena.stats().reuses, stats.requests);
-  EXPECT_EQ(arena.stats().high_water_bytes, stats.high_water_bytes);
 }
 
 TEST(EncodeFastPaths, ChunkedContainersAreThreadCountIndependent) {
@@ -192,17 +165,15 @@ TEST(EncodeFastPaths, ChunkedContainersAreThreadCountIndependent) {
   for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_index(256));
   std::memcpy(bytes.data() + 700000, bytes.data() + 31, 50000);
 
-  const auto huff_serial = huffman_encode_chunked(symbols, nullptr, 1 << 14);
-  const auto lzss_serial = lzss_encode_chunked(bytes, nullptr, 1 << 16);
+  const auto huff_serial = huffman_encode(symbols, nullptr, 1 << 14);
+  const auto lzss_serial = lzss_encode(bytes, nullptr, 1 << 16);
   for (std::size_t threads : {1u, 2u, 7u}) {
     ThreadPool pool(threads);
-    EXPECT_EQ(huffman_encode_chunked(symbols, &pool, 1 << 14), huff_serial)
-        << threads << " threads";
-    EXPECT_EQ(lzss_encode_chunked(bytes, &pool, 1 << 16), lzss_serial)
-        << threads << " threads";
+    EXPECT_EQ(huffman_encode(symbols, &pool, 1 << 14), huff_serial) << threads << " threads";
+    EXPECT_EQ(lzss_encode(bytes, &pool, 1 << 16), lzss_serial) << threads << " threads";
   }
-  EXPECT_EQ(huffman_decode_chunked(huff_serial, nullptr), symbols);
-  EXPECT_EQ(lzss_decode_chunked(lzss_serial, nullptr), bytes);
+  EXPECT_EQ(huffman_decode(huff_serial), symbols);
+  EXPECT_EQ(lzss_decode(lzss_serial), bytes);
 }
 
 TEST(EncodeFastPaths, PutPairMatchesTwoPuts) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "dft_reference.hpp"
 #include "fft/fft.hpp"
 #include "random/rng.hpp"
 
@@ -27,7 +28,7 @@ TEST(Fft, MatchesNaiveDft) {
     for (auto& x : data) x = cplx(rng.normal(), rng.normal());
     auto fast = data;
     fft_1d(fast, /*inverse=*/false);
-    const auto slow = dft_reference(data, /*inverse=*/false);
+    const auto slow = test::dft_reference(data, /*inverse=*/false);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(fast[i].real(), slow[i].real(), 1e-8) << "n=" << n << " i=" << i;
       EXPECT_NEAR(fast[i].imag(), slow[i].imag(), 1e-8);

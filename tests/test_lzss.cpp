@@ -2,6 +2,7 @@
 
 #include "codec/lzss.hpp"
 #include "common/error.hpp"
+#include "lzss_reference.hpp"
 #include "random/rng.hpp"
 
 namespace cosmo {
@@ -76,6 +77,16 @@ TEST(Lzss, RandomizedProperty) {
     const std::size_t alphabet = 1 + rng.uniform_index(255);
     const auto input = random_bytes(rng, rng.uniform_index(30000), alphabet);
     EXPECT_EQ(lzss_decode(lzss_encode(input)), input) << "round " << round;
+  }
+}
+
+TEST(Lzss, LegacyStandaloneStreamsStillDecode) {
+  // No encoder writes a bare LZSS stream any more; the decoder still reads
+  // the ones older SZ and SZTM streams carry.
+  Rng rng(25);
+  for (const std::size_t n : {0u, 3u, 4000u, 70000u}) {
+    const auto input = random_bytes(rng, n, 6);
+    EXPECT_EQ(lzss_decode(test::lzss_encode_reference(input)), input) << n;
   }
 }
 

@@ -23,9 +23,11 @@
 #include "common/thread_pool.hpp"
 #include "cosmo/hacc_synth.hpp"
 #include "cosmo/nyx_synth.hpp"
+#include "dft_reference.hpp"
 #include "fft/fft.hpp"
 #include "fz/fz.hpp"
 #include "fz_reference.hpp"
+#include "huffman_reference.hpp"
 #include "lzss_reference.hpp"
 #include "random/rng.hpp"
 #include "sz/pwrel.hpp"
@@ -275,13 +277,11 @@ TEST(ParallelDeterminism, ChunkedHuffmanRoundtripAndIdentical) {
   for (auto& s : symbols) {
     s = 32768u + static_cast<std::uint32_t>(rng.uniform_index(64));
   }
-  const auto baseline = huffman_encode_chunked(symbols, nullptr, 1000);
-  ASSERT_TRUE(is_chunked_huffman(baseline));
+  const auto baseline = huffman_encode(symbols, nullptr, 1000);
   for (const auto& pool : make_pools()) {
-    const auto bytes = huffman_encode_chunked(symbols, pool.get(), 1000);
+    const auto bytes = huffman_encode(symbols, pool.get(), 1000);
     EXPECT_TRUE(bytes_equal(bytes, baseline));
-    EXPECT_EQ(huffman_decode_chunked(bytes, pool.get()), symbols);
-    // The generic decoder dispatches on the container magic.
+    EXPECT_EQ(huffman_decode(bytes, pool.get()), symbols);
     EXPECT_EQ(huffman_decode(bytes), symbols);
   }
 }
@@ -292,13 +292,48 @@ TEST(ParallelDeterminism, ChunkedLzssRoundtripAndIdentical) {
   for (std::size_t i = 0; i < input.size(); ++i) {
     input[i] = static_cast<std::uint8_t>((i / 9) % 31 + rng.uniform_index(4));
   }
-  const auto baseline = lzss_encode_chunked(input, nullptr, 4096);
-  ASSERT_TRUE(is_chunked_lzss(baseline));
+  const auto baseline = lzss_encode(input, nullptr, 4096);
   for (const auto& pool : make_pools()) {
-    const auto bytes = lzss_encode_chunked(input, pool.get(), 4096);
+    const auto bytes = lzss_encode(input, pool.get(), 4096);
     EXPECT_TRUE(bytes_equal(bytes, baseline));
-    EXPECT_EQ(lzss_decode_chunked(bytes, pool.get()), input);
+    EXPECT_EQ(lzss_decode(bytes, pool.get()), input);
     EXPECT_EQ(lzss_decode(bytes), input);
+  }
+}
+
+TEST(ParallelDeterminism, HuffmanKernelsMatchReference) {
+  // Every case against the serial reference encoder and decoder, at chunk
+  // sizes that leave a ragged last chunk (and the default 1<<18, 0 here).
+  std::vector<std::pair<const char*, std::vector<std::uint32_t>>> cases;
+  Rng rng(43);
+  {
+    std::vector<std::uint32_t> codes(100003);
+    for (auto& s : codes) s = 32768u + static_cast<std::uint32_t>(rng.uniform_index(33)) - 16u;
+    cases.emplace_back("quantization codes", std::move(codes));
+  }
+  cases.emplace_back("empty", std::vector<std::uint32_t>{});
+  cases.emplace_back("single-symbol alphabet", std::vector<std::uint32_t>(70001, 42));
+  {
+    // Span past the 2^22 dense-histogram cutoff: the sparse map paths.
+    std::vector<std::uint32_t> sparse(50001);
+    for (auto& s : sparse) s = static_cast<std::uint32_t>(rng.uniform_index(1u << 24)) * 97u;
+    cases.emplace_back("sparse alphabet wider than 2^22", std::move(sparse));
+  }
+
+  for (const auto& [name, symbols] : cases) {
+    for (const std::size_t chunk : {std::size_t{1000}, std::size_t{65536}, std::size_t{0}}) {
+      const auto reference =
+          test::huffman_encode_chunked_reference(symbols, chunk ? chunk : 1u << 18);
+      ASSERT_EQ(test::huffman_decode_reference(reference), symbols) << name;
+      for (const std::size_t threads : {1u, 2u, 3u, 4u, 7u}) {
+        ThreadPool pool(threads);
+        const auto bytes = huffman_encode(symbols, &pool, chunk);
+        EXPECT_TRUE(bytes_equal(bytes, reference))
+            << name << ", chunk " << chunk << ", " << threads << " threads";
+        EXPECT_EQ(huffman_decode(bytes, &pool), symbols)
+            << name << ", chunk " << chunk << ", " << threads << " threads";
+      }
+    }
   }
 }
 
@@ -352,9 +387,9 @@ TEST(ParallelDeterminism, LzssSegmentParallelMatchesReference) {
     const auto reference = test::lzss_encode_chunked_reference(input, 1u << 20);
     for (const std::size_t threads : {1u, 2u, 3u, 4u, 7u}) {
       ThreadPool pool(threads);
-      const auto bytes = lzss_encode_chunked(input, &pool);
+      const auto bytes = lzss_encode(input, &pool);
       EXPECT_TRUE(bytes_equal(bytes, reference)) << name << ", " << threads << " threads";
-      EXPECT_EQ(lzss_decode_chunked(bytes, &pool), input) << name << ", " << threads << " threads";
+      EXPECT_EQ(lzss_decode(bytes, &pool), input) << name << ", " << threads << " threads";
     }
   }
 }
@@ -441,7 +476,7 @@ TEST(FftTwiddleCache, MatchesDftReferenceAcrossCachedSizes) {
   for (const std::size_t n : {2u, 8u, 32u, 128u, 512u}) {
     std::vector<cplx> data(n);
     for (auto& v : data) v = cplx(rng.normal(), rng.normal());
-    const auto want = dft_reference(data, false);
+    const auto want = test::dft_reference(data, false);
     // Two passes per size: the second is guaranteed to hit the cache and
     // must produce exactly the same answer.
     for (int pass = 0; pass < 2; ++pass) {

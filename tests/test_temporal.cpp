@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 
 #include "analysis/decimation.hpp"
 #include "analysis/stats.hpp"
+#include "codec/huffman.hpp"
+#include "codec/lzss.hpp"
 #include "common/error.hpp"
 #include "cosmo/nyx_sequence.hpp"
+#include "huffman_reference.hpp"
+#include "lzss_reference.hpp"
 #include "sz/temporal.hpp"
 
 namespace cosmo {
@@ -121,6 +126,69 @@ TEST(SzTemporal, MismatchedFrameShapesRejected) {
   EXPECT_THROW(sz::compress_temporal({}, params), InvalidArgument);
 }
 
+/// Rewrites every delta frame of an SZTM stream with the sections older
+/// encoders wrote: a legacy HUFF buffer of the frame's codes, packed into a
+/// standalone LZSS stream on odd frames (both from the test oracles). Key
+/// frames are copied as they are.
+std::vector<std::uint8_t> with_legacy_delta_frames(const std::vector<std::uint8_t>& bytes) {
+  const auto u64_at = [&bytes](std::size_t at) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(bytes.at(at + i)) << (8 * i);
+    return v;
+  };
+  std::vector<std::uint8_t> out(bytes.begin(), bytes.begin() + 44);  // SZTM header
+  const auto put_u64 = [&out](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  const std::uint64_t frames = u64_at(4);
+  std::size_t pos = out.size();
+  for (std::uint64_t t = 0; t < frames; ++t) {
+    const std::uint8_t key = bytes.at(pos++);
+    out.push_back(key);
+    if (key == 1) {
+      const std::size_t end = pos + 8 + u64_at(pos);
+      out.insert(out.end(), bytes.begin() + pos, bytes.begin() + end);
+      pos = end;
+      continue;
+    }
+    const bool packed = bytes.at(pos) == 1;
+    const std::size_t section_len = u64_at(pos + 1);
+    const std::uint64_t n_unpred = u64_at(pos + 9);
+    pos += 17;
+    const std::span<const std::uint8_t> section(bytes.data() + pos, section_len);
+    pos += section_len;
+    const std::vector<std::uint32_t> codes =
+        packed ? huffman_decode(lzss_decode(section)) : huffman_decode(section);
+    std::vector<std::uint8_t> legacy = test::huffman_encode_reference(codes);
+    const bool pack = t % 2 == 1;
+    if (pack) legacy = test::lzss_encode_reference(legacy);
+    out.push_back(pack ? 1 : 0);
+    put_u64(legacy.size());
+    put_u64(n_unpred);
+    out.insert(out.end(), legacy.begin(), legacy.end());
+    out.insert(out.end(), bytes.begin() + pos, bytes.begin() + pos + 4 * n_unpred);
+    pos += 4 * n_unpred;
+  }
+  EXPECT_EQ(pos, bytes.size());
+  return out;
+}
+
+TEST(SzTemporal, LegacyHuffLzssFramesStillDecode) {
+  const auto frames = generate_nyx_density_sequence(small_sequence(5));
+  sz::TemporalParams params;
+  params.abs_error_bound = 0.5;
+  const auto bytes = sz::compress_temporal(frames, params);
+  const auto legacy = with_legacy_delta_frames(bytes);
+  ASSERT_NE(legacy, bytes);
+
+  const auto recon = sz::decompress_temporal(bytes);
+  const auto legacy_recon = sz::decompress_temporal(legacy);
+  ASSERT_EQ(legacy_recon.size(), recon.size());
+  for (std::size_t t = 0; t < recon.size(); ++t) {
+    EXPECT_EQ(legacy_recon[t].data, recon[t].data) << "frame " << t;
+  }
+}
+
 TEST(SzTemporal, CorruptStreamThrows) {
   const auto frames = generate_nyx_density_sequence(small_sequence(3));
   sz::TemporalParams params;
@@ -128,6 +196,29 @@ TEST(SzTemporal, CorruptStreamThrows) {
   auto bytes = sz::compress_temporal(frames, params);
   bytes.resize(bytes.size() / 3);
   EXPECT_THROW(sz::decompress_temporal(bytes), FormatError);
+}
+
+TEST(SzTemporal, HostileHeadersRejected) {
+  const auto frames = generate_nyx_density_sequence(small_sequence(3));
+  sz::TemporalParams params;
+  params.abs_error_bound = 1.0;
+  const auto bytes = sz::compress_temporal(frames, params);
+  const auto put_u64 = [](std::vector<std::uint8_t>& b, std::size_t at, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  // A delta frame with no key frame before it has nothing to predict from.
+  auto no_key = bytes;
+  ASSERT_EQ(no_key[44], 1);
+  no_key[44] = 0;
+  EXPECT_THROW(sz::decompress_temporal(no_key), FormatError);
+  // A frame count the payload cannot hold.
+  auto many_frames = bytes;
+  put_u64(many_frames, 4, std::uint64_t{1} << 60);
+  EXPECT_THROW(sz::decompress_temporal(many_frames), FormatError);
+  // A key-frame length near 2^64 must not wrap the bounds check.
+  auto long_section = bytes;
+  put_u64(long_section, 45, ~std::uint64_t{0} - 8);
+  EXPECT_THROW(sz::decompress_temporal(long_section), FormatError);
 }
 
 // ---------- Decimation baseline ----------

@@ -253,11 +253,11 @@ int run_kernel_bench(std::size_t edge, int repeats, const std::string& out_path,
   const std::size_t code_bytes = codes.size() * sizeof(std::uint32_t);
   std::vector<std::uint8_t> huff;
   results.push_back(bench_kernel("huffman_encode", code_bytes, repeats, [&] {
-    huff = huffman_encode_chunked(codes, nullptr);
+    huff = huffman_encode(codes, nullptr);
     return crc32(huff.data(), huff.size());
   }));
   results.push_back(bench_kernel("huffman_decode", code_bytes, repeats, [&] {
-    const std::vector<std::uint32_t> decoded = huffman_decode_chunked(huff, nullptr);
+    const std::vector<std::uint32_t> decoded = huffman_decode(huff, nullptr);
     require(decoded == codes, "bench: huffman round trip mismatch");
     return crc32(decoded.data(), decoded.size() * sizeof(std::uint32_t));
   }));
@@ -265,11 +265,11 @@ int run_kernel_bench(std::size_t edge, int repeats, const std::string& out_path,
   // --- LZSS over the Huffman stream (what sz's lossless stage really sees).
   std::vector<std::uint8_t> lz;
   results.push_back(bench_kernel("lzss_encode", huff.size(), repeats, [&] {
-    lz = lzss_encode_chunked(huff, nullptr);
+    lz = lzss_encode(huff, nullptr);
     return crc32(lz.data(), lz.size());
   }));
   results.push_back(bench_kernel("lzss_decode", huff.size(), repeats, [&] {
-    const std::vector<std::uint8_t> decoded = lzss_decode_chunked(lz, nullptr);
+    const std::vector<std::uint8_t> decoded = lzss_decode(lz, nullptr);
     require(decoded == huff, "bench: lzss round trip mismatch");
     return crc32(decoded.data(), decoded.size());
   }));

@@ -157,15 +157,16 @@ case "${mode}" in
       --gtest_filter='ThreadPool*:*Sweep*:*Parallel*:ParallelDeterminism.*:FftTwiddleCache.*:Foresightd*:CBench*:Optimizer*'
     ;;
   asan)
-    # The codec surface: bitstream I/O, entropy/dictionary coders, ZFP block
-    # transforms, the FZ chunk kernel, the malformed-stream suite
+    # The codec surface: bitstream I/O, the shared chunk table, the
+    # entropy/dictionary coders, ZFP block transforms, the FZ chunk kernel,
+    # temporal SZ with its legacy-section decode, the malformed-stream suite
     # (truncated/corrupted inputs must throw, never touch out-of-bounds
     # memory), and the encoders' byte-identity tests against their
     # reference oracles.
     ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" \
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
       "${build_dir}/tests/cosmo_tests" \
-      --gtest_filter='BitStream.*:Huffman.*:Lzss.*:CodecFastPaths.*:EncodeFastPaths.*:ParallelDeterminism.Lzss*:ParallelDeterminism.Zfp*:ParallelDeterminism.Fz*:Zfp*.*:Fz.*:Sz.*:Robustness.*'
+      --gtest_filter='BitStream.*:ChunkTable.*:Huffman.*:Lzss.*:CodecFastPaths.*:EncodeFastPaths.*:ParallelDeterminism.Huffman*:ParallelDeterminism.Lzss*:ParallelDeterminism.Zfp*:ParallelDeterminism.Fz*:Zfp*.*:Fz.*:Sz.*:SzTemporal.*:Robustness.*'
     ;;
   ubsan)
     # Full suite: UBSan alone is cheap enough to run everything.

@@ -27,8 +27,10 @@
 #include "cosmo/nyx_synth.hpp"
 #include "foresightd/protocol.hpp"
 #include "fz/fz.hpp"
+#include "huffman_reference.hpp"
 #include "io/container.hpp"
 #include "io/crc32.hpp"
+#include "lzss_reference.hpp"
 #include "sz/pwrel.hpp"
 #include "sz/sz.hpp"
 #include "zfp/zfp.hpp"
@@ -159,18 +161,19 @@ int main(int argc, char** argv) {
        [](const std::vector<std::uint8_t>& b) { (void)sz::decompress_pwrel(b); }});
   surfaces.push_back({"zfp", zfp::compress(field.data, field.dims, zfp_params),
                       [](const std::vector<std::uint8_t>& b) { (void)zfp::decompress(b); }});
+  // The "huffman" and "lzss" surfaces fuzz the decode-only legacy formats
+  // (HUFF, standalone LZSS), seeded from the test oracles that still write
+  // them.
   surfaces.push_back(
-      {"huffman", huffman_encode(symbols),
+      {"huffman", test::huffman_encode_reference(symbols),
        [](const std::vector<std::uint8_t>& b) { (void)huffman_decode(b); }});
   surfaces.push_back(
-      {"huffman-chunk", huffman_encode_chunked(symbols, nullptr, 1 << 10),
+      {"huffman-chunk", huffman_encode(symbols, nullptr, 1 << 10),
        [](const std::vector<std::uint8_t>& b) { (void)huffman_decode(b); }});
-  surfaces.push_back({"lzss", lzss_encode(raw_bytes), [](const std::vector<std::uint8_t>& b) {
-                        (void)lzss_decode(b);
-                      }});
-  surfaces.push_back(
-      {"lzss-chunked", lzss_encode_chunked(raw_bytes, nullptr),
-       [](const std::vector<std::uint8_t>& b) { (void)lzss_decode_chunked(b, nullptr); }});
+  surfaces.push_back({"lzss", test::lzss_encode_reference(raw_bytes),
+                      [](const std::vector<std::uint8_t>& b) { (void)lzss_decode(b); }});
+  surfaces.push_back({"lzss-chunked", lzss_encode(raw_bytes),
+                      [](const std::vector<std::uint8_t>& b) { (void)lzss_decode(b); }});
   surfaces.push_back({"fpc", fpc_encode(field.data), [](const std::vector<std::uint8_t>& b) {
                         (void)fpc_decode(b);
                       }});
