@@ -17,7 +17,7 @@ int main() {
 
   // Paper-scale field (512^3 floats); fixed-rate stream sizes are
   // deterministic so the throughput model needs no real buffer.
-  const std::size_t dim = env_size("REPRO_FIG7_DIM", 512);
+  const std::size_t dim = bench::env_size("REPRO_FIG7_DIM", 512);
   const std::uint64_t raw = static_cast<std::uint64_t>(dim) * dim * dim * 4;
 
   gpu::GpuSimulator sim(gpu::find_device("Tesla V100"));

@@ -18,7 +18,7 @@ int main() {
   // Timing is modeled at the paper's true field size (512^3 floats): the
   // fixed-rate stream size is deterministic (rate/32 of the raw size), so
   // no actual 536 MB buffer is needed; REPRO_FIG7_DIM rescales.
-  const std::size_t dim = env_size("REPRO_FIG7_DIM", 512);
+  const std::size_t dim = bench::env_size("REPRO_FIG7_DIM", 512);
   const std::uint64_t raw_bytes = static_cast<std::uint64_t>(dim) * dim * dim * 4;
 
   gpu::GpuSimulator sim(gpu::find_device("Tesla V100"));

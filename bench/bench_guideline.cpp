@@ -5,15 +5,14 @@
 /// Nyx, halo counts + bulk velocities for HACC), pick the highest-ratio
 /// acceptable config per field, and report the overall compression ratio —
 /// the numbers that in the paper come out as Nyx: cuZFP 10.7x / GPU-SZ
-/// 15.4x and HACC: cuZFP ~4x / GPU-SZ 4.25x. The codec roster and the Nyx
-/// candidate grids come from the registry (default_grid_candidates), so a
+/// 15.4x and HACC: cuZFP ~4x / GPU-SZ 4.25x. The codec roster and the
+/// default candidate grids come from the registry (optimize_dataset), so a
 /// new backend joins the guideline without edits here.
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "foresight/codec_registry.hpp"
 #include "foresight/optimizer.hpp"
-#include "foresight/sweep.hpp"
 
 using namespace cosmo;
 
@@ -37,18 +36,17 @@ int main() {
 
   gpu::GpuSimulator sim(gpu::find_device("Tesla V100"));
   const auto codec_names = device_codec_names();
+  // Default tolerances and candidates; the FoF parameters apply to HACC.
+  foresight::OptimizeSpec spec;
+  spec.fof.linking_length = 1.0;
+  spec.fof.min_members = 20;
 
   // ---------------- Nyx ----------------
   const io::Container nyx = bench::make_nyx();
   for (const auto& codec_name : codec_names) {
+    spec.codec = codec_name;
     const auto codec = foresight::make_compressor(codec_name, &sim);
-    std::map<std::string, std::vector<foresight::CompressorConfig>> candidates;
-    for (const auto& variable : nyx.variables) {
-      candidates[variable.field.name] =
-          foresight::default_grid_candidates(codec_name, variable.field);
-    }
-    const auto result =
-        foresight::optimize_grid_dataset(nyx, *codec, candidates, 0.01, 0.5);
+    const auto result = foresight::optimize_dataset(nyx, *codec, spec);
     std::printf("--- Nyx, %s ---\n%s\n", codec_name.c_str(),
                 foresight::format_optimization(result).c_str());
   }
@@ -57,17 +55,10 @@ int main() {
 
   // ---------------- HACC ----------------
   const io::Container hacc = bench::make_hacc();
-  analysis::FofParams fof_params;
-  fof_params.linking_length = 1.0;
-  fof_params.min_members = 20;
-
   for (const auto& codec_name : codec_names) {
-    const auto& caps = foresight::CodecRegistry::instance().capabilities(codec_name);
+    spec.codec = codec_name;
     const auto codec = foresight::make_compressor(codec_name, &sim);
-    const auto result = foresight::optimize_particle_dataset(
-        hacc, *codec, foresight::default_position_candidates(caps),
-        foresight::default_velocity_candidates(caps, hacc.find("vx").field), fof_params,
-        0.05, 0.05);
+    const auto result = foresight::optimize_dataset(hacc, *codec, spec);
     std::printf("--- HACC, %s ---\n%s\n", codec_name.c_str(),
                 foresight::format_optimization(result).c_str());
   }

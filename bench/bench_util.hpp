@@ -6,15 +6,32 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
-#include "common/env.hpp"
 #include "common/str.hpp"
 #include "cosmo/hacc_synth.hpp"
 #include "cosmo/nyx_synth.hpp"
 #include "foresight/cinema.hpp"
 
 namespace cosmo::bench {
+
+/// Reads a positive integer environment variable, returning \p fallback when
+/// unset, unparsable or zero.
+inline std::size_t env_size(const char* name, std::size_t fallback) {
+  const char* v = std::getenv(name);
+  if (!v || !*v) return fallback;
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(v, &end, 10);
+  if (end == v || parsed == 0) return fallback;
+  return static_cast<std::size_t>(parsed);
+}
+
+/// Reads a string environment variable with fallback.
+inline std::string env_string(const char* name, const std::string& fallback) {
+  const char* v = std::getenv(name);
+  return (v && *v) ? std::string(v) : fallback;
+}
 
 inline std::size_t nyx_dim() { return env_size("REPRO_NYX_DIM", 64); }
 inline std::size_t hacc_particles() { return env_size("REPRO_HACC_N", 200000); }

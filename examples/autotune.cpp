@@ -10,35 +10,28 @@
 #include "common/cli.hpp"
 #include "cosmo/nyx_synth.hpp"
 #include "foresight/optimizer.hpp"
-#include "foresight/sweep.hpp"
 
 using namespace cosmo;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   NyxConfig nyx;
-  nyx.dim = static_cast<std::size_t>(args.get_int("dim", 64));
-  const std::string codec_name = args.get("compressor", "gpu-sz");
-  const double tolerance = args.get_double("tolerance", 0.01);
+  nyx.dim = args.get_count("dim", 64);
+  foresight::OptimizeSpec spec;
+  spec.codec = args.get("compressor", "gpu-sz");
+  spec.tolerance = args.get_double("tolerance", spec.tolerance);
 
   std::printf("Guideline run: %s on synthetic Nyx %zu^3, pk tolerance 1+/-%.0f%%\n\n",
-              codec_name.c_str(), nyx.dim, tolerance * 100.0);
+              spec.codec.c_str(), nyx.dim, spec.tolerance * 100.0);
   const io::Container data = generate_nyx(nyx);
 
   gpu::GpuSimulator sim(gpu::find_device("Tesla V100"));
-  const auto codec = foresight::make_compressor(codec_name, &sim);
+  const auto codec = foresight::make_compressor(spec.codec, &sim);
 
-  // Candidate grids per field, mirroring the paper's sweeps: absolute error
-  // bounds scaled to each field's value range for GPU-SZ (Fig. 5b), fixed
-  // bitrates for cuZFP (Fig. 5a) — built with the shared sweep API.
-  std::map<std::string, std::vector<foresight::CompressorConfig>> candidates;
-  for (const auto& variable : data.variables) {
-    candidates[variable.field.name] =
-        foresight::default_grid_candidates(codec_name, variable.field);
-  }
-
-  const auto result =
-      foresight::optimize_grid_dataset(data, *codec, candidates, tolerance, 0.5);
+  // The default candidate grid per field mirrors the paper's sweeps:
+  // absolute error bounds scaled to each field's value range for GPU-SZ
+  // (Fig. 5b), fixed bitrates for cuZFP (Fig. 5a).
+  const auto result = foresight::optimize_dataset(data, *codec, spec);
   std::printf("%s", foresight::format_optimization(result).c_str());
 
   std::printf(

@@ -1,7 +1,8 @@
 #include "common/cli.hpp"
 
 #include <charconv>
-#include <cstdlib>
+#include <cmath>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/str.hpp"
@@ -15,14 +16,14 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
       positional_.push_back(std::move(arg));
       continue;
     }
-    arg = arg.substr(2);
+    arg.erase(0, 2);
     const std::size_t eq = arg.find('=');
     if (eq != std::string::npos) {
       flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
     } else if (i + 1 < argc && !starts_with(argv[i + 1], "--")) {
       flags_[arg] = argv[++i];
     } else {
-      flags_[arg] = "1";
+      flags_[arg] = std::string("1");  // a bare literal trips GCC 12's false -Wrestrict
     }
   }
 }
@@ -34,27 +35,39 @@ std::string CliArgs::get(const std::string& key, const std::string& fallback) co
   return it == flags_.end() ? fallback : it->second;
 }
 
-long CliArgs::get_int(const std::string& key, long fallback) const {
-  const auto it = flags_.find(key);
-  return it == flags_.end() ? fallback : std::strtol(it->second.c_str(), nullptr, 10);
-}
+namespace {
 
-std::size_t CliArgs::get_count(const std::string& key, std::size_t fallback) const {
-  const auto it = flags_.find(key);
-  if (it == flags_.end()) return fallback;
-  const std::string& text = it->second;
-  std::size_t value = 0;
+/// Parses all of \p text as a T (finite, for floating point), else throws
+/// InvalidArgument naming --key.
+template <typename T>
+T parse_whole(const std::string& key, const std::string& text, const char* expects) {
+  T value{};
   const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || end != text.data() + text.size()) {
-    throw InvalidArgument("--" + key + " expects a non-negative whole number (got '" + text +
-                          "')");
+  bool ok = ec == std::errc() && end == text.data() + text.size();
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    throw InvalidArgument("--" + key + " expects " + expects + " (got '" + text + "')");
   }
   return value;
 }
 
+}  // namespace
+
+long CliArgs::get_int(const std::string& key, long fallback) const {
+  const auto it = flags_.find(key);
+  return it == flags_.end() ? fallback : parse_whole<long>(key, it->second, "a whole number");
+}
+
+std::size_t CliArgs::get_count(const std::string& key, std::size_t fallback) const {
+  const auto it = flags_.find(key);
+  return it == flags_.end()
+             ? fallback
+             : parse_whole<std::size_t>(key, it->second, "a non-negative whole number");
+}
+
 double CliArgs::get_double(const std::string& key, double fallback) const {
   const auto it = flags_.find(key);
-  return it == flags_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  return it == flags_.end() ? fallback : parse_whole<double>(key, it->second, "a finite number");
 }
 
 }  // namespace cosmo

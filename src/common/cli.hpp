@@ -17,9 +17,10 @@ class CliArgs {
 
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const;
+  /// Numeric flags must parse whole, or InvalidArgument names the flag.
+  /// get_int takes a decimal integer, get_count (threads, sizes, seeds) a
+  /// non-negative one, get_double a finite decimal number.
   [[nodiscard]] long get_int(const std::string& key, long fallback) const;
-  /// A count flag (threads, sizes, seeds): only a whole non-negative decimal
-  /// integer is accepted; anything else throws InvalidArgument naming the flag.
   [[nodiscard]] std::size_t get_count(const std::string& key, std::size_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }

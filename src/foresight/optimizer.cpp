@@ -11,6 +11,7 @@
 #include "common/telemetry.hpp"
 #include "common/timer.hpp"
 #include "foresight/optimizer_model.hpp"
+#include "foresight/sweep.hpp"
 #include "sz/rate_estimate.hpp"
 
 namespace cosmo::foresight {
@@ -466,6 +467,38 @@ OptimizationResult optimize_particle_dataset(
   result.stats.wall_seconds = wall.seconds();
   publish_stats(result.stats);
   return result;
+}
+
+bool is_particle_container(const io::Container& data) {
+  std::size_t found = 0;
+  for (const auto& v : data.variables) {
+    for (const char* name : {"x", "y", "z", "vx", "vy", "vz"}) found += v.field.name == name;
+  }
+  return found == 6;
+}
+
+OptimizationResult optimize_dataset(const io::Container& data, Compressor& compressor,
+                                    const OptimizeSpec& spec) {
+  const CodecCapabilities& caps = compressor.capabilities();
+  if (is_particle_container(data)) {
+    return optimize_particle_dataset(
+        data, compressor,
+        spec.position_candidates.empty() ? default_position_candidates(caps)
+                                         : spec.position_candidates,
+        spec.velocity_candidates.empty()
+            ? default_velocity_candidates(caps, data.find("vx").field)
+            : spec.velocity_candidates,
+        spec.fof, spec.halo_tolerance, spec.velocity_tolerance, spec.options);
+  }
+  std::map<std::string, std::vector<CompressorConfig>> candidates;
+  for (const auto& variable : data.variables) {
+    if (variable.field.dims.rank() != 3) continue;
+    candidates[variable.field.name] =
+        spec.candidates.empty() ? default_grid_candidates(compressor.name(), variable.field)
+                                : spec.candidates;
+  }
+  return optimize_grid_dataset(data, compressor, candidates, spec.tolerance, spec.k_fraction,
+                               spec.options);
 }
 
 std::string format_optimization(const OptimizationResult& result) {

@@ -110,8 +110,7 @@ struct OptimizationResult {
 OptimizationResult optimize_grid_dataset(
     const io::Container& data, Compressor& compressor,
     const std::map<std::string, std::vector<CompressorConfig>>& candidates,
-    double tolerance = 0.01, double k_fraction = 0.5,
-    const OptimizerOptions& options = {});
+    double tolerance, double k_fraction, const OptimizerOptions& options = {});
 
 /// Particle datasets (HACC): position acceptance is the FoF halo
 /// count-ratio per mass bin staying within 1 +/- \p halo_tolerance; the
@@ -124,8 +123,35 @@ OptimizationResult optimize_particle_dataset(
     const io::Container& data, Compressor& compressor,
     const std::vector<CompressorConfig>& position_candidates,
     const std::vector<CompressorConfig>& velocity_candidates,
-    const analysis::FofParams& fof_params, double halo_tolerance = 0.05,
-    double velocity_tolerance = 0.05, const OptimizerOptions& options = {});
+    const analysis::FofParams& fof_params, double halo_tolerance,
+    double velocity_tolerance, const OptimizerOptions& options = {});
+
+/// One best-fit search, described once: the pipeline's "optimizer" object,
+/// `foresight_cli optimize` and the benches all fill one of these. Each
+/// default lives in its member initialiser.
+struct OptimizeSpec {
+  std::string codec;  ///< registry name ("compressor" in JSON)
+  OptimizerOptions options;
+  double tolerance = 0.01;  ///< grid: P(k) ratio band
+  double k_fraction = 0.5;  ///< grid: k <= k_fraction * k_nyquist
+  double halo_tolerance = 0.05;
+  double velocity_tolerance = 0.05;
+  analysis::FofParams fof{.linking_length = 1.5};
+  /// Empty lists take the defaults: default_grid_candidates per 3-D field,
+  /// default_position_candidates and default_velocity_candidates.
+  std::vector<CompressorConfig> candidates;  ///< grid, shared by every field
+  std::vector<CompressorConfig> position_candidates;
+  std::vector<CompressorConfig> velocity_candidates;
+};
+
+/// True for a HACC-style particle container: x, y, z, vx, vy, vz present.
+bool is_particle_container(const io::Container& data);
+
+/// The search \p spec describes, chosen from the data: the particle search
+/// for a particle container, else the grid search over every 3-D field.
+/// \p compressor is the codec \p spec.codec names.
+OptimizationResult optimize_dataset(const io::Container& data, Compressor& compressor,
+                                    const OptimizeSpec& spec);
 
 /// Renders an OptimizationResult as text.
 std::string format_optimization(const OptimizationResult& result);

@@ -33,6 +33,39 @@ std::uint64_t count_knob(const json::Value& object, const std::string& key,
 /// Spans in the trace ring at most: 2^24 records are 640 MiB.
 constexpr double kMaxTraceCapacity = 0x1p24;
 
+/// The FoF knobs "linking_length" and "min_members", over the optimizer's
+/// defaults; the halo-finder analysis reads the same knobs.
+analysis::FofParams parse_fof(const json::Value& object) {
+  analysis::FofParams fof = OptimizeSpec{}.fof;
+  fof.linking_length = object.get("linking_length", fof.linking_length);
+  fof.min_members = count_knob(object, "min_members", static_cast<double>(fof.min_members));
+  return fof;
+}
+
+/// The "optimizer" object (schema in pipeline.hpp) as an OptimizeSpec; an
+/// absent key keeps the OptimizeSpec default.
+OptimizeSpec parse_optimize_spec(const json::Value& object) {
+  OptimizeSpec spec;
+  OptimizerOptions& options = spec.options;
+  spec.codec = object.at("compressor").as_string();
+  options.search = parse_search_mode(object.get("search", search_mode_label(options.search)));
+  options.probes = count_knob(object, "probes", static_cast<double>(options.probes));
+  options.threads = count_knob(object, "threads", static_cast<double>(options.threads));
+  spec.tolerance = object.get("tolerance", spec.tolerance);
+  spec.k_fraction = object.get("k_fraction", spec.k_fraction);
+  spec.halo_tolerance = object.get("halo_tolerance", spec.halo_tolerance);
+  spec.velocity_tolerance = object.get("velocity_tolerance", spec.velocity_tolerance);
+  spec.fof = parse_fof(object);
+  const auto configs = [&object](const char* key) {
+    return object.contains(key) ? parse_config_list(object.at(key))
+                                : std::vector<CompressorConfig>{};
+  };
+  spec.candidates = configs("candidates");
+  spec.position_candidates = configs("position_candidates");
+  spec.velocity_candidates = configs("velocity_candidates");
+  return spec;
+}
+
 }  // namespace
 
 io::Container build_dataset(const json::Value& spec, std::uint64_t max_field_bytes) {
@@ -148,8 +181,10 @@ PipelineSummary run_pipeline(const json::Value& config) {
   const json::Value& analysis_cfg =
       config.contains("analysis") ? config.at("analysis") : json::Value(json::Object{});
   const bool do_pk = analysis_cfg.get("power_spectrum", false);
-  const bool do_halo = analysis_cfg.get("halo_finder", false);
+  const bool do_halo =
+      analysis_cfg.get("halo_finder", false) && is_particle_container(dataset);
   const bool do_ssim = analysis_cfg.get("ssim", false);
+  const analysis::FofParams halo_fof = parse_fof(analysis_cfg);
 
   // --- Build the PAT workflow: cbench jobs -> analysis jobs -> cinema. ---
   // "threads" is the intra-field knob (1 serial / 0 global / N dedicated);
@@ -264,16 +299,12 @@ PipelineSummary run_pipeline(const json::Value& config) {
     });
   }
 
-  if (do_halo && dataset_type == "hacc") {
+  if (do_halo) {
     workflow.add("analysis-halo-finder", cbench_job_names, [&] {
-      analysis::FofParams fof_params;
-      fof_params.linking_length = analysis_cfg.get("linking_length", 1.5);
-      fof_params.min_members =
-          static_cast<std::size_t>(analysis_cfg.get("min_members", 10.0));
       const auto& x = dataset.find("x").field.data;
       const auto& y = dataset.find("y").field.data;
       const auto& z = dataset.find("z").field.data;
-      const auto original = analysis::fof(x, y, z, fof_params, intra_pool);
+      const auto original = analysis::fof(x, y, z, halo_fof, intra_pool);
       // Binning and original mass function are shared by every comparison.
       std::optional<analysis::HaloBaseline> baseline;
       if (!original.halos.empty()) {
@@ -295,7 +326,7 @@ PipelineSummary run_pipeline(const json::Value& config) {
           continue;
         }
         const auto recon = analysis::fof(recons[ix->second], recons[iy->second],
-                                         recons[iz->second], fof_params, intra_pool);
+                                         recons[iz->second], halo_fof, intra_pool);
         double deviation = 1.0;
         if (!recon.halos.empty() && baseline) {
           deviation = analysis::compare_halo_catalogs(*baseline, recon.halos)
@@ -311,48 +342,11 @@ PipelineSummary run_pipeline(const json::Value& config) {
   // its own evaluations), so it schedules alongside the other jobs.
   std::unique_ptr<Compressor> opt_codec;
   if (config.contains("optimizer")) {
-    const json::Value& opt_cfg = config.at("optimizer");
-    opt_codec = make_compressor(opt_cfg.at("compressor").as_string(), &sim);
-    OptimizerOptions opt_options;
-    opt_options.search = parse_search_mode(opt_cfg.get("search", std::string("exhaustive")));
-    opt_options.probes = count_knob(opt_cfg, "probes", 3.0);
-    opt_options.threads = count_knob(opt_cfg, "threads", 1.0);
-    opt_options.on_error = on_error;
-    const auto parse_configs = [&opt_cfg](const std::string& key) {
-      return opt_cfg.contains(key) ? parse_config_list(opt_cfg.at(key))
-                                   : std::vector<CompressorConfig>{};
-    };
-    workflow.add("optimizer", {}, [&, opt_options, parse_configs] {
-      Compressor& codec = *opt_codec;
-      if (dataset_type == "hacc") {
-        analysis::FofParams fof_params;
-        fof_params.linking_length = opt_cfg.get("linking_length", 1.5);
-        fof_params.min_members =
-            static_cast<std::size_t>(opt_cfg.get("min_members", 10.0));
-        auto pos = parse_configs("position_candidates");
-        auto vel = parse_configs("velocity_candidates");
-        if (pos.empty()) pos = default_position_candidates(codec.capabilities());
-        if (vel.empty()) {
-          vel = default_velocity_candidates(codec.capabilities(),
-                                            dataset.find("vx").field);
-        }
-        summary.optimization = optimize_particle_dataset(
-            dataset, codec, pos, vel, fof_params, opt_cfg.get("halo_tolerance", 0.05),
-            opt_cfg.get("velocity_tolerance", 0.05), opt_options);
-      } else {
-        const auto shared = parse_configs("candidates");
-        std::map<std::string, std::vector<CompressorConfig>> candidates;
-        for (const auto& variable : dataset.variables) {
-          if (variable.field.dims.rank() != 3) continue;
-          candidates[variable.field.name] =
-              shared.empty()
-                  ? default_grid_candidates(codec.name(), variable.field)
-                  : shared;
-        }
-        summary.optimization = optimize_grid_dataset(
-            dataset, codec, candidates, opt_cfg.get("tolerance", 0.01),
-            opt_cfg.get("k_fraction", 0.5), opt_options);
-      }
+    OptimizeSpec spec = parse_optimize_spec(config.at("optimizer"));
+    spec.options.on_error = on_error;
+    opt_codec = make_compressor(spec.codec, &sim);
+    workflow.add("optimizer", {}, [&, spec = std::move(spec)] {
+      summary.optimization = optimize_dataset(dataset, *opt_codec, spec);
     });
   }
 
@@ -360,7 +354,7 @@ PipelineSummary run_pipeline(const json::Value& config) {
   std::vector<std::string> cinema_deps = cbench_job_names;
   if (do_pk) cinema_deps.push_back("analysis-power-spectrum");
   if (do_ssim) cinema_deps.push_back("analysis-ssim");
-  if (do_halo && dataset_type == "hacc") cinema_deps.push_back("analysis-halo-finder");
+  if (do_halo) cinema_deps.push_back("analysis-halo-finder");
   const bool do_cinema = config.get("cinema", false);
   if (do_cinema) {
     workflow.add("cinema", cinema_deps, [&] {

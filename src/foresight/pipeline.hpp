@@ -11,13 +11,14 @@
 /// {
 ///   "output": "out/foresight_run",
 ///   "dataset": {"type": "nyx"|"hacc", "dim": 64, "particles": 100000,
-///               "seed": 42},
+///               "seed": 42},  // or {"type": "file", "path": ...}
 ///   "gpu": "Tesla V100",
 ///   "runs": [
 ///     {"compressor": "cuzfp", "fields": ["baryon_density"],
 ///      "configs": [{"mode": "rate", "value": 4}, ...]}
 ///   ],
-///   "analysis": {"power_spectrum": true, "halo_finder": false,
+///   "analysis": {"power_spectrum": true,
+///                "halo_finder": false,  // runs on particle data only
 ///                "linking_length": 1.5, "min_members": 10},
 ///   "cinema": true,
 ///   "jobs": 4,     // workflow-level parallelism (jobs run concurrently)
@@ -45,20 +46,22 @@
 ///     "io_failure_every": 0,         // every Nth io::load/save fails
 ///     "io_failure_probability": 0.0
 ///   },
-///   "optimizer": {  // Section V-D best-fit search (absent = stage off)
+///   "optimizer": {  // Section V-D best-fit search (absent = stage off).
+///                   // Grid vs particle search is decided from the data: a
+///                   // container with x, y, z, vx, vy, vz is particle data.
 ///     "compressor": "sz-cpu",
 ///     "search": "exhaustive"|"guided",
 ///     "probes": 3,        // guided: full evals per probe batch
 ///     "threads": 1,       // candidate-eval workers (1/0/N convention)
 ///     "tolerance": 0.01,  // grid P(k) band
 ///     "k_fraction": 0.5,
-///     "halo_tolerance": 0.05,      // hacc only
+///     "halo_tolerance": 0.05,      // particle data only
 ///     "velocity_tolerance": 0.05,
 ///     "linking_length": 1.5,
 ///     "min_members": 10,
 ///     "candidates": [{"mode": "abs", "value": 0.1}, ...],  // grid; default:
 ///                                                  // the codec's registry sweep
-///     "position_candidates": [...],  // hacc; default: paper's HACC lattices
+///     "position_candidates": [...],  // particles; default: paper's HACC lattices
 ///     "velocity_candidates": [...]
 ///   }
 /// }

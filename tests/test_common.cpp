@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "../bench/bench_util.hpp"
 #include "common/cli.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/field.hpp"
 #include "common/str.hpp"
@@ -79,7 +79,7 @@ TEST(Str, Join) {
 TEST(Timer, MeasuresElapsedTime) {
   Timer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(t.seconds(), 0.0);
   EXPECT_GE(t.millis(), 0.0);
 }
@@ -146,13 +146,45 @@ TEST(Cli, CountRejectsEverythingElseNamingTheFlag) {
   }
 }
 
+TEST(Cli, IntAndDoubleRejectBadTextNamingTheFlag) {
+  const char* argv[] = {"prog", "--priority", "-3", "--value=1e-3", "--tolerance", "2.5"};
+  CliArgs good(6, argv);
+  EXPECT_EQ(good.get_int("priority", 1), -3);
+  EXPECT_DOUBLE_EQ(good.get_double("value", 0.1), 1e-3);
+  EXPECT_DOUBLE_EQ(good.get_double("tolerance", 0.01), 2.5);
+  EXPECT_EQ(good.get_int("missing", 7), 7);
+
+  const auto expect_rejected = [](const char* bad, bool as_int) {
+    const char* bad_argv[] = {"prog", bad};
+    CliArgs args(2, bad_argv);
+    try {
+      if (as_int) {
+        (void)args.get_int("flag", 1);
+      } else {
+        (void)args.get_double("flag", 0.1);
+      }
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("--flag"), std::string::npos) << e.what();
+    }
+  };
+  for (const char* bad : {"--flag=high", "--flag=", "--flag=12x", "--flag=1.5", "--flag= 3",
+                          "--flag=99999999999999999999"}) {
+    expect_rejected(bad, true);
+  }
+  for (const char* bad : {"--flag=abc", "--flag=", "--flag=1e-3x", "--flag=inf", "--flag=nan",
+                          "--flag=1e999", "--flag= 1"}) {
+    expect_rejected(bad, false);
+  }
+}
+
 TEST(Env, FallbackBehaviour) {
-  EXPECT_EQ(env_size("COSMO_TEST_UNSET_VAR", 17u), 17u);
+  EXPECT_EQ(bench::env_size("COSMO_TEST_UNSET_VAR", 17u), 17u);
   ::setenv("COSMO_TEST_SET_VAR", "64", 1);
-  EXPECT_EQ(env_size("COSMO_TEST_SET_VAR", 17u), 64u);
+  EXPECT_EQ(bench::env_size("COSMO_TEST_SET_VAR", 17u), 64u);
   ::setenv("COSMO_TEST_BAD_VAR", "zzz", 1);
-  EXPECT_EQ(env_size("COSMO_TEST_BAD_VAR", 17u), 17u);
-  EXPECT_EQ(env_string("COSMO_TEST_UNSET_VAR", "x"), "x");
+  EXPECT_EQ(bench::env_size("COSMO_TEST_BAD_VAR", 17u), 17u);
+  EXPECT_EQ(bench::env_string("COSMO_TEST_UNSET_VAR", "x"), "x");
 }
 
 TEST(Dims, RankAndCount) {

@@ -689,10 +689,10 @@ TEST(ForesightdProtocolV2, ParseProtoAcceptsMajorDotMinor) {
   EXPECT_EQ(foresightd::parse_proto("2"), (std::pair<int, int>{2, 0}));
   EXPECT_EQ(foresightd::parse_proto("2.0"), (std::pair<int, int>{2, 0}));
   EXPECT_EQ(foresightd::parse_proto("1.7"), (std::pair<int, int>{1, 7}));
-  EXPECT_THROW(foresightd::parse_proto(""), FormatError);
-  EXPECT_THROW(foresightd::parse_proto("two"), FormatError);
-  EXPECT_THROW(foresightd::parse_proto("2.x"), FormatError);
-  EXPECT_THROW(foresightd::parse_proto("-1"), FormatError);
+  EXPECT_THROW((void)foresightd::parse_proto(""), FormatError);
+  EXPECT_THROW((void)foresightd::parse_proto("two"), FormatError);
+  EXPECT_THROW((void)foresightd::parse_proto("2.x"), FormatError);
+  EXPECT_THROW((void)foresightd::parse_proto("-1"), FormatError);
 }
 
 TEST(ForesightdProtocolV2, DaemonServesOnlyCurrentMajor) {
@@ -1246,7 +1246,7 @@ TEST(ForesightdStreaming, HelloAdvertisesLimitsOnBothTransports) {
   Daemon daemon(options);
   daemon.start();
   ASSERT_GT(daemon.bound_tcp_port(), 0);
-  for (const std::string endpoint :
+  for (const std::string& endpoint :
        {options.socket_path, "tcp:127.0.0.1:" + std::to_string(daemon.bound_tcp_port())}) {
     Client client(endpoint);
     const HelloReply hello = client.hello();
@@ -1270,7 +1270,7 @@ TEST(ForesightdStreaming, TcpAndUnixStreamedResponsesByteIdentical) {
   Daemon daemon(options);
   daemon.start();
   std::vector<std::vector<std::uint8_t>> streams;
-  for (const std::string endpoint :
+  for (const std::string& endpoint :
        {options.socket_path, "tcp:127.0.0.1:" + std::to_string(daemon.bound_tcp_port())}) {
     Client client(endpoint);
     // Upload the raw field, then compress it as an inline dataset. The

@@ -111,7 +111,7 @@ TEST(Container, FindByName) {
   v.field = Field("vx", Dims::d1(4), {1, 2, 3, 4});
   c.variables.push_back(v);
   EXPECT_EQ(c.find("vx").field.data.size(), 4u);
-  EXPECT_THROW(c.find("vy"), InvalidArgument);
+  EXPECT_THROW((void)c.find("vy"), InvalidArgument);
   EXPECT_EQ(c.payload_bytes(), 16u);
 }
 

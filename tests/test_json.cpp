@@ -43,7 +43,9 @@ TEST(Json, StringEscapes) {
       s[at] = special;
       s += "\xC3\xA9 tail";
       const std::string dumped = Value(s).dump();
-      EXPECT_EQ(dumped, "\"" + s.substr(0, at) + escaped + s.substr(at + 1) + "\"");
+      std::string expected = "\"";
+      expected += s.substr(0, at) + escaped + s.substr(at + 1) + "\"";
+      EXPECT_EQ(dumped, expected);
       EXPECT_EQ(parse(dumped).as_string(), s) << "special " << int(special) << " at " << at;
     }
   }
@@ -111,8 +113,8 @@ TEST(Json, MalformedInputsThrow) {
 
 TEST(Json, TypeMismatchThrows) {
   const Value v = parse("[1]");
-  EXPECT_THROW(v.as_object(), FormatError);
-  EXPECT_THROW(v.as_string(), FormatError);
+  EXPECT_THROW((void)v.as_object(), FormatError);
+  EXPECT_THROW((void)v.as_string(), FormatError);
   try {
     (void)parse("{}").at("missing");
     ADD_FAILURE() << "at() accepted a missing key";

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "codec/lzss.hpp"
 #include "common/error.hpp"
 #include "lzss_reference.hpp"
@@ -64,9 +66,10 @@ TEST(Lzss, OverlappingMatchesDecodeCorrectly) {
 TEST(Lzss, LongRangeMatchWithinWindow) {
   Rng rng(23);
   auto block = random_bytes(rng, 800, 256);
-  std::vector<std::uint8_t> input = block;
-  input.insert(input.end(), 30000, 7);  // filler
-  input.insert(input.end(), block.begin(), block.end());  // repeat within 64K window
+  // block, 30000 filler bytes, then block again: a repeat within the 64K window.
+  std::vector<std::uint8_t> input(2 * block.size() + 30000, 7);
+  std::copy(block.begin(), block.end(), input.begin());
+  std::copy(block.begin(), block.end(), input.end() - static_cast<std::ptrdiff_t>(block.size()));
   const auto encoded = lzss_encode(input);
   EXPECT_EQ(lzss_decode(encoded), input);
 }

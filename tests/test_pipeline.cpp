@@ -3,8 +3,10 @@
 #include <filesystem>
 #include <fstream>
 
+#include "cosmo/hacc_synth.hpp"
 #include "cosmo/nyx_synth.hpp"
 #include "foresight/pipeline.hpp"
+#include "foresight/sweep.hpp"
 
 namespace cosmo::foresight {
 namespace {
@@ -134,6 +136,90 @@ TEST(Pipeline, FileDatasetRoundTrip) {
   std::filesystem::remove_all(out_dir);
 }
 
+TEST(Pipeline, HaccFileDatasetGetsParticleSearchAndHaloAnalysis) {
+  // Particle vs grid is decided from the data, so a HACC container loaded
+  // from disk gets the same stages as a generated one.
+  const std::string out_dir = temp_dir("pipeline_hacc_file");
+  std::filesystem::create_directories(out_dir);
+  {
+    HaccConfig hacc;
+    hacc.particles = 8000;
+    hacc.halo_count = 8;
+    io::save(generate_hacc(hacc), out_dir + "/snapshot.gio", io::Dialect::kGenericIo);
+  }
+  const json::Value config = json::parse(R"({
+    "output": ")" + out_dir + R"(",
+    "dataset": {"type": "file", "path": ")" + out_dir + R"(/snapshot.gio"},
+    "runs": [
+      {"compressor": "sz-cpu", "fields": ["x", "y", "z"],
+       "configs": [{"mode": "abs", "value": 0.005}]}
+    ],
+    "analysis": {"halo_finder": true, "linking_length": 1.2, "min_members": 15},
+    "optimizer": {"compressor": "sz-cpu", "linking_length": 1.2, "min_members": 15}
+  })");
+  const PipelineSummary summary = run_pipeline(config);
+  EXPECT_TRUE(summary.workflow_ok);
+  ASSERT_TRUE(summary.optimization.has_value());
+  ASSERT_EQ(summary.optimization->per_field.size(), 2u);
+  EXPECT_EQ(summary.optimization->per_field[0].field, "position");
+  EXPECT_EQ(summary.optimization->per_field[1].field, "velocity");
+  ASSERT_EQ(summary.halo_deviation.size(), 1u);
+  EXPECT_LT(summary.halo_deviation.begin()->second, 0.05);
+  std::filesystem::remove_all(out_dir);
+}
+
+void expect_same_search(const OptimizationResult& direct, const OptimizationResult& via) {
+  ASSERT_EQ(direct.per_field.size(), via.per_field.size());
+  for (std::size_t i = 0; i < direct.per_field.size(); ++i) {
+    const FieldChoice& a = direct.per_field[i];
+    const FieldChoice& b = via.per_field[i];
+    EXPECT_EQ(a.field, b.field);
+    EXPECT_EQ(a.found, b.found) << a.field;
+    EXPECT_EQ(a.chosen.config.label(), b.chosen.config.label()) << a.field;
+    EXPECT_EQ(a.chosen.ratio, b.chosen.ratio) << a.field;
+    EXPECT_EQ(a.candidates.size(), b.candidates.size()) << a.field;
+  }
+  EXPECT_EQ(direct.overall_ratio, via.overall_ratio);
+  EXPECT_EQ(direct.all_fields_ok, via.all_fields_ok);
+  EXPECT_EQ(direct.stats.candidates, via.stats.candidates);
+  EXPECT_EQ(direct.stats.full_evals, via.stats.full_evals);
+  EXPECT_EQ(direct.stats.probes, via.stats.probes);
+  EXPECT_EQ(direct.stats.pruned, via.stats.pruned);
+  EXPECT_EQ(direct.stats.skipped, via.stats.skipped);
+  EXPECT_EQ(direct.stats.failed, via.stats.failed);
+  EXPECT_EQ(direct.stats.rate_estimates, via.stats.rate_estimates);
+  EXPECT_EQ(direct.stats.baseline_cache_hits, via.stats.baseline_cache_hits);
+}
+
+TEST(Pipeline, OptimizeDatasetMatchesTheKernelsWithTheDefaults) {
+  const auto codec = make_compressor("sz-cpu");
+  OptimizeSpec spec;
+  spec.codec = "sz-cpu";
+
+  const io::Container nyx = build_dataset(json::parse(R"({"type": "nyx", "dim": 16})"));
+  std::map<std::string, std::vector<CompressorConfig>> grid;
+  for (const auto& variable : nyx.variables) {
+    grid[variable.field.name] = default_grid_candidates("sz-cpu", variable.field);
+  }
+  const auto nyx_via = optimize_dataset(nyx, *codec, spec);
+  ASSERT_EQ(nyx_via.per_field.size(), 6u);
+  expect_same_search(optimize_grid_dataset(nyx, *codec, grid, 0.01, 0.5), nyx_via);
+
+  const io::Container hacc = build_dataset(
+      json::parse(R"({"type": "hacc", "particles": 8000, "halo_count": 8})"));
+  analysis::FofParams fof;
+  fof.linking_length = 1.5;
+  fof.min_members = 10;
+  const auto& caps = codec->capabilities();
+  const auto hacc_via = optimize_dataset(hacc, *codec, spec);
+  ASSERT_EQ(hacc_via.per_field.size(), 2u);
+  expect_same_search(
+      optimize_particle_dataset(hacc, *codec, default_position_candidates(caps),
+                                default_velocity_candidates(caps, hacc.find("vx").field),
+                                fof, 0.05, 0.05),
+      hacc_via);
+}
+
 TEST(Pipeline, UnknownDatasetTypeRejected) {
   const json::Value config = json::parse(R"({
     "dataset": {"type": "mystery"},
@@ -155,6 +241,9 @@ TEST(Pipeline, CountKnobsMustBeNonNegativeIntegers) {
        {R"("threads": -1)", R"("jobs": -1)", R"("threads": 1.5)",
         R"("optimizer": {"compressor": "zfp-cpu", "threads": -1})",
         R"("optimizer": {"compressor": "zfp-cpu", "probes": -1})",
+        R"("optimizer": {"compressor": "zfp-cpu", "min_members": -1})",
+        R"("optimizer": {"compressor": "zfp-cpu", "min_members": 2.5})",
+        R"("analysis": {"min_members": -1})", R"("analysis": {"min_members": 2.5})",
         R"("telemetry": {"trace": true, "trace_capacity": -1})",
         R"("telemetry": {"trace": true, "trace_capacity": 1e12})",
         R"("faults": {"seed": -1})", R"("faults": {"gpu_transient_every": 2.5})",

@@ -49,8 +49,12 @@ TEST(PwRel, SignsPreserved) {
   params.pw_rel_bound = 0.1;
   const auto recon = decompress_pwrel(compress_pwrel(data, dims, params));
   for (std::size_t i = 0; i < data.size(); ++i) {
-    if (data[i] > 0.0f) EXPECT_GT(recon[i], 0.0f) << i;
-    if (data[i] < 0.0f) EXPECT_LT(recon[i], 0.0f) << i;
+    if (data[i] > 0.0f) {
+      EXPECT_GT(recon[i], 0.0f) << i;
+    }
+    if (data[i] < 0.0f) {
+      EXPECT_LT(recon[i], 0.0f) << i;
+    }
   }
 }
 

@@ -151,7 +151,9 @@ TEST(ZfpInts, TruncatedBudgetIsPrefixDecodable) {
       max_err = std::max(max_err, std::fabs(static_cast<double>(uint2int(out[i])) -
                                             static_cast<double>(uint2int(data[i]))));
     }
-    if (prev_err >= 0.0) EXPECT_LE(max_err, prev_err * 2.0) << "budget " << budget;
+    if (prev_err >= 0.0) {
+      EXPECT_LE(max_err, prev_err * 2.0) << "budget " << budget;
+    }
     prev_err = max_err;
   }
   // With a full budget the reconstruction is exact.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo health check: fails if build artifacts are tracked, then does a fresh
-# out-of-tree build with -Wall -Wextra and runs the full test suite.
+# out-of-tree build with -Wall -Wextra -Werror and runs the full test suite.
 #
 # Usage: tools/check.sh [build-dir]   (default: build-check)
 #        tools/check.sh --tsan [build-dir]
@@ -128,6 +128,12 @@ case "${mode}" in
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-Wall -Wextra -fsanitize=undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined,float-cast-overflow -fno-sanitize-recover=all"
+    ;;
+  plain)
+    # Warnings fail the plain build, so they cannot accumulate.
+    cmake -B "${build_dir}" -S "${repo_root}" \
+      -DCMAKE_BUILD_TYPE=Release \
+      -DCMAKE_CXX_FLAGS="-Wall -Wextra -Werror"
     ;;
   *)
     cmake -B "${build_dir}" -S "${repo_root}" \

@@ -29,15 +29,12 @@
 #include "common/cli.hpp"
 #include "common/str.hpp"
 #include "cosmo/dataset_info.hpp"
-#include "cosmo/hacc_synth.hpp"
-#include "cosmo/nyx_synth.hpp"
 #include "foresight/cbench.hpp"
 #include "foresight/optimizer.hpp"
 #include "foresight/pipeline.hpp"
 #include "foresight/report.hpp"
-#include "foresight/sweep.hpp"
+#include "foresightd/api.hpp"
 #include "foresightd/client.hpp"
-#include "foresightd/protocol.hpp"
 #include "json/json.hpp"
 #include "gpu/specs.hpp"
 #include "sz/rate_estimate.hpp"
@@ -68,8 +65,22 @@ int usage() {
                "  daemon submit --socket ENDPOINT --codec NAME [--job roundtrip|compress]\n"
                "      (ENDPOINT: a unix socket path or tcp:HOST:PORT)\n"
                "         [--mode M --value V] [--type nyx|hacc] [--dim N] [--particles N]\n"
-               "         [--seed S] [--field NAME] [--deadline SECONDS] [--priority P]\n");
+               "         [--seed S] [--field NAME] [--deadline SECONDS] [--priority P]\n"
+               "dataset defaults (generate, optimize, daemon submit): --type nyx;\n"
+               "  nyx --dim 64 --seed 42; hacc --particles 100000 --seed 7\n");
   return 2;
+}
+
+/// The dataset the flags describe: --input F is {"type": "file", "path": F},
+/// else --type (nyx) with whichever of --dim, --particles and --seed were
+/// given. build_dataset (here or in foresightd) supplies every default.
+json::Value dataset_spec(const CliArgs& args) {
+  if (args.has("input")) return foresightd::file_dataset(args.get("input", ""));
+  json::Object spec{{"type", args.get("type", "nyx")}};
+  for (const char* knob : {"dim", "particles", "seed"}) {
+    if (args.has(knob)) spec[knob] = static_cast<double>(args.get_count(knob, 0));
+  }
+  return json::Value(std::move(spec));
 }
 
 int cmd_devices() {
@@ -112,32 +123,17 @@ int cmd_codecs() {
 }
 
 int cmd_generate(const CliArgs& args) {
-  const std::string type = args.get("type", "nyx");
   const std::string out = args.get("out", "");
   if (out.empty()) {
     std::fprintf(stderr, "generate: --out is required\n");
     return 2;
   }
-  if (type == "nyx") {
-    NyxConfig config;
-    config.dim = args.get_count("dim", 64);
-    config.seed = args.get_count("seed", 42);
-    const auto c = generate_nyx(config);
-    io::save(c, out, io::Dialect::kHdf5Lite);
-    std::printf("wrote %s (%s)\n", out.c_str(), human_bytes(c.payload_bytes()).c_str());
-    return 0;
-  }
-  if (type == "hacc") {
-    HaccConfig config;
-    config.particles = args.get_count("particles", 200000);
-    config.seed = args.get_count("seed", 7);
-    const auto c = generate_hacc(config);
-    io::save(c, out, io::Dialect::kGenericIo);
-    std::printf("wrote %s (%s)\n", out.c_str(), human_bytes(c.payload_bytes()).c_str());
-    return 0;
-  }
-  std::fprintf(stderr, "generate: unknown type '%s'\n", type.c_str());
-  return 2;
+  const auto c = foresight::build_dataset(dataset_spec(args));
+  io::save(c, out,
+           foresight::is_particle_container(c) ? io::Dialect::kGenericIo
+                                               : io::Dialect::kHdf5Lite);
+  std::printf("wrote %s (%s)\n", out.c_str(), human_bytes(c.payload_bytes()).c_str());
+  return 0;
 }
 
 int cmd_info(const CliArgs& args) {
@@ -218,70 +214,29 @@ int cmd_estimate(const CliArgs& args) {
   return 0;
 }
 
-/// Detects a HACC-style particle container: position and velocity triples.
-bool is_particle_container(const io::Container& data) {
-  std::size_t found = 0;
-  for (const auto& v : data.variables) {
-    if (v.field.name == "x" || v.field.name == "y" || v.field.name == "z" ||
-        v.field.name == "vx" || v.field.name == "vy" || v.field.name == "vz") {
-      ++found;
-    }
-  }
-  return found == 6;
-}
-
 int cmd_optimize(const CliArgs& args) {
-  const std::string codec_name = args.get("codec", "");
-  if (codec_name.empty()) {
+  foresight::OptimizeSpec spec;
+  spec.codec = args.get("codec", "");
+  if (spec.codec.empty()) {
     std::fprintf(stderr, "optimize: --codec is required\n");
     return 2;
   }
-  foresight::OptimizerOptions options;
-  options.search = foresight::parse_search_mode(args.get("search", "exhaustive"));
-  options.probes = args.get_count("probes", 3);
-  options.threads = args.get_count("threads", 1);
+  foresight::OptimizerOptions& options = spec.options;
+  options.search = foresight::parse_search_mode(
+      args.get("search", foresight::search_mode_label(options.search)));
+  options.probes = args.get_count("probes", options.probes);
+  options.threads = args.get_count("threads", options.threads);
+  spec.tolerance = args.get_double("tolerance", spec.tolerance);
+  spec.k_fraction = args.get_double("k-fraction", spec.k_fraction);
+  spec.halo_tolerance = args.get_double("halo-tolerance", spec.halo_tolerance);
+  spec.velocity_tolerance = args.get_double("velocity-tolerance", spec.velocity_tolerance);
+  spec.fof.linking_length = args.get_double("linking-length", spec.fof.linking_length);
+  spec.fof.min_members = args.get_count("min-members", spec.fof.min_members);
 
-  io::Container data;
-  const std::string input = args.get("input", "");
-  if (!input.empty()) {
-    data = io::load(input);
-  } else if (args.get("type", "nyx") == "hacc") {
-    HaccConfig config;
-    config.particles = args.get_count("particles", 200000);
-    config.seed = args.get_count("seed", 7);
-    data = generate_hacc(config);
-  } else {
-    NyxConfig config;
-    config.dim = args.get_count("dim", 64);
-    config.seed = args.get_count("seed", 42);
-    data = generate_nyx(config);
-  }
-
+  const io::Container data = foresight::build_dataset(dataset_spec(args));
   gpu::GpuSimulator sim(gpu::find_device(args.get("gpu", "Tesla V100")));
-  const auto codec = foresight::make_compressor(codec_name, &sim);
-
-  foresight::OptimizationResult result;
-  if (is_particle_container(data)) {
-    analysis::FofParams fof_params;
-    fof_params.linking_length = args.get_double("linking-length", 1.5);
-    fof_params.min_members = args.get_count("min-members", 10);
-    result = foresight::optimize_particle_dataset(
-        data, *codec, foresight::default_position_candidates(codec->capabilities()),
-        foresight::default_velocity_candidates(codec->capabilities(),
-                                               data.find("vx").field),
-        fof_params, args.get_double("halo-tolerance", 0.05),
-        args.get_double("velocity-tolerance", 0.05), options);
-  } else {
-    std::map<std::string, std::vector<foresight::CompressorConfig>> candidates;
-    for (const auto& variable : data.variables) {
-      if (variable.field.dims.rank() != 3) continue;
-      candidates[variable.field.name] =
-          foresight::default_grid_candidates(codec_name, variable.field);
-    }
-    result = foresight::optimize_grid_dataset(data, *codec, candidates,
-                                              args.get_double("tolerance", 0.01),
-                                              args.get_double("k-fraction", 0.5), options);
-  }
+  const auto codec = foresight::make_compressor(spec.codec, &sim);
+  const auto result = foresight::optimize_dataset(data, *codec, spec);
   std::printf("search mode: %s\n%s", foresight::search_mode_label(options.search).c_str(),
               foresight::format_optimization(result).c_str());
   return result.all_fields_ok ? 0 : 1;
@@ -411,43 +366,20 @@ int cmd_daemon(const CliArgs& args) {
   } else if (action == "shutdown") {
     reply = client.shutdown();
   } else if (action == "submit") {
-    const std::string job = args.get("job", "roundtrip");
-    json::Value dataset;
-    {
-      json::Object spec;
-      spec["type"] = args.get("type", "nyx");
-      if (spec["type"] == json::Value("hacc")) {
-        spec["particles"] = args.get_count("particles", 100000);
-      } else {
-        spec["dim"] = args.get_count("dim", 32);
-      }
-      spec["seed"] = args.get_count("seed", 42);
-      dataset = json::Value(std::move(spec));
+    // Compress and roundtrip jobs carry the same fields; only the type differs.
+    const foresightd::CompressRequest request{
+        .codec = args.get("codec", "sz-cpu"),
+        .mode = args.get("mode", "abs"),
+        .value = args.get_double("value", 0.1),
+        .dataset = dataset_spec(args),
+        .field = args.get("field", "baryon_density"),
+        .options = {.deadline_seconds = args.get_double("deadline", 0.0),
+                    .priority = static_cast<int>(args.get_int("priority", 1))}};
+    foresightd::JobRequest wire = request.to_request(1);
+    if (args.get("job", "roundtrip") != "compress") {
+      wire.type = foresightd::RequestType::kRoundtrip;
     }
-    foresightd::JobOptions options;
-    options.deadline_seconds = args.get_double("deadline", 0.0);
-    options.priority = static_cast<int>(args.get_int("priority", 1));
-
-    foresightd::JobReply typed;
-    if (job == "compress") {
-      foresightd::CompressRequest request;
-      request.codec = args.get("codec", "sz-cpu");
-      request.mode = args.get("mode", "abs");
-      request.value = args.get_double("value", 0.1);
-      request.dataset = dataset;
-      request.field = args.get("field", "baryon_density");
-      request.options = options;
-      typed = client.call_reply(request.to_request(1));
-    } else {
-      foresightd::RoundtripRequest request;
-      request.codec = args.get("codec", "sz-cpu");
-      request.mode = args.get("mode", "abs");
-      request.value = args.get_double("value", 0.1);
-      request.dataset = dataset;
-      request.field = args.get("field", "baryon_density");
-      request.options = options;
-      typed = client.call_reply(request.to_request(1));
-    }
+    const foresightd::JobReply typed = client.call_reply(wire);
     std::printf("%s\n", typed.raw.dump(2).c_str());
     return typed.ok() ? 0 : 1;
   } else {
