@@ -8,7 +8,7 @@
 
 #include "bench_util.hpp"
 #include "foresight/cinema.hpp"
-#include "gpu/device_compressor.hpp"
+#include "gpu/sim.hpp"
 
 using namespace cosmo;
 
@@ -42,8 +42,8 @@ int main() {
         static_cast<std::uint64_t>(static_cast<double>(raw) * rate / 32.0);
     const double ratio = static_cast<double>(raw) / static_cast<double>(cbytes);
 
-    const double comp_kernel = sim.zfp_compress_kernel_gbps(rate);
-    const double dec_kernel = sim.zfp_decompress_kernel_gbps(rate);
+    const double comp_kernel = sim.kernel_rates("zfp", rate).compress_gbps;
+    const double dec_kernel = sim.kernel_rates("zfp", rate).decompress_gbps;
     const double comp_overall =
         static_cast<double>(raw) /
         sim.model_compression(raw, cbytes, comp_kernel).total() / 1e9;

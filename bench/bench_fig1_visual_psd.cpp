@@ -9,7 +9,7 @@
 #include "analysis/stats.hpp"
 #include "bench_util.hpp"
 #include "foresight/cinema.hpp"
-#include "gpu/device_compressor.hpp"
+#include "foresight/compressor.hpp"
 #include "io/ppm.hpp"
 
 int main() {
@@ -20,7 +20,8 @@ int main() {
   const Field& rho = nyx.find("baryon_density").field;
 
   gpu::GpuSimulator sim(gpu::find_device("Tesla V100"));
-  gpu::GpuSzDevice device(sim);
+  const auto gpu_sz = foresight::make_compressor("gpu-sz", &sim);
+  const auto session = gpu_sz->open_session();
 
   const std::string dir = bench::out_dir() + "/fig1";
   foresight::ensure_directory(dir);
@@ -36,8 +37,8 @@ int main() {
   std::printf("%-12s %8s %10s %16s\n", "PW_REL", "ratio", "PSNR(dB)", "max |pk-1|");
   std::printf("%s\n", std::string(50, '-').c_str());
   for (const double pwrel : {0.1, 0.25}) {
-    const auto c = device.compress_pwrel(rho.data, rho.dims, pwrel);
-    const auto d = device.decompress(c.bytes);
+    const auto c = session->compress(rho, {"pw_rel", pwrel});
+    auto d = session->decompress(c);
     Field recon(rho.name, rho.dims, std::move(d.values));
     io::write_ppm(io::render_slice(recon, rho.dims.nz / 2),
                   dir + strprintf("/recon_pwrel_%g.ppm", pwrel));

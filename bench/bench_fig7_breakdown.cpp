@@ -8,7 +8,7 @@
 
 #include "bench_util.hpp"
 #include "foresight/cinema.hpp"
-#include "gpu/device_compressor.hpp"
+#include "gpu/sim.hpp"
 
 using namespace cosmo;
 
@@ -52,12 +52,12 @@ int main() {
     row.bitrate = rate;
     const RunningStats comp_stats = gpu::measure_with_warmup([&] {
       row.comp = sim.model_compression(raw_bytes, compressed_bytes,
-                                       sim.zfp_compress_kernel_gbps(rate));
+                                       sim.kernel_rates("zfp", rate).compress_gbps);
       return row.comp.total();
     });
     const RunningStats decomp_stats = gpu::measure_with_warmup([&] {
       row.decomp = sim.model_decompression(raw_bytes, compressed_bytes,
-                                           sim.zfp_decompress_kernel_gbps(rate));
+                                           sim.kernel_rates("zfp", rate).decompress_gbps);
       return row.decomp.total();
     });
     row.comp_std_ms = comp_stats.stddev() * 1e3;

@@ -75,10 +75,10 @@ int main() {
     const auto compressed_bytes = static_cast<std::uint64_t>(
         static_cast<double>(gpu_field_bytes) * rate / 32.0);
     gpu_comp_s += sim.model_compression(gpu_field_bytes, compressed_bytes,
-                                        sim.zfp_compress_kernel_gbps(rate))
+                                        sim.kernel_rates("zfp", rate).compress_gbps)
                       .total();
     gpu_dec_s += sim.model_decompression(gpu_field_bytes, compressed_bytes,
-                                         sim.zfp_decompress_kernel_gbps(rate))
+                                         sim.kernel_rates("zfp", rate).decompress_gbps)
                      .total();
   }
 

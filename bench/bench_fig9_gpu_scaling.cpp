@@ -27,10 +27,10 @@ int main() {
     gpu::GpuSimulator sim(spec);
     // Paper methodology: warm up, then average over repeated runs.
     const auto comp_stats = gpu::measure_with_warmup([&] {
-      return sim.kernel_seconds(1'000'000'000, sim.zfp_compress_kernel_gbps(rate));
+      return sim.kernel_seconds(1'000'000'000, sim.kernel_rates("zfp", rate).compress_gbps);
     });
     const auto dec_stats = gpu::measure_with_warmup([&] {
-      return sim.kernel_seconds(1'000'000'000, sim.zfp_decompress_kernel_gbps(rate));
+      return sim.kernel_seconds(1'000'000'000, sim.kernel_rates("zfp", rate).decompress_gbps);
     });
     const double comp_gbps = 1.0 / comp_stats.mean();
     const double dec_gbps = 1.0 / dec_stats.mean();

@@ -18,9 +18,9 @@ int main() {
   std::printf("Derived cuZFP kernel-rate model (GB/s of uncompressed data):\n");
   std::printf("%-20s %14s %14s\n", "GPU", "comp @ rate 4", "decomp @ rate 4");
   for (const auto& spec : gpu::device_catalog()) {
-    gpu::GpuSimulator sim(spec);
-    std::printf("%-20s %14.1f %14.1f\n", spec.name.c_str(),
-                sim.zfp_compress_kernel_gbps(4.0), sim.zfp_decompress_kernel_gbps(4.0));
+    const auto rates = gpu::GpuSimulator(spec).kernel_rates("zfp", 4.0);
+    std::printf("%-20s %14.1f %14.1f\n", spec.name.c_str(), rates.compress_gbps,
+                rates.decompress_gbps);
   }
   std::printf("\nPCIe model shared by all devices: %.1f GB/s effective, %.0f us latency\n",
               gpu::kPcieGbps, gpu::kPcieLatency * 1e6);

@@ -1,10 +1,11 @@
 /// \file backoff.hpp
 /// \brief Deterministic, seedable retry backoff with decorrelating jitter.
 ///
-/// One shared schedule for every bounded-retry site (the GPU transient-fault
-/// retry in gpu/device_compressor.cpp, the foresightd job retries): delay
-/// for attempt k is the capped exponential min(base * 2^(k-1), max) scaled
-/// by a seeded jitter factor in [1 - jitter_fraction, 1]. The jitter is a
+/// One shared schedule for every bounded-retry site (the device session's
+/// transient-fault retry in foresight/compressor.cpp, the foresightd job
+/// retries): delay for attempt k is the capped exponential
+/// min(base * 2^(k-1), max) scaled by a seeded jitter factor in
+/// [1 - jitter_fraction, 1]. The jitter is a
 /// pure function of (seed, salt, attempt), so tests can assert exact delays
 /// while concurrent retry sequences with distinct salts draw decorrelated
 /// schedules — under load, N jobs hitting the same transient fault cannot

@@ -34,12 +34,11 @@ void CodecCapabilities::require_mode(const std::string& mode) const {
 }
 
 CodecRegistry& CodecRegistry::instance() {
-  // The hooks take the registry by reference: calling instance() from
-  // inside them would re-enter this initializer.
+  // The hook takes the registry by reference: calling instance() from
+  // inside it would re-enter this initializer.
   static CodecRegistry registry = [] {
     CodecRegistry r;
-    detail::register_paper_codecs(r);
-    detail::register_fz_codecs(r);
+    detail::register_builtin_codecs(r);
     return r;
   }();
   return registry;

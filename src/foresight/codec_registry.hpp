@@ -99,11 +99,11 @@ class CodecRegistry {
 };
 
 namespace detail {
-/// Registration hooks, called once from CodecRegistry::instance(). Static
-/// libraries drop unreferenced global initializers, so self-registration
-/// is routed through these explicit calls instead of static objects.
-void register_paper_codecs(CodecRegistry& registry);  // compressor.cpp
-void register_fz_codecs(CodecRegistry& registry);     // fz_compressor.cpp
+/// Registration hook (compressor.cpp), called once from
+/// CodecRegistry::instance(). Static libraries drop unreferenced global
+/// initializers, so self-registration is routed through this explicit call
+/// instead of static objects.
+void register_builtin_codecs(CodecRegistry& registry);
 }  // namespace detail
 
 }  // namespace cosmo::foresight

@@ -1,10 +1,25 @@
+/// \file compressor.cpp
+/// \brief The codec table and the two sessions every registered codec runs
+/// through.
+///
+/// Each codec is one row of a private table: its span names, its host
+/// compress/decompress kernels and the two device-model facts the row keeps
+/// to itself (the paper's 1-D -> 3-D reshape, and whether the device model
+/// is keyed on the requested rate). One Compressor class serves every row.
+/// Host rows (no kernel profile) open a HostSession, which times the kernel
+/// on the host clock. Device rows open a DeviceSession, which runs the same
+/// kernel once and models the device run on the GpuSimulator at the row's
+/// kernel_rates() profile (the paper's Fig. 7 method).
 #include "foresight/compressor.hpp"
 
-#include <algorithm>
+#include <chrono>
+#include <thread>
 
+#include "common/backoff.hpp"
 #include "common/str.hpp"
 #include "common/telemetry.hpp"
 #include "common/timer.hpp"
+#include "fz/fz.hpp"
 #include "sz/pwrel.hpp"
 #include "sz/sz.hpp"
 #include "zfp/zfp.hpp"
@@ -50,267 +65,51 @@ DecompressResult CodecSession::decompress(const CompressResult& compressed) {
 
 namespace {
 
-/// Rejects configs whose mode the codec does not register; the error lists
-/// the supported modes (CodecCapabilities::require_mode).
-void check_mode(const std::string& got, const char* codec) {
-  CodecRegistry::instance().capabilities(codec).require_mode(got);
+// ---------------------------------------------------------------------------
+// Host kernels: one compress/decompress pair per codec family
+// ---------------------------------------------------------------------------
+
+using CompressKernel = void (*)(std::span<const float> data, const Dims& dims,
+                                const CompressorConfig& config,
+                                std::vector<std::uint8_t>& out, ThreadPool* pool);
+using DecompressKernel = void (*)(std::span<const std::uint8_t> bytes,
+                                  std::vector<float>& out, ThreadPool* pool);
+
+void sz_compress(std::span<const float> data, const Dims& dims,
+                 const CompressorConfig& config, std::vector<std::uint8_t>& out,
+                 ThreadPool* pool) {
+  if (config.mode == "abs") {
+    sz::Params params;
+    params.abs_error_bound = config.value;
+    sz::compress_into(data, dims, params, out, nullptr, pool);
+  } else {
+    sz::PwRelParams params;
+    params.pw_rel_bound = config.value;
+    sz::compress_pwrel_into(data, dims, params, out, nullptr, pool);
+  }
 }
 
-/// Truncates a reconstruction back to the pre-padding length recorded at
-/// compression time (no-op when the length is unknown or already right).
-void drop_padding(const CompressResult& compressed, std::vector<float>& values) {
-  if (compressed.original_values != 0) values.resize(compressed.original_values);
+/// The GPU-SZ prototype is 3-D only, like the OpenMP original; its row
+/// reshapes 1-D fields first (paper Sec. IV-B4).
+void gpu_sz_compress(std::span<const float> data, const Dims& dims,
+                     const CompressorConfig& config, std::vector<std::uint8_t>& out,
+                     ThreadPool* pool) {
+  require(dims.rank() == 3, "gpu-sz: GPU-SZ supports only 3-D and reshaped 1-D data");
+  sz_compress(data, dims, config, out, pool);
 }
 
-/// Counts host fallbacks across all sessions; surfaced via --metrics-out.
-void count_cpu_fallback() {
-  telemetry::MetricsRegistry::instance().counter("codec.cpu_fallbacks").add();
+void sz_decompress(std::span<const std::uint8_t> bytes, std::vector<float>& out,
+                   ThreadPool* pool) {
+  if (sz::is_pwrel_stream(bytes)) {
+    sz::decompress_pwrel_into(bytes, out, nullptr, pool);
+  } else {
+    sz::decompress_into(bytes, out, nullptr, pool);
+  }
 }
 
-class GpuSzSession final : public CodecSession {
- public:
-  GpuSzSession(gpu::GpuSimulator& sim, ScratchArena* arena)
-      : CodecSession(arena), device_(sim) {}
-
-  void compress(const Field& field, const CompressorConfig& config,
-                CompressResult& out) override {
-    TRACE_SPAN("gpu-sz.compress");
-    check_mode(config.mode, "gpu-sz");
-    out.telemetry.reset_gpu();
-    out.throughput_reportable = gpu::GpuSzDevice::throughput_supported();
-    out.original_values = field.data.size();
-
-    ShapeAdapter shaped(field, arena());
-    dev_c_.bytes.swap(out.bytes);  // bring the caller's capacity in for reuse
-    try {
-      if (config.mode == "abs") {
-        device_.compress_abs_into(shaped.values(), shaped.dims(), config.value, dev_c_);
-      } else {
-        device_.compress_pwrel_into(shaped.values(), shaped.dims(), config.value, dev_c_);
-      }
-    } catch (const OutOfMemoryError&) {
-      // The job does not fit on the device; run the matching host codec
-      // (bit-identical stream) with measured wall time instead. Throughput
-      // stays non-reportable — the time no longer describes the device.
-      out.bytes.swap(dev_c_.bytes);
-      compress_on_host(shaped, config, out);
-      return;
-    }
-    out.bytes.swap(dev_c_.bytes);
-    out.telemetry.set_device(dev_c_.timing, dev_c_.attempts);
-  }
-
-  void decompress(const CompressResult& compressed, DecompressResult& out) override {
-    TRACE_SPAN("gpu-sz.decompress");
-    out.telemetry.reset_gpu();
-    dev_d_.values.swap(out.values);
-    try {
-      device_.decompress_into(compressed.bytes, dev_d_);
-    } catch (const OutOfMemoryError&) {
-      out.values.swap(dev_d_.values);
-      decompress_on_host(compressed, out);
-      return;
-    }
-    out.values.swap(dev_d_.values);
-    drop_padding(compressed, out.values);
-    out.telemetry.set_device(dev_d_.timing, dev_d_.attempts);
-  }
-
- private:
-  void compress_on_host(const ShapeAdapter& shaped, const CompressorConfig& config,
-                        CompressResult& out) {
-    TRACE_SPAN("gpu-sz.compress.host_fallback");
-    out.telemetry.mark_cpu_fallback();
-    out.throughput_reportable = false;
-    count_cpu_fallback();
-    Timer timer;
-    if (config.mode == "abs") {
-      sz::Params params;
-      params.abs_error_bound = config.value;
-      sz::compress_into(shaped.values(), shaped.dims(), params, out.bytes);
-    } else {
-      sz::PwRelParams params;
-      params.pw_rel_bound = config.value;
-      sz::compress_pwrel_into(shaped.values(), shaped.dims(), params, out.bytes);
-    }
-    out.telemetry.seconds = timer.seconds();
-  }
-
-  void decompress_on_host(const CompressResult& compressed, DecompressResult& out) {
-    TRACE_SPAN("gpu-sz.decompress.host_fallback");
-    out.telemetry.mark_cpu_fallback();
-    count_cpu_fallback();
-    Timer timer;
-    if (sz::is_pwrel_stream(compressed.bytes)) {
-      sz::decompress_pwrel_into(compressed.bytes, out.values);
-    } else {
-      sz::decompress_into(compressed.bytes, out.values);
-    }
-    drop_padding(compressed, out.values);
-    out.telemetry.seconds = timer.seconds();
-  }
-
-  gpu::GpuSzDevice device_;
-  gpu::DeviceCompressResult dev_c_;
-  gpu::DeviceDecompressResult dev_d_;
-};
-
-class GpuSzCompressor final : public Compressor {
- public:
-  explicit GpuSzCompressor(gpu::GpuSimulator& sim) : sim_(sim) {}
-
-  [[nodiscard]] const CodecCapabilities& capabilities() const override {
-    return CodecRegistry::instance().capabilities("gpu-sz");
-  }
-  /// The pool is ignored: modeled GPU timings draw from the simulator's
-  /// jitter stream and must stay call-order deterministic.
-  [[nodiscard]] std::unique_ptr<CodecSession> open_session(ScratchArena* arena,
-                                                          ThreadPool* /*pool*/) override {
-    TRACE_SPAN("session.open");
-    return std::make_unique<GpuSzSession>(sim_, arena);
-  }
-
- private:
-  gpu::GpuSimulator& sim_;
-};
-
-class CuZfpSession final : public CodecSession {
- public:
-  CuZfpSession(gpu::GpuSimulator& sim, ScratchArena* arena)
-      : CodecSession(arena), device_(sim) {}
-
-  void compress(const Field& field, const CompressorConfig& config,
-                CompressResult& out) override {
-    TRACE_SPAN("cuzfp.compress");
-    check_mode(config.mode, "cuzfp");
-    out.telemetry.reset_gpu();
-    out.throughput_reportable = true;
-    out.original_values = field.data.size();
-
-    // "the compression quality on the 1-D data is not as good as that on
-    // the converted 3-D data" — convert like the paper does.
-    ShapeAdapter shaped(field, arena());
-    dev_c_.bytes.swap(out.bytes);
-    try {
-      device_.compress_into(shaped.values(), shaped.dims(), config.value, dev_c_);
-    } catch (const OutOfMemoryError&) {
-      // Device-OOM: fixed-rate ZFP on the host emits the identical stream;
-      // record the fallback and stop reporting device throughput.
-      TRACE_SPAN("cuzfp.compress.host_fallback");
-      out.bytes.swap(dev_c_.bytes);
-      out.telemetry.mark_cpu_fallback();
-      out.throughput_reportable = false;
-      count_cpu_fallback();
-      zfp::Params params;
-      params.mode = zfp::Mode::kFixedRate;
-      params.rate = config.value;
-      Timer timer;
-      zfp::compress_into(shaped.values(), shaped.dims(), params, out.bytes);
-      out.telemetry.seconds = timer.seconds();
-      return;
-    }
-    out.bytes.swap(dev_c_.bytes);
-    out.telemetry.set_device(dev_c_.timing, dev_c_.attempts);
-  }
-
-  void decompress(const CompressResult& compressed, DecompressResult& out) override {
-    TRACE_SPAN("cuzfp.decompress");
-    out.telemetry.reset_gpu();
-    dev_d_.values.swap(out.values);
-    try {
-      device_.decompress_into(compressed.bytes, dev_d_);
-    } catch (const OutOfMemoryError&) {
-      TRACE_SPAN("cuzfp.decompress.host_fallback");
-      out.values.swap(dev_d_.values);
-      out.telemetry.mark_cpu_fallback();
-      count_cpu_fallback();
-      Timer timer;
-      zfp::decompress_into(compressed.bytes, out.values);
-      drop_padding(compressed, out.values);
-      out.telemetry.seconds = timer.seconds();
-      return;
-    }
-    out.values.swap(dev_d_.values);
-    drop_padding(compressed, out.values);
-    out.telemetry.set_device(dev_d_.timing, dev_d_.attempts);
-  }
-
- private:
-  gpu::CuZfpDevice device_;
-  gpu::DeviceCompressResult dev_c_;
-  gpu::DeviceDecompressResult dev_d_;
-};
-
-class CuZfpCompressor final : public Compressor {
- public:
-  explicit CuZfpCompressor(gpu::GpuSimulator& sim) : sim_(sim) {}
-
-  [[nodiscard]] const CodecCapabilities& capabilities() const override {
-    return CodecRegistry::instance().capabilities("cuzfp");
-  }
-  /// The pool is ignored: modeled GPU timings draw from the simulator's
-  /// jitter stream and must stay call-order deterministic.
-  [[nodiscard]] std::unique_ptr<CodecSession> open_session(ScratchArena* arena,
-                                                          ThreadPool* /*pool*/) override {
-    TRACE_SPAN("session.open");
-    return std::make_unique<CuZfpSession>(sim_, arena);
-  }
-
- private:
-  gpu::GpuSimulator& sim_;
-};
-
-class SzCpuSession final : public CodecSession {
- public:
-  SzCpuSession(ScratchArena* arena, ThreadPool* pool) : CodecSession(arena, pool) {}
-
-  void compress(const Field& field, const CompressorConfig& config,
-                CompressResult& out) override {
-    TRACE_SPAN("sz-cpu.compress");
-    check_mode(config.mode, "sz-cpu");
-    out.telemetry.reset_cpu();
-    out.throughput_reportable = true;
-    out.original_values = field.data.size();
-    Timer timer;
-    if (config.mode == "abs") {
-      sz::Params params;
-      params.abs_error_bound = config.value;
-      sz::compress_into(field.data, field.dims, params, out.bytes, nullptr, pool());
-    } else {
-      sz::PwRelParams params;
-      params.pw_rel_bound = config.value;
-      sz::compress_pwrel_into(field.data, field.dims, params, out.bytes, nullptr, pool());
-    }
-    out.telemetry.seconds = timer.seconds();
-  }
-
-  void decompress(const CompressResult& compressed, DecompressResult& out) override {
-    TRACE_SPAN("sz-cpu.decompress");
-    out.telemetry.reset_cpu();
-    Timer timer;
-    if (sz::is_pwrel_stream(compressed.bytes)) {
-      sz::decompress_pwrel_into(compressed.bytes, out.values, nullptr, pool());
-    } else {
-      sz::decompress_into(compressed.bytes, out.values, nullptr, pool());
-    }
-    drop_padding(compressed, out.values);
-    out.telemetry.seconds = timer.seconds();
-  }
-};
-
-class SzCpuCompressor final : public Compressor {
- public:
-  [[nodiscard]] const CodecCapabilities& capabilities() const override {
-    return CodecRegistry::instance().capabilities("sz-cpu");
-  }
-  [[nodiscard]] std::unique_ptr<CodecSession> open_session(ScratchArena* arena,
-                                                          ThreadPool* pool) override {
-    TRACE_SPAN("session.open");
-    return std::make_unique<SzCpuSession>(arena, pool);
-  }
-};
-
-zfp::Params zfp_params_for(const CompressorConfig& config) {
+void zfp_compress(std::span<const float> data, const Dims& dims,
+                  const CompressorConfig& config, std::vector<std::uint8_t>& out,
+                  ThreadPool* pool) {
   zfp::Params params;
   if (config.mode == "rate") {
     params.mode = zfp::Mode::kFixedRate;
@@ -322,64 +121,269 @@ zfp::Params zfp_params_for(const CompressorConfig& config) {
     params.mode = zfp::Mode::kFixedAccuracy;
     params.tolerance = config.value;
   }
-  return params;
+  zfp::compress_into(data, dims, params, out, nullptr, pool);
 }
 
-class ZfpCpuSession final : public CodecSession {
+void zfp_decompress(std::span<const std::uint8_t> bytes, std::vector<float>& out,
+                    ThreadPool* pool) {
+  zfp::decompress_into(bytes, out, nullptr, pool);
+}
+
+void fz_compress(std::span<const float> data, const Dims& dims,
+                 const CompressorConfig& config, std::vector<std::uint8_t>& out,
+                 ThreadPool* pool) {
+  fz::Params params;
+  params.abs_error_bound = config.value;
+  fz::compress_into(data, dims, params, out, nullptr, pool);
+}
+
+void fz_decompress(std::span<const std::uint8_t> bytes, std::vector<float>& out,
+                   ThreadPool* pool) {
+  fz::decompress_into(bytes, out, nullptr, pool);
+}
+
+// ---------------------------------------------------------------------------
+// The codec table
+// ---------------------------------------------------------------------------
+
+/// One registered codec. Whether it runs on the host or the simulated
+/// device is its CodecCapabilities::kernel_profile (empty = host).
+struct CodecRow {
+  const char* name;
+  const char* compress_span;  ///< string literals: the tracer keeps the pointer
+  const char* decompress_span;
+  CompressKernel compress;
+  DecompressKernel decompress;
+  /// The kernel sees 1-D fields as (ceil(n/64), 8, 8): the paper's dimension
+  /// conversion for GPU-SZ and cuZFP on HACC (ShapeAdapter).
+  bool reshape_1d;
+  /// The device model's compress bitrate is the requested rate (cuZFP's
+  /// fixed rate), not the achieved stream bitrate.
+  bool model_requested_rate;
+};
+
+constexpr CodecRow kCodecTable[] = {
+    {"gpu-sz", "gpu-sz.compress", "gpu-sz.decompress", gpu_sz_compress, sz_decompress,
+     true, false},
+    {"cuzfp", "cuzfp.compress", "cuzfp.decompress", zfp_compress, zfp_decompress, true,
+     true},
+    {"sz-cpu", "sz-cpu.compress", "sz-cpu.decompress", sz_compress, sz_decompress, false,
+     false},
+    {"zfp-cpu", "zfp-cpu.compress", "zfp-cpu.decompress", zfp_compress, zfp_decompress,
+     false, false},
+    {"fz-cpu", "fz-cpu.compress", "fz-cpu.decompress", fz_compress, fz_decompress, false,
+     false},
+    {"fz-gpu", "fz-gpu.compress", "fz-gpu.decompress", fz_compress, fz_decompress, false,
+     false},
+};
+
+// ---------------------------------------------------------------------------
+// The two sessions
+// ---------------------------------------------------------------------------
+
+/// Mode check, identity columns and \p row's compress kernel timed on the
+/// host clock (seconds land in out.telemetry). Returns the value count the
+/// kernel compressed, padding included.
+std::size_t run_compress(const CodecRow& row, const Field& field,
+                         const CompressorConfig& config, CompressResult& out,
+                         ScratchArena& arena, ThreadPool* pool) {
+  const CodecCapabilities& caps = CodecRegistry::instance().capabilities(row.name);
+  caps.require_mode(config.mode);
+  out.throughput_reportable = caps.throughput_reportable;
+  out.original_values = field.data.size();
+  const auto run = [&](std::span<const float> values, const Dims& dims) {
+    const Timer timer;
+    row.compress(values, dims, config, out.bytes, pool);
+    out.telemetry.seconds = timer.seconds();
+    return values.size();
+  };
+  if (!row.reshape_1d) return run(field.data, field.dims);
+  const ShapeAdapter shaped(field, arena);
+  return run(shaped.values(), shaped.dims());
+}
+
+/// \p row's decompress kernel timed on the host clock. The reconstruction
+/// keeps any reshape padding; drop_padding() removes it.
+void run_decompress(const CodecRow& row, const CompressResult& compressed,
+                    DecompressResult& out, ThreadPool* pool) {
+  const Timer timer;
+  row.decompress(compressed.bytes, out.values, pool);
+  out.telemetry.seconds = timer.seconds();
+}
+
+/// Truncates a reconstruction back to the pre-padding length recorded at
+/// compression time (no-op when the length is unknown or already right).
+void drop_padding(const CompressResult& compressed, std::vector<float>& values) {
+  if (compressed.original_values != 0) values.resize(compressed.original_values);
+}
+
+class HostSession final : public CodecSession {
  public:
-  ZfpCpuSession(ScratchArena* arena, ThreadPool* pool) : CodecSession(arena, pool) {}
+  HostSession(const CodecRow& row, ScratchArena* arena, ThreadPool* pool)
+      : CodecSession(arena, pool), row_(row) {}
 
   void compress(const Field& field, const CompressorConfig& config,
                 CompressResult& out) override {
-    TRACE_SPAN("zfp-cpu.compress");
-    check_mode(config.mode, "zfp-cpu");
+    TRACE_SPAN(row_.compress_span);
     out.telemetry.reset_cpu();
-    out.throughput_reportable = true;
-    out.original_values = field.data.size();
-    const zfp::Params params = zfp_params_for(config);
-    Timer timer;
-    zfp::compress_into(field.data, field.dims, params, out.bytes, nullptr, pool());
-    out.telemetry.seconds = timer.seconds();
+    run_compress(row_, field, config, out, arena(), pool());
   }
 
   void decompress(const CompressResult& compressed, DecompressResult& out) override {
-    TRACE_SPAN("zfp-cpu.decompress");
+    TRACE_SPAN(row_.decompress_span);
     out.telemetry.reset_cpu();
-    Timer timer;
-    zfp::decompress_into(compressed.bytes, out.values, nullptr, pool());
+    run_decompress(row_, compressed, out, pool());
     drop_padding(compressed, out.values);
-    out.telemetry.seconds = timer.seconds();
   }
+
+ private:
+  const CodecRow& row_;
 };
 
-class ZfpCpuCompressor final : public Compressor {
- public:
-  [[nodiscard]] const CodecCapabilities& capabilities() const override {
-    return CodecRegistry::instance().capabilities("zfp-cpu");
+/// Transient device faults are retried up to this many attempts in all.
+constexpr int kDeviceAttempts = 3;
+
+/// The wait between attempts: the shared seeded-jitter schedule
+/// (common/backoff.hpp) at its defaults, 0.5 ms doubling to a 50 ms cap.
+constexpr backoff::Policy kDeviceBackoff{};
+
+double stream_bitrate(std::size_t compressed_bytes, std::size_t values) {
+  return static_cast<double>(compressed_bytes) * 8.0 / static_cast<double>(values);
+}
+
+/// Runs the device timing model and records it in \p stage. A
+/// TransientError is retried with backoff; only the model is retried, since
+/// the kernel's output is already exact. A retry sequence claims a
+/// process-wide salt on its first fault, so concurrent sequences spread out
+/// instead of retrying in step. A device OOM keeps the host kernel's output
+/// and its measured wall time: \p stage is marked as a CPU fallback and
+/// false is returned.
+template <typename Model>
+bool model_device(StageTelemetry& stage, Model&& model) {
+  std::uint64_t salt = 0;
+  bool salted = false;
+  try {
+    for (int attempts = 1;; ++attempts) {
+      try {
+        stage.set_device(model(), attempts);
+        return true;
+      } catch (const TransientError&) {
+        telemetry::MetricsRegistry::instance().counter("gpu.transient_retries").add();
+        if (attempts >= kDeviceAttempts) throw;
+        if (!salted) {
+          salt = backoff::next_sequence_salt();
+          salted = true;
+        }
+        std::this_thread::sleep_for(std::chrono::duration<double>(
+            backoff::delay_seconds(kDeviceBackoff, attempts, salt)));
+      }
+    }
+  } catch (const OutOfMemoryError&) {
+    stage.mark_cpu_fallback();
+    telemetry::MetricsRegistry::instance().counter("codec.cpu_fallbacks").add();
+    return false;
   }
+}
+
+class DeviceSession final : public CodecSession {
+ public:
+  DeviceSession(const CodecRow& row, gpu::GpuSimulator& sim, std::string profile,
+                ScratchArena* arena, ThreadPool* pool)
+      : CodecSession(arena, pool), row_(row), sim_(sim), profile_(std::move(profile)) {}
+
+  void compress(const Field& field, const CompressorConfig& config,
+                CompressResult& out) override {
+    TRACE_SPAN(row_.compress_span);
+    out.telemetry.reset_gpu();
+    TRACE_SPAN("gpu.device.compress");
+    const std::size_t values = run_compress(row_, field, config, out, arena(), pool());
+    const double bitrate = row_.model_requested_rate
+                               ? config.value
+                               : stream_bitrate(out.bytes.size(), values);
+    const double gbps = sim_.kernel_rates(profile_, bitrate).compress_gbps;
+    if (!model_device(out.telemetry, [&] {
+          return sim_.model_compression(values * sizeof(float), out.bytes.size(), gbps);
+        })) {
+      out.throughput_reportable = false;  // the time no longer describes the device
+    }
+  }
+
+  void decompress(const CompressResult& compressed, DecompressResult& out) override {
+    TRACE_SPAN(row_.decompress_span);
+    out.telemetry.reset_gpu();
+    TRACE_SPAN("gpu.device.decompress");
+    run_decompress(row_, compressed, out, pool());
+    // Modeled on the decoded extent, reshape padding included.
+    const std::size_t values = out.values.size();
+    const double gbps =
+        sim_.kernel_rates(profile_, stream_bitrate(compressed.bytes.size(), values))
+            .decompress_gbps;
+    model_device(out.telemetry, [&] {
+      return sim_.model_decompression(values * sizeof(float), compressed.bytes.size(), gbps);
+    });
+    drop_padding(compressed, out.values);
+  }
+
+ private:
+  const CodecRow& row_;
+  gpu::GpuSimulator& sim_;
+  std::string profile_;
+};
+
+class TableCompressor final : public Compressor {
+ public:
+  TableCompressor(const CodecRow& row, gpu::GpuSimulator* sim) : row_(row), sim_(sim) {}
+
+  [[nodiscard]] const CodecCapabilities& capabilities() const override {
+    return CodecRegistry::instance().capabilities(row_.name);
+  }
+
   [[nodiscard]] std::unique_ptr<CodecSession> open_session(ScratchArena* arena,
                                                           ThreadPool* pool) override {
     TRACE_SPAN("session.open");
-    return std::make_unique<ZfpCpuSession>(arena, pool);
+    const std::string& profile = capabilities().kernel_profile;
+    if (profile.empty()) return std::make_unique<HostSession>(row_, arena, pool);
+    return std::make_unique<DeviceSession>(row_, *sim_, profile, arena, pool);
   }
+
+ private:
+  const CodecRow& row_;
+  gpu::GpuSimulator* sim_;
 };
 
-/// The shared ABS-bound lattice: log-spaced fractions of the field's value
-/// range, matching the paper's per-field bound scaling.
-std::vector<SweepAxis> sz_style_sweep() {
+/// Registers \p caps with a factory over its table row.
+void add_codec(CodecRegistry& registry, CodecCapabilities caps) {
+  const CodecRow* row = nullptr;
+  for (const CodecRow& r : kCodecTable) {
+    if (caps.name == r.name) row = &r;
+  }
+  require(row != nullptr, "codec table: no row for '" + caps.name + "'");
+  registry.add(std::move(caps), [row](gpu::GpuSimulator* sim) -> std::unique_ptr<Compressor> {
+    return std::make_unique<TableCompressor>(*row, sim);
+  });
+}
+
+/// The ABS lattice: log-spaced fractions of the field's value range,
+/// matching the paper's per-field bound scaling. Shared by the SZ and FZ
+/// families, so their rate-distortion figures are comparable.
+SweepAxis abs_axis() {
   SweepAxis abs;
   abs.mode = "abs";
   abs.kind = SweepAxis::Kind::kRangeFractions;
   abs.lo = 2e-6;
   abs.hi = 2e-3;
   abs.count = 4;
+  return abs;
+}
+
+std::vector<SweepAxis> sz_style_sweep() {
   SweepAxis pwrel;
   pwrel.mode = "pw_rel";
   pwrel.kind = SweepAxis::Kind::kLogValues;
   pwrel.lo = 1e-3;
   pwrel.hi = 1e-1;
   pwrel.count = 4;
-  return {abs, pwrel};
+  return {abs_axis(), pwrel};
 }
 
 SweepAxis rate_axis() {
@@ -404,7 +408,7 @@ SweepAxis accuracy_axis() {
 
 namespace detail {
 
-void register_paper_codecs(CodecRegistry& registry) {
+void register_builtin_codecs(CodecRegistry& registry) {
   {
     CodecCapabilities caps;
     caps.name = "gpu-sz";
@@ -412,13 +416,13 @@ void register_paper_codecs(CodecRegistry& registry) {
     caps.modes = {"abs", "pw_rel"};
     caps.needs_device = true;
     caps.concurrent_sessions_safe = false;  // shares the simulator jitter stream
-    caps.throughput_reportable = gpu::GpuSzDevice::throughput_supported();
+    // The paper excludes GPU-SZ throughput: the OpenMP prototype's memory
+    // layout is unoptimized.
+    caps.throughput_reportable = false;
     caps.abs_rate_estimable = true;  // abs path is the SZ pipeline
     caps.kernel_profile = "sz";
     caps.default_sweep = sz_style_sweep();
-    registry.add(std::move(caps), [](gpu::GpuSimulator* sim) -> std::unique_ptr<Compressor> {
-      return std::make_unique<GpuSzCompressor>(*sim);
-    });
+    add_codec(registry, std::move(caps));
   }
   {
     CodecCapabilities caps;
@@ -430,9 +434,7 @@ void register_paper_codecs(CodecRegistry& registry) {
     caps.plot_dashed = true;  // the paper draws fixed-rate cuZFP series dashed
     caps.kernel_profile = "zfp";
     caps.default_sweep = {rate_axis()};
-    registry.add(std::move(caps), [](gpu::GpuSimulator* sim) -> std::unique_ptr<Compressor> {
-      return std::make_unique<CuZfpCompressor>(*sim);
-    });
+    add_codec(registry, std::move(caps));
   }
   {
     CodecCapabilities caps;
@@ -441,9 +443,7 @@ void register_paper_codecs(CodecRegistry& registry) {
     caps.modes = {"abs", "pw_rel"};
     caps.abs_rate_estimable = true;
     caps.default_sweep = sz_style_sweep();
-    registry.add(std::move(caps), [](gpu::GpuSimulator*) -> std::unique_ptr<Compressor> {
-      return std::make_unique<SzCpuCompressor>();
-    });
+    add_codec(registry, std::move(caps));
   }
   {
     CodecCapabilities caps;
@@ -456,9 +456,26 @@ void register_paper_codecs(CodecRegistry& registry) {
     precision.kind = SweepAxis::Kind::kFixedValues;
     precision.values = {8.0, 12.0, 16.0, 20.0};
     caps.default_sweep = {rate_axis(), accuracy_axis(), precision};
-    registry.add(std::move(caps), [](gpu::GpuSimulator*) -> std::unique_ptr<Compressor> {
-      return std::make_unique<ZfpCpuCompressor>();
-    });
+    add_codec(registry, std::move(caps));
+  }
+  {
+    CodecCapabilities caps;
+    caps.name = "fz-cpu";
+    caps.summary = "FZ bitshuffle pipeline on the host (quantize + bitshuffle + zero-run)";
+    caps.modes = {"abs"};
+    caps.default_sweep = {abs_axis()};
+    add_codec(registry, std::move(caps));
+  }
+  {
+    CodecCapabilities caps;
+    caps.name = "fz-gpu";
+    caps.summary = "FZ-GPU (simulated device; fastest kernel profile, arXiv:2304.12557)";
+    caps.modes = {"abs"};
+    caps.needs_device = true;
+    caps.concurrent_sessions_safe = false;  // shares the simulator jitter stream
+    caps.kernel_profile = "fz";
+    caps.default_sweep = {abs_axis()};
+    add_codec(registry, std::move(caps));
   }
 }
 

@@ -14,6 +14,17 @@
 /// reuse buffers across iterations, keep compressed streams around for
 /// several decompressions, or skip decompression entirely. The fused
 /// compress → decompress → compare run is CBench's (cbench.hpp).
+///
+/// Behind the interface sits one codec table (compressor.cpp): one row per
+/// codec with its span names and host compress/decompress kernels. One
+/// Compressor class serves every row and opens one of two sessions. Host
+/// codecs (sz-cpu, zfp-cpu, fz-cpu) get the host session, which times the
+/// kernel on the host clock. Simulated-GPU codecs (gpu-sz, cuzfp, fz-gpu)
+/// get the device session: it runs the same kernel once, then models the
+/// device's {init, kernel, memcpy, free} breakdown on the GpuSimulator at
+/// the codec's kernel profile, retrying transient device faults. On a
+/// device OOM it keeps the stream it already has and reports the measured
+/// wall time as a CPU fallback.
 #pragma once
 
 #include <memory>
@@ -27,7 +38,7 @@
 #include "common/thread_pool.hpp"
 #include "foresight/codec_registry.hpp"
 #include "foresight/shape_adapter.hpp"
-#include "gpu/device_compressor.hpp"
+#include "gpu/sim.hpp"
 #include "json/json.hpp"
 
 namespace cosmo::foresight {
@@ -60,7 +71,7 @@ struct CompressResult {
   /// (no truncation).
   std::size_t original_values = 0;
   StageTelemetry telemetry;
-  bool throughput_reportable = true;  ///< false for the GPU-SZ prototype
+  bool throughput_reportable = true;  ///< false for GPU-SZ and after a device OOM
 
   [[nodiscard]] double seconds() const { return telemetry.seconds; }
   [[nodiscard]] bool has_gpu_timing() const { return telemetry.has_gpu_timing; }
@@ -151,10 +162,9 @@ class Compressor {
   }
 
   /// Opens a session; pass an arena to share scratch buffers, or null to
-  /// let the session own one. \p pool threads the session's intra-field
-  /// hot paths (null = serial); the CPU codecs guarantee byte-identical
-  /// output for any thread count, and the simulated-GPU codecs ignore the
-  /// pool (their modeled timings must stay call-order deterministic).
+  /// let the session own one. \p pool threads the codec kernel (null =
+  /// serial) in both sessions: every kernel writes byte-identical streams
+  /// for any thread count, and modeled device timings never depend on it.
   [[nodiscard]] virtual std::unique_ptr<CodecSession> open_session(
       ScratchArena* arena = nullptr, ThreadPool* pool = nullptr) = 0;
 };

@@ -21,12 +21,14 @@ namespace cosmo::foresight {
 namespace {
 
 /// A count-like JSON knob (\p fallback when absent) must be a non-negative
-/// integer below \p limit — the CLI's rule for --threads — or InvalidArgument.
+/// integer below \p limit — the CLI's rule for --threads — or InvalidArgument
+/// prefixed with \p scope.
 std::uint64_t count_knob(const json::Value& object, const std::string& key,
-                         double fallback, double limit = 0x1p64) {
+                         double fallback, double limit = 0x1p64,
+                         const char* scope = "pipeline") {
   const double v = object.get(key, fallback);
   require(std::isfinite(v) && v >= 0 && v == std::floor(v) && v < limit,
-          strprintf("pipeline: \"%s\" must be an integer in [0, %.0f)", key.c_str(), limit));
+          strprintf("%s: \"%s\" must be an integer in [0, %.0f)", scope, key.c_str(), limit));
   return static_cast<std::uint64_t>(v);
 }
 
@@ -69,34 +71,37 @@ OptimizeSpec parse_optimize_spec(const json::Value& object) {
 }  // namespace
 
 io::Container build_dataset(const json::Value& spec, std::uint64_t max_field_bytes) {
+  // Errors say "dataset:": the pipeline, the CLI and foresightd all call this.
   const std::string type = spec.get("type", std::string("nyx"));
+  const auto knob = [&spec](const char* key, double fallback) {
+    return count_knob(spec, key, fallback, 0x1p64, "dataset");
+  };
   // One generated field's bytes, in double so an absurd extent cannot wrap.
   const auto require_fits = [&](double values) {
     require(values * sizeof(float) <= static_cast<double>(max_field_bytes),
-            "pipeline: a " + type + " field exceeds " + std::to_string(max_field_bytes) +
+            "dataset: a " + type + " field exceeds " + std::to_string(max_field_bytes) +
                 " bytes");
   };
   if (type == "nyx") {
     NyxConfig config;
-    config.dim = count_knob(spec, "dim", 64.0);
-    config.seed = count_knob(spec, "seed", 42.0);
+    config.dim = knob("dim", 64.0);
+    config.seed = knob("seed", 42.0);
     const auto dim = static_cast<double>(config.dim);
     require_fits(dim * dim * dim);
     return generate_nyx(config);
   }
   if (type == "hacc") {
     HaccConfig config;
-    config.particles = count_knob(spec, "particles", 100000.0);
-    config.seed = count_knob(spec, "seed", 7.0);
-    config.halo_count =
-        count_knob(spec, "halo_count", static_cast<double>(config.halo_count));
+    config.particles = knob("particles", 100000.0);
+    config.seed = knob("seed", 7.0);
+    config.halo_count = knob("halo_count", static_cast<double>(config.halo_count));
     require_fits(static_cast<double>(config.particles));
     return generate_hacc(config);
   }
   if (type == "file") {
     return io::load(spec.at("path").as_string());
   }
-  throw InvalidArgument("pipeline: unknown dataset type '" + type + "'");
+  throw InvalidArgument("dataset: unknown dataset type '" + type + "'");
 }
 
 std::optional<fault::Config> parse_faults(const json::Value& config) {
@@ -181,8 +186,10 @@ PipelineSummary run_pipeline(const json::Value& config) {
   const json::Value& analysis_cfg =
       config.contains("analysis") ? config.at("analysis") : json::Value(json::Object{});
   const bool do_pk = analysis_cfg.get("power_spectrum", false);
-  const bool do_halo =
-      analysis_cfg.get("halo_finder", false) && is_particle_container(dataset);
+  const bool do_halo = analysis_cfg.get("halo_finder", false);
+  require(!do_halo || is_particle_container(dataset),
+          "pipeline: \"analysis.halo_finder\" needs particle data (variables x, y, z, "
+          "vx, vy, vz); this dataset lacks them");
   const bool do_ssim = analysis_cfg.get("ssim", false);
   const analysis::FofParams halo_fof = parse_fof(analysis_cfg);
 
@@ -403,6 +410,11 @@ PipelineSummary run_pipeline(const json::Value& config) {
     summary.workflow_ok = workflow.run(&pool, jobs_requested);
   } else {
     summary.workflow_ok = workflow.run(nullptr);
+  }
+  // A search that leaves a field without an acceptable config fails the
+  // run, as it fails `foresight_cli optimize`.
+  if (summary.optimization && !summary.optimization->all_fields_ok) {
+    summary.workflow_ok = false;
   }
 
   // Under on_error "abort" a throwing cbench job is caught by the workflow

@@ -18,7 +18,8 @@
 ///      "configs": [{"mode": "rate", "value": 4}, ...]}
 ///   ],
 ///   "analysis": {"power_spectrum": true,
-///                "halo_finder": false,  // runs on particle data only
+///                "halo_finder": false,  // particle data only; true on
+///                                       // grid data is InvalidArgument
 ///                "linking_length": 1.5, "min_members": 10},
 ///   "cinema": true,
 ///   "jobs": 4,     // workflow-level parallelism (jobs run concurrently)
@@ -107,6 +108,8 @@ struct PipelineSummary {
   std::optional<OptimizationResult> optimization;
   std::string output_dir;
   std::vector<std::string> artifacts;  ///< files written under output_dir
+  /// Every job ran, and an optimizer stage found an acceptable config for
+  /// every field.
   bool workflow_ok = false;
   std::size_t failed_jobs = 0;      ///< cbench rows with status != "ok"
   std::size_t injected_faults = 0;  ///< total faults the plan fired (0 = none)

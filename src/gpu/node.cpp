@@ -22,7 +22,7 @@ NodeCompressionReport model_node_compression(const NodeConfig& node,
   // Kernels run concurrently on independent GPUs: node kernel time is one
   // GPU's kernel time.
   const double kernel =
-      sim.kernel_seconds(per_gpu, sim.zfp_compress_kernel_gbps(bitrate));
+      sim.kernel_seconds(per_gpu, sim.kernel_rates("zfp", bitrate).compress_gbps);
 
   // Compressed streams cross the host links; links are shared, so each link
   // carries ceil(gpus / links) transfers back-to-back.

@@ -91,16 +91,6 @@ GpuSimulator::KernelRates GpuSimulator::kernel_rates(const std::string& profile,
 
 std::vector<std::string> GpuSimulator::kernel_profiles() { return {"zfp", "sz", "fz"}; }
 
-double GpuSimulator::zfp_compress_kernel_gbps(double bitrate) const {
-  return kernel_rates("zfp", bitrate).compress_gbps;
-}
-
-double GpuSimulator::zfp_decompress_kernel_gbps(double bitrate) const {
-  return kernel_rates("zfp", bitrate).decompress_gbps;
-}
-
-double GpuSimulator::sz_kernel_gbps() const { return kernel_rates("sz", 0.0).compress_gbps; }
-
 void GpuSimulator::poll_faults(const char* where) {
   // Explicitly attached plan first, then the process-wide one; both are
   // nullptr in normal operation, so this is two pointer loads on the

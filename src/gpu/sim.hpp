@@ -79,17 +79,6 @@ class GpuSimulator {
   /// Registered kernel-profile ids, in catalog order.
   [[nodiscard]] static std::vector<std::string> kernel_profiles();
 
-  /// cuZFP kernel rates (GB/s of uncompressed data) as a function of the
-  /// fixed-rate bitrate; views over kernel_rates("zfp", ...). Decompression
-  /// is slightly slower (embedded-stream decoding serializes more).
-  [[nodiscard]] double zfp_compress_kernel_gbps(double bitrate) const;
-  [[nodiscard]] double zfp_decompress_kernel_gbps(double bitrate) const;
-
-  /// GPU-SZ prototype kernel rate (kernel_rates("sz", ...)). The paper
-  /// excludes GPU-SZ throughput because the OpenMP prototype's memory
-  /// layout is unoptimized; the model reflects that prototype status.
-  [[nodiscard]] double sz_kernel_gbps() const;
-
   /// Full pipeline models (Fig. 7): compression assumes raw data already in
   /// device memory and moves only the compressed stream D2H; decompression
   /// moves the compressed stream H2D and leaves raw data on the device.

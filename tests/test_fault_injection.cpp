@@ -12,6 +12,7 @@
 #include <fstream>
 
 #include "common/fault.hpp"
+#include "common/telemetry.hpp"
 #include "cosmo/nyx_synth.hpp"
 #include "foresight/cbench.hpp"
 #include "foresight/pipeline.hpp"
@@ -241,16 +242,8 @@ TEST(ContainerLoad, ErrorsNameVariableAndOffset) {
 }
 
 // ---------------------------------------------------------------------------
-// Transient GPU faults: bounded retry with backoff
+// Transient GPU faults: bounded retry with the default backoff schedule
 // ---------------------------------------------------------------------------
-
-gpu::RetryPolicy fast_retry() {
-  gpu::RetryPolicy p;
-  p.max_attempts = 3;
-  p.base_delay_seconds = 1e-6;
-  p.max_delay_seconds = 1e-5;
-  return p;
-}
 
 TEST(Retry, TransientFaultRetriedThenSucceeds) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
@@ -258,15 +251,15 @@ TEST(Retry, TransientFaultRetriedThenSucceeds) {
   cfg.gpu_transient_every = 2;  // device ops 2, 4, ... fault
   fault::FaultPlan plan(cfg);
   sim.set_fault_plan(&plan);
-  gpu::CuZfpDevice dev(sim);
-  dev.set_retry_policy(fast_retry());
+  const auto cuzfp = make_compressor("cuzfp", &sim);
+  const auto session = cuzfp->open_session();
 
   const auto data = small_nyx();
   const Field& field = data.find("baryon_density").field;
-  const auto first = dev.compress(field.data, field.dims, 8.0);
-  EXPECT_EQ(first.attempts, 1);  // op 1 passes
-  const auto second = dev.compress(field.data, field.dims, 8.0);
-  EXPECT_EQ(second.attempts, 2);  // op 2 faults, retry op 3 passes
+  const CompressResult first = session->compress(field, {"rate", 8.0});
+  EXPECT_EQ(first.device_attempts(), 1);  // op 1 passes
+  const CompressResult second = session->compress(field, {"rate", 8.0});
+  EXPECT_EQ(second.device_attempts(), 2);  // op 2 faults, retry op 3 passes
   EXPECT_EQ(plan.counts().gpu_transients, 1u);
   EXPECT_EQ(first.bytes, second.bytes) << "retries must not change the stream";
 }
@@ -277,12 +270,12 @@ TEST(Retry, ExhaustedRetriesPropagateTransientError) {
   cfg.gpu_transient_every = 1;  // every device op faults
   fault::FaultPlan plan(cfg);
   sim.set_fault_plan(&plan);
-  gpu::CuZfpDevice dev(sim);
-  dev.set_retry_policy(fast_retry());
+  const auto cuzfp = make_compressor("cuzfp", &sim);
+  const auto session = cuzfp->open_session();
 
   const auto data = small_nyx();
   const Field& field = data.find("baryon_density").field;
-  EXPECT_THROW((void)dev.compress(field.data, field.dims, 8.0), TransientError);
+  EXPECT_THROW((void)session->compress(field, {"rate", 8.0}), TransientError);
   EXPECT_EQ(plan.counts().gpu_transients, 3u);  // one per attempt
 }
 
@@ -339,6 +332,39 @@ TEST(Fallback, GpuSzOomFallsBackToHostSz) {
   const DecompressResult d = session->decompress(c);
   EXPECT_TRUE(d.cpu_fallback());
   EXPECT_EQ(d.values.size(), field.data.size());
+}
+
+TEST(Fallback, GpuSzOomRunsTheKernelOnce) {
+  // The device session keeps the stream its one kernel run produced: an OOM
+  // in the device model costs no second host compression.
+  const auto data = small_nyx();
+  const Field& field = data.find("baryon_density").field;
+  gpu::GpuSimulator clean_sim(gpu::find_device("V100"));
+  const auto clean = make_compressor("gpu-sz", &clean_sim)->open_session()->compress(
+      field, {"abs", 0.1});
+
+  gpu::GpuSimulator sim(gpu::find_device("V100"));
+  fault::Config cfg;
+  cfg.gpu_oom_every = 1;
+  fault::FaultPlan plan(cfg);
+  sim.set_fault_plan(&plan);
+  const auto gpu_sz = make_compressor("gpu-sz", &sim);
+  const auto session = gpu_sz->open_session();
+  telemetry::Tracer::disable();
+  telemetry::Tracer::clear();
+  telemetry::Tracer::enable();
+  const CompressResult c = session->compress(field, {"abs", 0.1});
+  telemetry::Tracer::disable();
+  std::size_t kernel_spans = 0;
+  for (const auto& span : telemetry::Tracer::snapshot()) {
+    if (std::string(span.name) == "sz.lorenzo_quantize") ++kernel_spans;
+  }
+  telemetry::Tracer::clear();
+  EXPECT_EQ(kernel_spans, 1u);
+  EXPECT_EQ(c.bytes, clean.bytes);
+  EXPECT_TRUE(c.cpu_fallback());
+  EXPECT_FALSE(c.throughput_reportable);
+  EXPECT_EQ(plan.counts().gpu_ooms, 1u);
 }
 
 TEST(Fallback, OomFreeJobsResetTheFallbackFlags) {

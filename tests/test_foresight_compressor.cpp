@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "cosmo/hacc_synth.hpp"
+#include "cosmo/nyx_synth.hpp"
 #include "foresight/cbench.hpp"
 #include "foresight/compressor.hpp"
 #include "random/rng.hpp"
@@ -142,6 +144,70 @@ TEST(Compressor, CuZfp1dReshapeRoundTrip) {
   }
   rmse = std::sqrt(rmse / static_cast<double>(f.data.size()));
   EXPECT_LT(rmse, 1.0);
+}
+
+void expect_same_breakdown(const TimingBreakdown& got, const TimingBreakdown& want,
+                           const std::string& what) {
+  EXPECT_EQ(got.init, want.init) << what;
+  EXPECT_EQ(got.kernel, want.kernel) << what;
+  EXPECT_EQ(got.memcpy, want.memcpy) << what;
+  EXPECT_EQ(got.free, want.free) << what;
+}
+
+TEST(Compressor, DeviceTimingsMatchATwinSimulator) {
+  // A device session's timing is the simulator's model at the codec's
+  // kernel_rates() profile: compress at the achieved stream bitrate (cuZFP
+  // at its requested rate), decompress at the decoded extent, both counting
+  // the 1-D -> 3-D padding. A twin simulator with the same seed, fed the
+  // same calls, reproduces every component bit for bit.
+  NyxConfig nyx;
+  nyx.dim = 16;
+  const io::Container grid = generate_nyx(nyx);
+  HaccConfig hacc;
+  hacc.particles = 5000;
+  const io::Container particles = generate_hacc(hacc);
+  struct Case {
+    const char* codec;
+    const char* profile;
+    CompressorConfig config;
+    bool reshaped;
+  };
+  const Case cases[] = {{"gpu-sz", "sz", {"abs", 0.1}, true},
+                        {"gpu-sz", "sz", {"pw_rel", 0.05}, true},
+                        {"cuzfp", "zfp", {"rate", 8.0}, true},
+                        {"fz-gpu", "fz", {"abs", 0.1}, false}};
+  for (const Field* field : {&grid.find("baryon_density").field, &particles.find("x").field}) {
+    for (const Case& k : cases) {
+      const std::string what = std::string(k.codec) + " " + k.config.label() + " on " +
+                               field->name;
+      gpu::GpuSimulator sim(gpu::find_device("V100"), 99);
+      gpu::GpuSimulator twin(gpu::find_device("V100"), 99);
+      const auto codec = make_compressor(k.codec, &sim);
+      const auto session = codec->open_session();
+      const CompressResult c = session->compress(*field, k.config);
+      const DecompressResult d = session->decompress(c);
+      ASSERT_EQ(d.values.size(), field->data.size()) << what;
+
+      const std::size_t values = k.reshaped && field->dims.rank() == 1
+                                     ? reshape_1d_to_3d(field->data.size()).count()
+                                     : field->data.size();
+      const double bitrate =
+          static_cast<double>(c.bytes.size()) * 8.0 / static_cast<double>(values);
+      const double compress_bitrate = k.config.mode == "rate" ? k.config.value : bitrate;
+      const TimingBreakdown want_c = twin.model_compression(
+          values * sizeof(float), c.bytes.size(),
+          twin.kernel_rates(k.profile, compress_bitrate).compress_gbps);
+      const TimingBreakdown want_d = twin.model_decompression(
+          values * sizeof(float), c.bytes.size(),
+          twin.kernel_rates(k.profile, bitrate).decompress_gbps);
+      ASSERT_TRUE(c.has_gpu_timing() && d.has_gpu_timing()) << what;
+      expect_same_breakdown(c.gpu_timing(), want_c, what + " compress");
+      expect_same_breakdown(d.gpu_timing(), want_d, what + " decompress");
+      EXPECT_EQ(c.seconds(), want_c.total()) << what;
+      EXPECT_EQ(d.seconds(), want_d.total()) << what;
+      EXPECT_EQ(c.device_attempts(), 1) << what;
+    }
+  }
 }
 
 }  // namespace

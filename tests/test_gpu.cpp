@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
-#include "gpu/device_compressor.hpp"
+#include "foresight/compressor.hpp"
 #include "gpu/sim.hpp"
 #include "gpu/specs.hpp"
 #include "random/rng.hpp"
+#include "zfp/zfp.hpp"
 
 namespace cosmo::gpu {
 namespace {
@@ -81,7 +83,7 @@ TEST(Sim, KernelRateDecreasesWithBitrate) {
   GpuSimulator sim(find_device("V100"));
   double prev = 1e300;
   for (const double rate : {1.0, 2.0, 4.0, 8.0, 16.0}) {
-    const double gbps = sim.zfp_compress_kernel_gbps(rate);
+    const double gbps = sim.kernel_rates("zfp", rate).compress_gbps;
     EXPECT_LT(gbps, prev);
     prev = gbps;
   }
@@ -93,13 +95,16 @@ TEST(Sim, KernelRatesOrderedByDeviceCapability) {
   GpuSimulator p100(find_device("P100"));
   GpuSimulator k80(find_device("K80"));
   const double rate = 4.0;
-  EXPECT_GT(v100.zfp_compress_kernel_gbps(rate), p100.zfp_compress_kernel_gbps(rate));
-  EXPECT_GT(p100.zfp_compress_kernel_gbps(rate), k80.zfp_compress_kernel_gbps(rate));
+  EXPECT_GT(v100.kernel_rates("zfp", rate).compress_gbps,
+            p100.kernel_rates("zfp", rate).compress_gbps);
+  EXPECT_GT(p100.kernel_rates("zfp", rate).compress_gbps,
+            k80.kernel_rates("zfp", rate).compress_gbps);
 }
 
 TEST(Sim, SzPrototypeIsMuchSlowerThanZfp) {
   GpuSimulator sim(find_device("V100"));
-  EXPECT_LT(sim.sz_kernel_gbps(), sim.zfp_compress_kernel_gbps(8.0) / 2.0);
+  EXPECT_LT(sim.kernel_rates("sz", 0.0).compress_gbps,
+            sim.kernel_rates("zfp", 8.0).compress_gbps / 2.0);
 }
 
 TEST(Sim, BreakdownComponentsArePositiveAndMemcpyDominatesKernel) {
@@ -107,7 +112,7 @@ TEST(Sim, BreakdownComponentsArePositiveAndMemcpyDominatesKernel) {
   const std::uint64_t raw = 500'000'000;        // 500 MB field
   const std::uint64_t compressed = raw / 8;     // 8x ratio
   const TimingBreakdown t =
-      sim.model_compression(raw, compressed, sim.zfp_compress_kernel_gbps(4.0));
+      sim.model_compression(raw, compressed, sim.kernel_rates("zfp", 4.0).compress_gbps);
   EXPECT_GT(t.init, 0.0);
   EXPECT_GT(t.kernel, 0.0);
   EXPECT_GT(t.memcpy, 0.0);
@@ -122,7 +127,7 @@ TEST(Sim, CompressionBeatsRawTransferBaseline) {
   GpuSimulator sim(find_device("V100"));
   const std::uint64_t raw = 500'000'000;
   const TimingBreakdown t =
-      sim.model_compression(raw, raw / 10, sim.zfp_compress_kernel_gbps(3.2));
+      sim.model_compression(raw, raw / 10, sim.kernel_rates("zfp", 3.2).compress_gbps);
   EXPECT_LT(t.total(), sim.baseline_transfer_seconds(raw));
 }
 
@@ -134,7 +139,7 @@ TEST(Sim, HigherBitrateMeansLongerTotalTime) {
   for (const double rate : {1.0, 4.0, 16.0}) {
     const std::uint64_t compressed = static_cast<std::uint64_t>(raw * rate / 32.0);
     const TimingBreakdown t =
-        sim.model_compression(raw, compressed, sim.zfp_compress_kernel_gbps(rate));
+        sim.model_compression(raw, compressed, sim.kernel_rates("zfp", rate).compress_gbps);
     EXPECT_GT(t.total(), prev);
     prev = t.total();
   }
@@ -154,56 +159,72 @@ TEST(Sim, MeasureWithWarmupCollectsStats) {
   EXPECT_LT(stats.stddev() / stats.mean(), 0.05);
 }
 
+// The simulated-GPU codecs through their device sessions.
+
+Field uniform_field(const Dims& dims, std::uint64_t seed, double lo, double hi) {
+  Rng rng(seed);
+  Field field("field", dims);
+  for (auto& v : field.data) v = static_cast<float>(rng.uniform(lo, hi));
+  return field;
+}
+
 TEST(DeviceCompressor, CuZfpRoundTripWithTiming) {
   GpuSimulator sim(find_device("V100"));
-  CuZfpDevice device(sim);
+  const auto cuzfp = foresight::make_compressor("cuzfp", &sim);
+  const auto session = cuzfp->open_session();
   const Dims dims = Dims::d3(16, 16, 16);
-  Rng rng(151);
-  std::vector<float> data(dims.count());
-  for (auto& v : data) v = static_cast<float>(rng.uniform(-10.0, 10.0));
-  const auto c = device.compress(data, dims, 8.0);
-  EXPECT_GT(c.kernel_gbps, 0.0);
-  EXPECT_GT(c.timing.total(), 0.0);
-  const auto d = device.decompress(c.bytes);
-  EXPECT_EQ(d.dims, dims);
-  EXPECT_EQ(d.values.size(), data.size());
-  EXPECT_TRUE(CuZfpDevice::throughput_supported());
+  const Field field = uniform_field(dims, 151, -10.0, 10.0);
+  const auto c = session->compress(field, {"rate", 8.0});
+  EXPECT_GT(sim.kernel_rates("zfp", 8.0).compress_gbps, 0.0);
+  EXPECT_GT(c.gpu_timing().kernel, 0.0);
+  EXPECT_GT(c.gpu_timing().total(), 0.0);
+  const auto d = session->decompress(c);
+  Dims stored;
+  (void)zfp::decompress(c.bytes, &stored);
+  EXPECT_EQ(stored, dims);
+  EXPECT_EQ(d.values.size(), field.data.size());
+  EXPECT_TRUE(c.throughput_reportable);
+  EXPECT_TRUE(cuzfp->capabilities().throughput_reportable);
 }
 
 TEST(DeviceCompressor, GpuSzAbsRoundTripWithinBound) {
   GpuSimulator sim(find_device("V100"));
-  GpuSzDevice device(sim);
-  const Dims dims = Dims::d3(16, 16, 16);
-  Rng rng(152);
-  std::vector<float> data(dims.count());
-  for (auto& v : data) v = static_cast<float>(rng.uniform(0.0, 100.0));
-  const auto c = device.compress_abs(data, dims, 0.5);
-  const auto d = device.decompress(c.bytes);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_LE(std::fabs(d.values[i] - data[i]), 0.5 * (1 + 1e-9));
+  const auto gpu_sz = foresight::make_compressor("gpu-sz", &sim);
+  const auto session = gpu_sz->open_session();
+  const Field field = uniform_field(Dims::d3(16, 16, 16), 152, 0.0, 100.0);
+  const auto c = session->compress(field, {"abs", 0.5});
+  const auto d = session->decompress(c);
+  for (std::size_t i = 0; i < field.data.size(); ++i) {
+    EXPECT_LE(std::fabs(d.values[i] - field.data[i]), 0.5 * (1 + 1e-9));
   }
-  EXPECT_FALSE(GpuSzDevice::throughput_supported());
+  EXPECT_FALSE(c.throughput_reportable);
+  EXPECT_FALSE(gpu_sz->capabilities().throughput_reportable);
 }
 
 TEST(DeviceCompressor, GpuSzPwrelDispatchOnDecompress) {
   GpuSimulator sim(find_device("V100"));
-  GpuSzDevice device(sim);
-  const Dims dims = Dims::d3(8, 8, 8);
-  Rng rng(153);
-  std::vector<float> data(dims.count());
-  for (auto& v : data) v = static_cast<float>(rng.uniform(1.0, 1000.0));
-  const auto c = device.compress_pwrel(data, dims, 0.05);
-  const auto d = device.decompress(c.bytes);  // must auto-detect PW_REL stream
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_LE(std::fabs(d.values[i] - data[i]) / data[i], 0.05 * (1 + 1e-6));
+  const auto gpu_sz = foresight::make_compressor("gpu-sz", &sim);
+  const auto session = gpu_sz->open_session();
+  const Field field = uniform_field(Dims::d3(8, 8, 8), 153, 1.0, 1000.0);
+  const auto c = session->compress(field, {"pw_rel", 0.05});
+  const auto d = session->decompress(c);  // must auto-detect PW_REL stream
+  for (std::size_t i = 0; i < field.data.size(); ++i) {
+    EXPECT_LE(std::fabs(d.values[i] - field.data[i]) / field.data[i], 0.05 * (1 + 1e-6));
   }
 }
 
-TEST(DeviceCompressor, GpuSzRejects1d) {
+TEST(DeviceCompressor, GpuSzRejects2d) {
+  // 1-D fields are reshaped to 3-D before GPU-SZ (paper Sec. IV-B4); a 2-D
+  // field has no such conversion and is rejected.
   GpuSimulator sim(find_device("V100"));
-  GpuSzDevice device(sim);
-  const std::vector<float> data(64, 1.0f);
-  EXPECT_THROW(device.compress_abs(data, Dims::d1(64), 0.1), InvalidArgument);
+  const auto gpu_sz = foresight::make_compressor("gpu-sz", &sim);
+  const auto session = gpu_sz->open_session();
+  Field flat("flat", Dims::d2(8, 8));
+  std::fill(flat.data.begin(), flat.data.end(), 1.0f);
+  EXPECT_THROW((void)session->compress(flat, {"abs", 0.1}), InvalidArgument);
+  Field line("line", Dims::d1(64));
+  std::fill(line.data.begin(), line.data.end(), 1.0f);
+  EXPECT_EQ(session->decompress(session->compress(line, {"abs", 0.1})).values.size(), 64u);
 }
 
 }  // namespace

@@ -157,7 +157,7 @@ TEST(PaperClaims, GpuOverheadFarBelowCpuAtPaperScale) {
   const std::uint64_t field_bytes = 512ull * 512 * 512 * 4;
   const double gpu_seconds =
       f.sim.model_compression(field_bytes, field_bytes / 8,
-                              f.sim.zfp_compress_kernel_gbps(4.0))
+                              f.sim.kernel_rates("zfp", 4.0).compress_gbps)
           .total();
   // Modeled 20-core ZFP at an optimistic 2 GB/s.
   const double cpu_seconds = static_cast<double>(field_bytes) / 2e9;
@@ -172,7 +172,7 @@ TEST(PaperClaims, ThroughputFallsMonotonicallyWithBitrate) {
     const std::uint64_t raw = 256ull << 20;
     const auto cbytes = static_cast<std::uint64_t>(raw * rate / 32.0);
     const double seconds =
-        f.sim.model_compression(raw, cbytes, f.sim.zfp_compress_kernel_gbps(rate)).total();
+        f.sim.model_compression(raw, cbytes, f.sim.kernel_rates("zfp", rate).compress_gbps).total();
     const double gbps = static_cast<double>(raw) / seconds / 1e9;
     EXPECT_LT(gbps, prev) << rate;
     prev = gbps;

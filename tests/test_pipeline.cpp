@@ -228,6 +228,55 @@ TEST(Pipeline, UnknownDatasetTypeRejected) {
   EXPECT_THROW(run_pipeline(config), InvalidArgument);
 }
 
+TEST(Pipeline, FailedOptimizerSearchFailsTheRun) {
+  // No zfp-cpu config keeps P(k) within a zero tolerance: the search leaves
+  // every field without an acceptable config, and the run fails the way
+  // `foresight_cli optimize` does on the same search.
+  const std::string out_dir = temp_dir("pipeline_failed_search");
+  const json::Value config = json::parse(R"({
+    "output": ")" + out_dir + R"(",
+    "dataset": {"type": "nyx", "dim": 16},
+    "runs": [],
+    "optimizer": {"compressor": "zfp-cpu", "tolerance": 0}
+  })");
+  const PipelineSummary summary = run_pipeline(config);
+  ASSERT_TRUE(summary.optimization.has_value());
+  EXPECT_FALSE(summary.optimization->all_fields_ok);
+  EXPECT_FALSE(summary.workflow_ok);
+  std::filesystem::remove_all(out_dir);
+}
+
+TEST(Pipeline, HaloFinderOnGridDataRejected) {
+  const std::string out_dir = temp_dir("pipeline_halo_grid");
+  const json::Value config = json::parse(R"({
+    "output": ")" + out_dir + R"(",
+    "dataset": {"type": "nyx", "dim": 8},
+    "runs": [],
+    "analysis": {"halo_finder": true}
+  })");
+  try {
+    (void)run_pipeline(config);
+    ADD_FAILURE() << "halo_finder on grid data was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("halo_finder"), std::string::npos) << e.what();
+  }
+  std::filesystem::remove_all(out_dir);
+}
+
+TEST(Pipeline, DatasetErrorsNameTheDataset) {
+  // build_dataset serves the pipeline, the CLI and foresightd alike.
+  for (const char* spec : {R"({"type": "bogus"})", R"({"dim": -1})"}) {
+    try {
+      (void)build_dataset(json::parse(spec));
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("dataset: ", 0), 0u) << spec << ": " << what;
+      EXPECT_EQ(what.find("pipeline"), std::string::npos) << spec << ": " << what;
+    }
+  }
+}
+
 TEST(Pipeline, CountKnobsMustBeNonNegativeIntegers) {
   const std::string out_dir = temp_dir("pipeline_knobs");
   const auto config_with = [&](const std::string& knob) {

@@ -19,10 +19,11 @@
 #
 # --asan builds with AddressSanitizer + UBSan and runs the codec test
 # surface (bitstream, Huffman, LZSS, ZFP, the malformed-stream
-# fast-path suite, and the encoders' byte-identity tests against their
-# reference oracles). This is what backs the "truncated/corrupted streams
-# never read out of bounds" contract; run it whenever codec hot paths or
-# stream parsing change.
+# fast-path suite, the encoders' byte-identity tests against their
+# reference oracles, and the codec sessions behind every registered
+# codec). This is what backs the "truncated/corrupted streams never read
+# out of bounds" contract; run it whenever codec hot paths, stream parsing
+# or the codec sessions change.
 #
 # --ubsan builds with UndefinedBehaviorSanitizer alone (no ASan shadow
 # memory, so it composes with workloads too large for the ASan run) and
@@ -167,12 +168,13 @@ case "${mode}" in
     # entropy/dictionary coders, ZFP block transforms, the FZ chunk kernel,
     # temporal SZ with its legacy-section decode, the malformed-stream suite
     # (truncated/corrupted inputs must throw, never touch out-of-bounds
-    # memory), and the encoders' byte-identity tests against their
-    # reference oracles.
+    # memory), the encoders' byte-identity tests against their reference
+    # oracles, and the host and device codec sessions (reshape, retry,
+    # OOM fallback, session reuse, registry conformance, containment).
     ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" \
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
       "${build_dir}/tests/cosmo_tests" \
-      --gtest_filter='BitStream.*:ChunkTable.*:Huffman.*:Lzss.*:CodecFastPaths.*:EncodeFastPaths.*:ParallelDeterminism.Huffman*:ParallelDeterminism.Lzss*:ParallelDeterminism.Zfp*:ParallelDeterminism.Fz*:Zfp*.*:Fz.*:Sz.*:SzTemporal.*:Robustness.*'
+      --gtest_filter='BitStream.*:ChunkTable.*:Huffman.*:Lzss.*:CodecFastPaths.*:EncodeFastPaths.*:ParallelDeterminism.Huffman*:ParallelDeterminism.Lzss*:ParallelDeterminism.Zfp*:ParallelDeterminism.Fz*:Zfp*.*:Fz.*:Sz.*:SzTemporal.*:Robustness.*:Compressor.*:Fallback.*:Retry.*:Reshape.*:SessionReuse.*:RegistryConformance.*:Containment.*'
     ;;
   ubsan)
     # Full suite: UBSan alone is cheap enough to run everything.
