@@ -1,9 +1,9 @@
 /// \file bench_fig4_rate_distortion.cpp
 /// \brief Reproduces paper Fig. 4: rate-distortion (PSNR vs bitrate) of the
-/// registered device codecs on (a) the Nyx fields and (b) the HACC fields.
+/// device codecs on (a) the Nyx fields and (b) the HACC fields.
 ///
-/// The codec roster comes from the registry: every compressor whose
-/// capabilities say needs_device participates (GPU-SZ, cuZFP, FZ, and any
+/// The codec roster comes from the codec table: every compressor whose
+/// capabilities say needs_device() participates (GPU-SZ, cuZFP, FZ, and any
 /// future backend — this file never names codecs). Error-bounded codecs
 /// sweep bounds (ABS for densities/temperature, PW_REL for HACC velocities
 /// when supported, matching Section IV-B4); rate-mode codecs sweep fixed
@@ -17,7 +17,6 @@
 #include "bench_util.hpp"
 #include "foresight/cbench.hpp"
 #include "foresight/cinema.hpp"
-#include "foresight/codec_registry.hpp"
 
 using namespace cosmo;
 
@@ -91,7 +90,7 @@ std::vector<foresight::CompressorConfig> sweep_for(
   return kRateSweep;
 }
 
-/// One registered device codec plus its capability record.
+/// One device codec plus its capability record.
 struct DeviceCodec {
   std::unique_ptr<foresight::Compressor> codec;
   const foresight::CodecCapabilities* caps;
@@ -100,8 +99,8 @@ struct DeviceCodec {
 std::vector<DeviceCodec> device_codecs(gpu::GpuSimulator& sim) {
   std::vector<DeviceCodec> out;
   for (const auto& name : foresight::available_compressors()) {
-    const auto& caps = foresight::CodecRegistry::instance().capabilities(name);
-    if (!caps.needs_device) continue;
+    const auto& caps = foresight::codec_capabilities(name);
+    if (!caps.needs_device()) continue;
     out.push_back({foresight::make_compressor(name, &sim), &caps});
   }
   return out;

@@ -1,15 +1,14 @@
 /// \file bench_fig5_power_spectrum.cpp
 /// \brief Reproduces paper Fig. 5: power-spectrum ratio curves for the Nyx
-/// fields under every registered device codec — fixed bitrates for the
+/// fields under every device codec — fixed bitrates for the
 /// rate-mode codecs, error bounds for the bounded ones — with the
 /// 1 +/- 1% acceptance band; then derives the paper's per-field
 /// configuration pick and the overall compression ratio (paper: cuZFP
 /// rates (4,4,4,2,2,2) -> 10.7x; GPU-SZ bounds
 /// (0.2, 0.4, 1e3, 2e5, 2e5, 2e5) -> 15.4x).
 ///
-/// The per-codec candidate grids come from each codec's registered
-/// default sweep lattice (default_grid_candidates), so a newly registered
-/// backend shows up here without edits. The composite spectra of the
+/// The per-codec candidate grids come from each codec's default sweep
+/// lattice (default_grid_candidates), so a new codec-table row shows up here without edits. The composite spectra of the
 /// paper's panels (overall density, velocity magnitude) are computed too.
 #include <cmath>
 #include <cstdio>
@@ -18,7 +17,6 @@
 #include "bench_util.hpp"
 #include "foresight/cbench.hpp"
 #include "foresight/cinema.hpp"
-#include "foresight/codec_registry.hpp"
 #include "foresight/sweep.hpp"
 
 using namespace cosmo;
@@ -27,11 +25,11 @@ namespace {
 
 constexpr double kKFraction = 0.5;  // evaluate k <= k_nyq/2
 
-/// Registered device codecs, in registration order.
+/// Device codecs, in codec-table order.
 std::vector<std::string> device_codec_names() {
   std::vector<std::string> out;
   for (const auto& name : foresight::available_compressors()) {
-    if (foresight::CodecRegistry::instance().capabilities(name).needs_device) {
+    if (foresight::codec_capabilities(name).needs_device()) {
       out.push_back(name);
     }
   }

@@ -1,10 +1,10 @@
 /// \file bench_fig6_halo_finder.cpp
 /// \brief Reproduces paper Fig. 6: Friends-of-Friends halo-finder analysis
 /// on original vs reconstructed HACC data — halo counts per mass bin
-/// (left axis), count ratio (right axis) — one panel per registered device
+/// (left axis), count ratio (right axis) — one panel per device
 /// codec: the paper's absolute position bounds for error-bounded codecs
 /// (6a: GPU-SZ) and fixed bitrates for rate-mode codecs (6b: cuZFP); a
-/// newly registered device backend gets the next panel letter with no
+/// new device row in the codec table gets the next panel letter with no
 /// edits here. Also derives the paper's configuration pick: GPU-SZ abs
 /// 0.005/0.025 (positions/velocities) -> 4.25x vs cuZFP rate 8 -> 4x.
 #include <cstdio>
@@ -14,7 +14,6 @@
 #include "bench_util.hpp"
 #include "foresight/cbench.hpp"
 #include "foresight/cinema.hpp"
-#include "foresight/codec_registry.hpp"
 
 using namespace cosmo;
 
@@ -60,12 +59,12 @@ int main() {
     std::string codec;
     std::vector<foresight::CompressorConfig> configs;
   };
-  // One panel per registered device codec: the paper's absolute position
+  // One panel per device codec: the paper's absolute position
   // bounds when the codec is error-bounded, its fixed bitrates otherwise.
   std::vector<Panel> panels;
   for (const auto& name : foresight::available_compressors()) {
-    const auto& caps = foresight::CodecRegistry::instance().capabilities(name);
-    if (!caps.needs_device) continue;
+    const auto& caps = foresight::codec_capabilities(name);
+    if (!caps.needs_device()) continue;
     if (caps.supports_mode("abs")) {
       panels.push_back(
           {name, {{"abs", 0.001}, {"abs", 0.005}, {"abs", 0.025}, {"abs", 0.25}}});

@@ -1,28 +1,27 @@
 /// \file bench_guideline.cpp
 /// \brief Reproduces the paper's Section V-D optimization guideline on both
-/// datasets across every registered device codec: benchmark candidate
+/// datasets across every device codec: benchmark candidate
 /// configurations, filter by the cosmology metrics (power spectrum for
 /// Nyx, halo counts + bulk velocities for HACC), pick the highest-ratio
 /// acceptable config per field, and report the overall compression ratio —
 /// the numbers that in the paper come out as Nyx: cuZFP 10.7x / GPU-SZ
 /// 15.4x and HACC: cuZFP ~4x / GPU-SZ 4.25x. The codec roster and the
-/// default candidate grids come from the registry (optimize_dataset), so a
+/// default candidate grids come from the codec table (optimize_dataset), so a
 /// new backend joins the guideline without edits here.
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "foresight/codec_registry.hpp"
 #include "foresight/optimizer.hpp"
 
 using namespace cosmo;
 
 namespace {
 
-/// Registered device codecs, in registration order.
+/// Device codecs, in codec-table order.
 std::vector<std::string> device_codec_names() {
   std::vector<std::string> out;
   for (const auto& name : foresight::available_compressors()) {
-    if (foresight::CodecRegistry::instance().capabilities(name).needs_device) {
+    if (foresight::codec_capabilities(name).needs_device()) {
       out.push_back(name);
     }
   }

@@ -60,7 +60,6 @@ struct CBenchResult {
   /// Reconstructed data for downstream analysis (kept when requested).
   std::vector<float> reconstructed;
 
-  [[nodiscard]] bool has_gpu_timing() const { return compress.has_gpu_timing; }
   /// Device-OOM degraded a stage to the host codec.
   [[nodiscard]] bool cpu_fallback() const { return any_cpu_fallback(compress, decompress); }
   /// Max device attempts across stages (transient-fault retries).

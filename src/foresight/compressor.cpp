@@ -1,18 +1,20 @@
 /// \file compressor.cpp
-/// \brief The codec table and the two sessions every registered codec runs
-/// through.
+/// \brief The codec table and the two sessions every codec runs through.
 ///
-/// Each codec is one row of a private table: its span names, its host
-/// compress/decompress kernels and the two device-model facts the row keeps
-/// to itself (the paper's 1-D -> 3-D reshape, and whether the device model
-/// is keyed on the requested rate). One Compressor class serves every row.
-/// Host rows (no kernel profile) open a HostSession, which times the kernel
-/// on the host clock. Device rows open a DeviceSession, which runs the same
-/// kernel once and models the device run on the GpuSimulator at the row's
-/// kernel_rates() profile (the paper's Fig. 7 method).
+/// Each codec is one row of a static table: its CodecCapabilities, its span
+/// names, its host compress/decompress kernels and the two device-model
+/// facts the row keeps to itself (the paper's 1-D -> 3-D reshape, and
+/// whether the device model is keyed on the requested rate). One Compressor
+/// class serves every row. Host rows (no kernel profile) open a HostSession,
+/// which times the kernel on the host clock. Device rows open a
+/// DeviceSession, which runs the same kernel once and models the device run
+/// on the GpuSimulator at the row's kernel_rates() profile (the paper's
+/// Fig. 7 method).
 #include "foresight/compressor.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <span>
 #include <thread>
 
 #include "common/backoff.hpp"
@@ -25,6 +27,19 @@
 #include "zfp/zfp.hpp"
 
 namespace cosmo::foresight {
+
+bool CodecCapabilities::supports_mode(const std::string& mode) const {
+  return std::find(modes.begin(), modes.end(), mode) != modes.end();
+}
+
+std::string CodecCapabilities::modes_label() const { return join(modes, ", "); }
+
+void CodecCapabilities::require_mode(const std::string& mode) const {
+  if (!supports_mode(mode)) {
+    throw InvalidArgument(name + ": unsupported mode '" + mode +
+                          "' (supported: " + modes_label() + ")");
+  }
+}
 
 std::string CompressorConfig::label() const {
   return strprintf("%s=%g", mode.c_str(), value);
@@ -146,36 +161,128 @@ void fz_decompress(std::span<const std::uint8_t> bytes, std::vector<float>& out,
 // The codec table
 // ---------------------------------------------------------------------------
 
-/// One registered codec. Whether it runs on the host or the simulated
-/// device is its CodecCapabilities::kernel_profile (empty = host).
+/// One codec. Whether it runs on the host or the simulated device is its
+/// CodecCapabilities::kernel_profile (empty = host).
 struct CodecRow {
-  const char* name;
+  CodecCapabilities caps;
   const char* compress_span;  ///< string literals: the tracer keeps the pointer
   const char* decompress_span;
   CompressKernel compress;
   DecompressKernel decompress;
   /// The kernel sees 1-D fields as (ceil(n/64), 8, 8): the paper's dimension
   /// conversion for GPU-SZ and cuZFP on HACC (ShapeAdapter).
-  bool reshape_1d;
+  bool reshape_1d = false;
   /// The device model's compress bitrate is the requested rate (cuZFP's
   /// fixed rate), not the achieved stream bitrate.
-  bool model_requested_rate;
+  bool model_requested_rate = false;
 };
 
-constexpr CodecRow kCodecTable[] = {
-    {"gpu-sz", "gpu-sz.compress", "gpu-sz.decompress", gpu_sz_compress, sz_decompress,
-     true, false},
-    {"cuzfp", "cuzfp.compress", "cuzfp.decompress", zfp_compress, zfp_decompress, true,
-     true},
-    {"sz-cpu", "sz-cpu.compress", "sz-cpu.decompress", sz_compress, sz_decompress, false,
-     false},
-    {"zfp-cpu", "zfp-cpu.compress", "zfp-cpu.decompress", zfp_compress, zfp_decompress,
-     false, false},
-    {"fz-cpu", "fz-cpu.compress", "fz-cpu.decompress", fz_compress, fz_decompress, false,
-     false},
-    {"fz-gpu", "fz-gpu.compress", "fz-gpu.decompress", fz_compress, fz_decompress, false,
-     false},
-};
+/// The ABS lattice: log-spaced fractions of the field's value range,
+/// matching the paper's per-field bound scaling. Shared by the SZ and FZ
+/// families, so their rate-distortion figures are comparable.
+SweepAxis abs_axis() {
+  return {.mode = "abs", .kind = SweepAxis::Kind::kRangeFractions, .lo = 2e-6, .hi = 2e-3,
+          .count = 4};
+}
+
+SweepAxis pwrel_axis() {
+  return {.mode = "pw_rel", .kind = SweepAxis::Kind::kLogValues, .lo = 1e-3, .hi = 1e-1,
+          .count = 4};
+}
+
+SweepAxis rate_axis() {
+  return {.mode = "rate", .kind = SweepAxis::Kind::kFixedValues,
+          .values = {1.0, 2.0, 4.0, 8.0}};
+}
+
+/// Every codec, in presentation order (available_compressors(), the CLI
+/// table, bench iteration). Built once, on first use.
+std::span<const CodecRow> codec_table() {
+  static const CodecRow table[] = {
+      {.caps = {.name = "gpu-sz",
+                .summary = "GPU-SZ prototype (simulated device; 1-D fields reshaped to 3-D)",
+                .modes = {"abs", "pw_rel"},
+                // The paper excludes GPU-SZ throughput: the OpenMP
+                // prototype's memory layout is unoptimized.
+                .throughput_reportable = false,
+                .abs_rate_estimable = true,  // abs path is the SZ pipeline
+                .kernel_profile = "sz",
+                .default_sweep = {abs_axis(), pwrel_axis()}},
+       .compress_span = "gpu-sz.compress",
+       .decompress_span = "gpu-sz.decompress",
+       .compress = gpu_sz_compress,
+       .decompress = sz_decompress,
+       .reshape_1d = true},
+      {.caps = {.name = "cuzfp",
+                .summary = "cuZFP (simulated device; fixed-rate transform coding)",
+                .modes = {"rate"},
+                .plot_dashed = true,  // the paper draws fixed-rate cuZFP series dashed
+                .kernel_profile = "zfp",
+                .default_sweep = {rate_axis()}},
+       .compress_span = "cuzfp.compress",
+       .decompress_span = "cuzfp.decompress",
+       .compress = zfp_compress,
+       .decompress = zfp_decompress,
+       .reshape_1d = true,
+       .model_requested_rate = true},
+      {.caps = {.name = "sz-cpu",
+                .summary = "CPU SZ (Lorenzo + quantize + Huffman/LZSS; measured wall time)",
+                .modes = {"abs", "pw_rel"},
+                .abs_rate_estimable = true,
+                .default_sweep = {abs_axis(), pwrel_axis()}},
+       .compress_span = "sz-cpu.compress",
+       .decompress_span = "sz-cpu.decompress",
+       .compress = sz_compress,
+       .decompress = sz_decompress},
+      {.caps = {.name = "zfp-cpu",
+                .summary = "CPU ZFP (fixed-rate / fixed-accuracy / fixed-precision)",
+                .modes = {"rate", "accuracy", "precision"},
+                .plot_dashed = true,
+                .default_sweep = {rate_axis(),
+                                  {.mode = "accuracy",
+                                   .kind = SweepAxis::Kind::kLogValues,
+                                   .lo = 1e-2,
+                                   .hi = 1.0,
+                                   .count = 4},
+                                  {.mode = "precision",
+                                   .kind = SweepAxis::Kind::kFixedValues,
+                                   .values = {8.0, 12.0, 16.0, 20.0}}}},
+       .compress_span = "zfp-cpu.compress",
+       .decompress_span = "zfp-cpu.decompress",
+       .compress = zfp_compress,
+       .decompress = zfp_decompress},
+      {.caps = {.name = "fz-cpu",
+                .summary =
+                    "FZ bitshuffle pipeline on the host (quantize + bitshuffle + zero-run)",
+                .modes = {"abs"},
+                .default_sweep = {abs_axis()}},
+       .compress_span = "fz-cpu.compress",
+       .decompress_span = "fz-cpu.decompress",
+       .compress = fz_compress,
+       .decompress = fz_decompress},
+      {.caps = {.name = "fz-gpu",
+                .summary =
+                    "FZ-GPU (simulated device; fastest kernel profile, arXiv:2304.12557)",
+                .modes = {"abs"},
+                .kernel_profile = "fz",
+                .default_sweep = {abs_axis()}},
+       .compress_span = "fz-gpu.compress",
+       .decompress_span = "fz-gpu.decompress",
+       .compress = fz_compress,
+       .decompress = fz_decompress},
+  };
+  return table;
+}
+
+/// The row called \p name. An unknown name throws InvalidArgument from
+/// \p caller, listing the table.
+const CodecRow& find_row(const std::string& name, const char* caller) {
+  for (const CodecRow& row : codec_table()) {
+    if (row.caps.name == name) return row;
+  }
+  throw InvalidArgument(std::string(caller) + ": unknown compressor '" + name +
+                        "' (registered: " + join(available_compressors(), ", ") + ")");
+}
 
 // ---------------------------------------------------------------------------
 // The two sessions
@@ -187,9 +294,8 @@ constexpr CodecRow kCodecTable[] = {
 std::size_t run_compress(const CodecRow& row, const Field& field,
                          const CompressorConfig& config, CompressResult& out,
                          ScratchArena& arena, ThreadPool* pool) {
-  const CodecCapabilities& caps = CodecRegistry::instance().capabilities(row.name);
-  caps.require_mode(config.mode);
-  out.throughput_reportable = caps.throughput_reportable;
+  row.caps.require_mode(config.mode);
+  out.throughput_reportable = row.caps.throughput_reportable;
   out.original_values = field.data.size();
   const auto run = [&](std::span<const float> values, const Dims& dims) {
     const Timer timer;
@@ -287,9 +393,9 @@ bool model_device(StageTelemetry& stage, Model&& model) {
 
 class DeviceSession final : public CodecSession {
  public:
-  DeviceSession(const CodecRow& row, gpu::GpuSimulator& sim, std::string profile,
-                ScratchArena* arena, ThreadPool* pool)
-      : CodecSession(arena, pool), row_(row), sim_(sim), profile_(std::move(profile)) {}
+  DeviceSession(const CodecRow& row, gpu::GpuSimulator& sim, ScratchArena* arena,
+                ThreadPool* pool)
+      : CodecSession(arena, pool), row_(row), sim_(sim) {}
 
   void compress(const Field& field, const CompressorConfig& config,
                 CompressResult& out) override {
@@ -300,7 +406,7 @@ class DeviceSession final : public CodecSession {
     const double bitrate = row_.model_requested_rate
                                ? config.value
                                : stream_bitrate(out.bytes.size(), values);
-    const double gbps = sim_.kernel_rates(profile_, bitrate).compress_gbps;
+    const double gbps = sim_.kernel_rates(row_.caps.kernel_profile, bitrate).compress_gbps;
     if (!model_device(out.telemetry, [&] {
           return sim_.model_compression(values * sizeof(float), out.bytes.size(), gbps);
         })) {
@@ -316,7 +422,8 @@ class DeviceSession final : public CodecSession {
     // Modeled on the decoded extent, reshape padding included.
     const std::size_t values = out.values.size();
     const double gbps =
-        sim_.kernel_rates(profile_, stream_bitrate(compressed.bytes.size(), values))
+        sim_.kernel_rates(row_.caps.kernel_profile,
+                          stream_bitrate(compressed.bytes.size(), values))
             .decompress_gbps;
     model_device(out.telemetry, [&] {
       return sim_.model_decompression(values * sizeof(float), compressed.bytes.size(), gbps);
@@ -327,23 +434,19 @@ class DeviceSession final : public CodecSession {
  private:
   const CodecRow& row_;
   gpu::GpuSimulator& sim_;
-  std::string profile_;
 };
 
 class TableCompressor final : public Compressor {
  public:
   TableCompressor(const CodecRow& row, gpu::GpuSimulator* sim) : row_(row), sim_(sim) {}
 
-  [[nodiscard]] const CodecCapabilities& capabilities() const override {
-    return CodecRegistry::instance().capabilities(row_.name);
-  }
+  [[nodiscard]] const CodecCapabilities& capabilities() const override { return row_.caps; }
 
   [[nodiscard]] std::unique_ptr<CodecSession> open_session(ScratchArena* arena,
                                                           ThreadPool* pool) override {
     TRACE_SPAN("session.open");
-    const std::string& profile = capabilities().kernel_profile;
-    if (profile.empty()) return std::make_unique<HostSession>(row_, arena, pool);
-    return std::make_unique<DeviceSession>(row_, *sim_, profile, arena, pool);
+    if (!row_.caps.needs_device()) return std::make_unique<HostSession>(row_, arena, pool);
+    return std::make_unique<DeviceSession>(row_, *sim_, arena, pool);
   }
 
  private:
@@ -351,143 +454,25 @@ class TableCompressor final : public Compressor {
   gpu::GpuSimulator* sim_;
 };
 
-/// Registers \p caps with a factory over its table row.
-void add_codec(CodecRegistry& registry, CodecCapabilities caps) {
-  const CodecRow* row = nullptr;
-  for (const CodecRow& r : kCodecTable) {
-    if (caps.name == r.name) row = &r;
-  }
-  require(row != nullptr, "codec table: no row for '" + caps.name + "'");
-  registry.add(std::move(caps), [row](gpu::GpuSimulator* sim) -> std::unique_ptr<Compressor> {
-    return std::make_unique<TableCompressor>(*row, sim);
-  });
-}
-
-/// The ABS lattice: log-spaced fractions of the field's value range,
-/// matching the paper's per-field bound scaling. Shared by the SZ and FZ
-/// families, so their rate-distortion figures are comparable.
-SweepAxis abs_axis() {
-  SweepAxis abs;
-  abs.mode = "abs";
-  abs.kind = SweepAxis::Kind::kRangeFractions;
-  abs.lo = 2e-6;
-  abs.hi = 2e-3;
-  abs.count = 4;
-  return abs;
-}
-
-std::vector<SweepAxis> sz_style_sweep() {
-  SweepAxis pwrel;
-  pwrel.mode = "pw_rel";
-  pwrel.kind = SweepAxis::Kind::kLogValues;
-  pwrel.lo = 1e-3;
-  pwrel.hi = 1e-1;
-  pwrel.count = 4;
-  return {abs_axis(), pwrel};
-}
-
-SweepAxis rate_axis() {
-  SweepAxis rate;
-  rate.mode = "rate";
-  rate.kind = SweepAxis::Kind::kFixedValues;
-  rate.values = {1.0, 2.0, 4.0, 8.0};
-  return rate;
-}
-
-SweepAxis accuracy_axis() {
-  SweepAxis acc;
-  acc.mode = "accuracy";
-  acc.kind = SweepAxis::Kind::kLogValues;
-  acc.lo = 1e-2;
-  acc.hi = 1.0;
-  acc.count = 4;
-  return acc;
-}
-
 }  // namespace
-
-namespace detail {
-
-void register_builtin_codecs(CodecRegistry& registry) {
-  {
-    CodecCapabilities caps;
-    caps.name = "gpu-sz";
-    caps.summary = "GPU-SZ prototype (simulated device; 1-D fields reshaped to 3-D)";
-    caps.modes = {"abs", "pw_rel"};
-    caps.needs_device = true;
-    caps.concurrent_sessions_safe = false;  // shares the simulator jitter stream
-    // The paper excludes GPU-SZ throughput: the OpenMP prototype's memory
-    // layout is unoptimized.
-    caps.throughput_reportable = false;
-    caps.abs_rate_estimable = true;  // abs path is the SZ pipeline
-    caps.kernel_profile = "sz";
-    caps.default_sweep = sz_style_sweep();
-    add_codec(registry, std::move(caps));
-  }
-  {
-    CodecCapabilities caps;
-    caps.name = "cuzfp";
-    caps.summary = "cuZFP (simulated device; fixed-rate transform coding)";
-    caps.modes = {"rate"};
-    caps.needs_device = true;
-    caps.concurrent_sessions_safe = false;
-    caps.plot_dashed = true;  // the paper draws fixed-rate cuZFP series dashed
-    caps.kernel_profile = "zfp";
-    caps.default_sweep = {rate_axis()};
-    add_codec(registry, std::move(caps));
-  }
-  {
-    CodecCapabilities caps;
-    caps.name = "sz-cpu";
-    caps.summary = "CPU SZ (Lorenzo + quantize + Huffman/LZSS; measured wall time)";
-    caps.modes = {"abs", "pw_rel"};
-    caps.abs_rate_estimable = true;
-    caps.default_sweep = sz_style_sweep();
-    add_codec(registry, std::move(caps));
-  }
-  {
-    CodecCapabilities caps;
-    caps.name = "zfp-cpu";
-    caps.summary = "CPU ZFP (fixed-rate / fixed-accuracy / fixed-precision)";
-    caps.modes = {"rate", "accuracy", "precision"};
-    caps.plot_dashed = true;
-    SweepAxis precision;
-    precision.mode = "precision";
-    precision.kind = SweepAxis::Kind::kFixedValues;
-    precision.values = {8.0, 12.0, 16.0, 20.0};
-    caps.default_sweep = {rate_axis(), accuracy_axis(), precision};
-    add_codec(registry, std::move(caps));
-  }
-  {
-    CodecCapabilities caps;
-    caps.name = "fz-cpu";
-    caps.summary = "FZ bitshuffle pipeline on the host (quantize + bitshuffle + zero-run)";
-    caps.modes = {"abs"};
-    caps.default_sweep = {abs_axis()};
-    add_codec(registry, std::move(caps));
-  }
-  {
-    CodecCapabilities caps;
-    caps.name = "fz-gpu";
-    caps.summary = "FZ-GPU (simulated device; fastest kernel profile, arXiv:2304.12557)";
-    caps.modes = {"abs"};
-    caps.needs_device = true;
-    caps.concurrent_sessions_safe = false;  // shares the simulator jitter stream
-    caps.kernel_profile = "fz";
-    caps.default_sweep = {abs_axis()};
-    add_codec(registry, std::move(caps));
-  }
-}
-
-}  // namespace detail
 
 std::unique_ptr<Compressor> make_compressor(const std::string& name,
                                             gpu::GpuSimulator* sim) {
-  return CodecRegistry::instance().make(name, sim);
+  const CodecRow& row = find_row(name, "make_compressor");
+  if (row.caps.needs_device() && sim == nullptr) {
+    throw InvalidArgument("make_compressor: '" + name + "' needs a GPU simulator");
+  }
+  return std::make_unique<TableCompressor>(row, sim);
 }
 
 std::vector<std::string> available_compressors() {
-  return CodecRegistry::instance().names();
+  std::vector<std::string> names;
+  for (const CodecRow& row : codec_table()) names.push_back(row.caps.name);
+  return names;
+}
+
+const CodecCapabilities& codec_capabilities(const std::string& name) {
+  return find_row(name, "codec table").caps;
 }
 
 }  // namespace cosmo::foresight

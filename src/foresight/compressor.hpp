@@ -1,13 +1,17 @@
 /// \file compressor.hpp
-/// \brief Foresight's uniform compressor interface.
+/// \brief Foresight's uniform compressor interface and its codec table.
 ///
-/// CBench evaluates every codec through this interface. The codec roster is
-/// open: compressors self-register in the CodecRegistry (codec_registry.hpp)
-/// with a factory plus a CodecCapabilities descriptor, and make_compressor /
-/// available_compressors are thin views over that registry. The built-in
-/// set covers the paper's evaluation codecs (gpu-sz, cuzfp, sz-cpu, zfp-cpu)
-/// plus the FZ-GPU-style bitshuffle pipeline (fz-cpu, fz-gpu);
-/// `foresight_cli codecs` prints the live roster.
+/// CBench evaluates every codec through this interface. Each codec is
+/// described once, by one row of a static table in compressor.cpp: its
+/// CodecCapabilities (name, modes, kernel profile, flags, default sweep),
+/// its span names and its host kernels. make_compressor,
+/// available_compressors and codec_capabilities read that table; every layer
+/// that would otherwise string-match codec names (the sweep-lattice builder,
+/// the optimizer's config pruning, the pipeline's plot styling, the CLI,
+/// the bench figure binaries) queries capabilities instead. The table holds
+/// the paper's evaluation codecs (gpu-sz, cuzfp, sz-cpu, zfp-cpu) plus the
+/// FZ-GPU-style bitshuffle pipeline (fz-cpu, fz-gpu); `foresight_cli codecs`
+/// prints it.
 ///
 /// The execution path is staged: a Compressor opens a CodecSession, and the
 /// session exposes compress() and decompress() separately so sweeps can
@@ -15,9 +19,7 @@
 /// several decompressions, or skip decompression entirely. The fused
 /// compress → decompress → compare run is CBench's (cbench.hpp).
 ///
-/// Behind the interface sits one codec table (compressor.cpp): one row per
-/// codec with its span names and host compress/decompress kernels. One
-/// Compressor class serves every row and opens one of two sessions. Host
+/// One Compressor class serves every row and opens one of two sessions. Host
 /// codecs (sz-cpu, zfp-cpu, fz-cpu) get the host session, which times the
 /// kernel on the host clock. Simulated-GPU codecs (gpu-sz, cuzfp, fz-gpu)
 /// get the device session: it runs the same kernel once, then models the
@@ -36,12 +38,57 @@
 #include "common/scratch_arena.hpp"
 #include "common/telemetry.hpp"
 #include "common/thread_pool.hpp"
-#include "foresight/codec_registry.hpp"
 #include "foresight/shape_adapter.hpp"
 #include "gpu/sim.hpp"
 #include "json/json.hpp"
 
 namespace cosmo::foresight {
+
+/// One axis of a codec's default sweep lattice: the mode plus how to turn
+/// a field into concrete config values.
+struct SweepAxis {
+  enum class Kind {
+    kFixedValues,     ///< use \c values verbatim (e.g. ZFP rates)
+    kRangeFractions,  ///< log-spaced fractions of the field's value range
+    kLogValues,       ///< log-spaced absolute values, field-independent
+  };
+  std::string mode;
+  Kind kind = Kind::kFixedValues;
+  std::vector<double> values = {};  ///< kFixedValues only
+  double lo = 0.0;                  ///< kRangeFractions / kLogValues span
+  double hi = 0.0;
+  std::size_t count = 0;
+};
+
+/// Everything the dispatch layers need to know about a codec without
+/// naming it.
+struct CodecCapabilities {
+  std::string name;
+  std::string summary;                ///< one line for `foresight_cli codecs`
+  std::vector<std::string> modes;     ///< supported CompressorConfig modes
+  bool throughput_reportable = true;  ///< kernel GB/s is meaningful for this codec
+  bool plot_dashed = false;           ///< drawn dashed in rate-distortion figures
+  /// sz::estimate_rate predicts this codec's abs-mode bitrate (the codec's
+  /// abs path is the SZ prediction+quantization pipeline). The guided
+  /// optimizer uses the estimator for pruned-candidate CR predictions.
+  bool abs_rate_estimable = false;
+  std::string kernel_profile = {};       ///< GpuSimulator::kernel_rates() key; empty = host-only
+  std::vector<SweepAxis> default_sweep;  ///< per-mode lattices; front() is the primary
+
+  /// A codec with a kernel profile runs on the simulated device, so it
+  /// needs a GpuSimulator to construct.
+  [[nodiscard]] bool needs_device() const { return !kernel_profile.empty(); }
+  /// Sessions may run on parallel workers with identical results. Device
+  /// codecs share the simulator's jitter stream, so their modeled timings
+  /// are call-order dependent.
+  [[nodiscard]] bool concurrent_sessions_safe() const { return kernel_profile.empty(); }
+  [[nodiscard]] bool supports_mode(const std::string& mode) const;
+  /// "abs, pw_rel" — for error messages and the CLI table.
+  [[nodiscard]] std::string modes_label() const;
+  /// Throws InvalidArgument listing the supported modes when \p mode is
+  /// not one of them.
+  void require_mode(const std::string& mode) const;
+};
 
 /// One compression configuration, e.g. {mode: "abs", value: 0.2}.
 struct CompressorConfig {
@@ -63,7 +110,7 @@ json::Value config_list_json(const std::vector<CompressorConfig>& configs);
 /// Output of the compression stage. Self-contained: everything decompress()
 /// needs travels with the stream. The per-stage timing/fallback/retry facts
 /// live in one StageTelemetry (shared with DecompressResult and
-/// CBenchResult); the old field names survive as read accessors.
+/// CBenchResult).
 struct CompressResult {
   std::vector<std::uint8_t> bytes;
   /// Value count of the original field, before any 1-D -> 3-D zero padding;
@@ -74,10 +121,6 @@ struct CompressResult {
   bool throughput_reportable = true;  ///< false for GPU-SZ and after a device OOM
 
   [[nodiscard]] double seconds() const { return telemetry.seconds; }
-  [[nodiscard]] bool has_gpu_timing() const { return telemetry.has_gpu_timing; }
-  [[nodiscard]] const TimingBreakdown& gpu_timing() const { return telemetry.gpu_timing; }
-  [[nodiscard]] bool cpu_fallback() const { return telemetry.cpu_fallback; }
-  [[nodiscard]] int device_attempts() const { return telemetry.device_attempts; }
 };
 
 /// Output of the decompression stage.
@@ -86,10 +129,6 @@ struct DecompressResult {
   StageTelemetry telemetry;
 
   [[nodiscard]] double seconds() const { return telemetry.seconds; }
-  [[nodiscard]] bool has_gpu_timing() const { return telemetry.has_gpu_timing; }
-  [[nodiscard]] const TimingBreakdown& gpu_timing() const { return telemetry.gpu_timing; }
-  [[nodiscard]] bool cpu_fallback() const { return telemetry.cpu_fallback; }
-  [[nodiscard]] int device_attempts() const { return telemetry.device_attempts; }
 };
 
 /// One codec execution context. Sessions own (or borrow) a ScratchArena so
@@ -137,28 +176,23 @@ class CodecSession {
   ThreadPool* pool_ = nullptr;
 };
 
-/// Abstract compressor as seen by CBench: a registry entry that describes a
-/// codec (through its CodecCapabilities) and opens execution sessions for
-/// it. Name, modes and concurrency facts are all views over capabilities(),
-/// so a codec's single source of truth is its registry descriptor.
+/// Abstract compressor as seen by CBench: a codec-table row that describes
+/// a codec (through its CodecCapabilities) and opens execution sessions for
+/// it. Name and concurrency facts are views over capabilities(), so a
+/// codec's single source of truth is its table row.
 class Compressor {
  public:
   virtual ~Compressor() = default;
 
-  /// The registry descriptor for this codec.
+  /// The codec's capabilities.
   [[nodiscard]] virtual const CodecCapabilities& capabilities() const = 0;
 
   [[nodiscard]] std::string name() const { return capabilities().name; }
-  [[nodiscard]] std::vector<std::string> supported_modes() const {
-    return capabilities().modes;
-  }
 
-  /// True when sessions of this compressor may run concurrently with
-  /// identical results. False for the simulated-GPU codecs (they share the
-  /// simulator's jitter stream, so modeled timings are call-order
-  /// dependent); the sweep scheduler runs those serially.
+  /// See CodecCapabilities::concurrent_sessions_safe(); the sweep scheduler
+  /// runs codecs for which this is false serially.
   [[nodiscard]] bool concurrent_sessions_safe() const {
-    return capabilities().concurrent_sessions_safe;
+    return capabilities().concurrent_sessions_safe();
   }
 
   /// Opens a session; pass an arena to share scratch buffers, or null to
@@ -169,13 +203,18 @@ class Compressor {
       ScratchArena* arena = nullptr, ThreadPool* pool = nullptr) = 0;
 };
 
-/// Creates a compressor by registered name (CodecRegistry::make). Device
-/// codecs need a simulator; passing null for them throws InvalidArgument,
-/// as does an unknown name (the message lists the registered codecs).
+/// Creates a compressor by name. Device codecs need a simulator; passing
+/// null for them throws InvalidArgument, as does an unknown name (the
+/// message lists the known codecs).
 std::unique_ptr<Compressor> make_compressor(const std::string& name,
                                             gpu::GpuSimulator* sim = nullptr);
 
-/// Registered codec names in registration (= evaluation) order.
+/// Codec names in table (= evaluation and presentation) order.
 std::vector<std::string> available_compressors();
+
+/// The capabilities of the codec called \p name: the same object every
+/// Compressor of that codec returns. Throws InvalidArgument (listing the
+/// known codecs) for unknown names.
+const CodecCapabilities& codec_capabilities(const std::string& name);
 
 }  // namespace cosmo::foresight

@@ -130,7 +130,7 @@ OptimizationResult optimize_particle_dataset(
 /// `foresight_cli optimize` and the benches all fill one of these. Each
 /// default lives in its member initialiser.
 struct OptimizeSpec {
-  std::string codec;  ///< registry name ("compressor" in JSON)
+  std::string codec;  ///< codec name ("compressor" in JSON)
   OptimizerOptions options;
   double tolerance = 0.01;  ///< grid: P(k) ratio band
   double k_fraction = 0.5;  ///< grid: k <= k_fraction * k_nyquist

@@ -382,7 +382,7 @@ PipelineSummary run_pipeline(const json::Value& config) {
                     "rate_distortion.svg"});
         auto& s = series[r.field + " (" + r.compressor + ")"];
         s.label = r.field + " (" + r.compressor + ")";
-        s.dashed = CodecRegistry::instance().capabilities(r.compressor).plot_dashed;
+        s.dashed = codec_capabilities(r.compressor).plot_dashed;
         s.x.push_back(r.bit_rate);
         s.y.push_back(r.distortion.psnr_db);
       }

@@ -27,8 +27,11 @@
 ///                  // (1 serial, 0 global pool, N dedicated); output is
 ///                  // byte-identical for any value
 ///   "on_error": "continue",  // per-job failure policy: "continue" records
-///                            // a failed row and keeps going (default),
-///                            // "abort" stops at the first failure
+///                            // a failed row and keeps going (default);
+///                            // "abort" fails the run: every independent
+///                            // job still runs and a failed one's row still
+///                            // reads "failed", but the analysis and cinema
+///                            // jobs that depend on the rows are skipped
 ///   "telemetry": {  // observability (absent = tracing stays disabled)
 ///     "trace": true,             // enable span tracing for this run
 ///     "trace_capacity": 65536,   // ring size in spans, below 2^24 (oldest
@@ -61,7 +64,7 @@
 ///     "linking_length": 1.5,
 ///     "min_members": 10,
 ///     "candidates": [{"mode": "abs", "value": 0.1}, ...],  // grid; default:
-///                                                  // the codec's registry sweep
+///                                                  // the codec's default sweep
 ///     "position_candidates": [...],  // particles; default: paper's HACC lattices
 ///     "velocity_candidates": [...]
 ///   }

@@ -44,7 +44,7 @@ class SessionCache {
   [[nodiscard]] Compressor& compressor(const std::string& codec);
 
   /// Drops every cached session and replaces the arena. Compressor objects
-  /// survive (they are stateless registry fronts); the next session() call
+  /// survive (they are stateless codec-table fronts); the next session() call
   /// reopens against the fresh arena.
   void invalidate();
 

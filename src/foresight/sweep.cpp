@@ -19,33 +19,6 @@ std::vector<double> log_spaced(double lo, double hi, std::size_t count) {
 
 }  // namespace
 
-std::vector<CompressorConfig> abs_sweep_for_field(const Field& field, double frac_lo,
-                                                  double frac_hi, std::size_t count) {
-  const auto [lo, hi] = value_range(field.view());
-  const double range = static_cast<double>(hi) - lo;
-  require(range > 0.0, "sweep: field has zero value range");
-  std::vector<CompressorConfig> configs;
-  for (const double frac : log_spaced(frac_lo, frac_hi, count)) {
-    configs.push_back({"abs", range * frac});
-  }
-  return configs;
-}
-
-std::vector<CompressorConfig> pwrel_sweep(double lo, double hi, std::size_t count) {
-  std::vector<CompressorConfig> configs;
-  for (const double bound : log_spaced(lo, hi, count)) {
-    configs.push_back({"pw_rel", bound});
-  }
-  return configs;
-}
-
-std::vector<CompressorConfig> rate_sweep(std::vector<double> bitrates) {
-  require(!bitrates.empty(), "sweep: no bitrates");
-  std::vector<CompressorConfig> configs;
-  for (const double rate : bitrates) configs.push_back({"rate", rate});
-  return configs;
-}
-
 std::vector<CompressorConfig> configs_for_axis(const SweepAxis& axis, const Field& field) {
   switch (axis.kind) {
     case SweepAxis::Kind::kFixedValues: {
@@ -77,12 +50,9 @@ std::vector<CompressorConfig> configs_for_axis(const SweepAxis& axis, const Fiel
 
 std::vector<CompressorConfig> default_grid_candidates(const std::string& codec,
                                                       const Field& field) {
-  // Registry lookup throws InvalidArgument (listing registered codecs) for
-  // unknown names; a registered codec always carries a default lattice.
-  const CodecCapabilities& caps = CodecRegistry::instance().capabilities(codec);
-  require(!caps.default_sweep.empty(),
-          "sweep: no default candidates for codec '" + codec + "'");
-  return configs_for_axis(caps.default_sweep.front(), field);
+  // Throws InvalidArgument (listing the known codecs) for unknown names;
+  // every codec-table row carries a default lattice.
+  return configs_for_axis(codec_capabilities(codec).default_sweep.front(), field);
 }
 
 std::vector<CompressorConfig> default_position_candidates(const CodecCapabilities& caps) {
@@ -98,7 +68,12 @@ std::vector<CompressorConfig> default_velocity_candidates(const CodecCapabilitie
     return {{"pw_rel", 0.005}, {"pw_rel", 0.025}, {"pw_rel", 0.1}};
   }
   if (caps.supports_mode("rate")) return {{"rate", 8.0}, {"rate", 4.0}};
-  return abs_sweep_for_field(velocity_field, 2e-5, 2e-3, 3);
+  return configs_for_axis({.mode = "abs",
+                           .kind = SweepAxis::Kind::kRangeFractions,
+                           .lo = 2e-5,
+                           .hi = 2e-3,
+                           .count = 3},
+                          velocity_field);
 }
 
 }  // namespace cosmo::foresight

@@ -1,9 +1,9 @@
 /// \file sweep.hpp
 /// \brief Candidate-configuration sweep generators for the Section V-D
 /// guideline: the paper sweeps absolute error bounds as fractions of each
-/// field's value range (GPU-SZ) and fixed bitrates (cuZFP). These helpers
-/// build those grids so benches, examples and user code share one
-/// definition.
+/// field's value range (GPU-SZ) and fixed bitrates (cuZFP). Every grid is a
+/// SweepAxis materialized by configs_for_axis, so benches, examples and
+/// user code share one lattice builder.
 #pragma once
 
 #include <vector>
@@ -13,27 +13,16 @@
 
 namespace cosmo::foresight {
 
-/// Absolute-bound sweep: bounds = range(field) * fraction, for log-spaced
-/// fractions in [frac_lo, frac_hi] (inclusive, `count` points).
-std::vector<CompressorConfig> abs_sweep_for_field(const Field& field, double frac_lo,
-                                                  double frac_hi, std::size_t count);
-
-/// Point-wise-relative sweep over log-spaced bounds in [lo, hi].
-std::vector<CompressorConfig> pwrel_sweep(double lo, double hi, std::size_t count);
-
-/// Fixed-rate sweep over the given bitrates.
-std::vector<CompressorConfig> rate_sweep(std::vector<double> bitrates);
-
-/// Materializes one registered sweep axis against a concrete field:
+/// Materializes one sweep axis against a concrete field:
 /// kFixedValues uses the values verbatim, kRangeFractions scales log-spaced
 /// fractions by the field's value range, kLogValues log-spaces absolute
 /// values. All configs carry the axis's mode.
 std::vector<CompressorConfig> configs_for_axis(const SweepAxis& axis, const Field& field);
 
-/// The default candidate grid per Nyx-like field for a registered codec:
+/// The default candidate grid per Nyx-like field for a codec:
 /// the codec's primary CodecCapabilities::default_sweep axis, materialized
-/// for \p field (e.g. the ZFP family registers rates {1,2,4,8}, the SZ/FZ
-/// family range-scaled absolute bounds 2e-6..2e-3 of the range). Unknown
+/// for \p field (e.g. the ZFP family's rates {1,2,4,8}, the SZ/FZ family's
+/// range-scaled absolute bounds 2e-6..2e-3 of the range). Unknown
 /// codecs throw InvalidArgument.
 std::vector<CompressorConfig> default_grid_candidates(const std::string& codec,
                                                       const Field& field);

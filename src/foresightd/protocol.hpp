@@ -266,7 +266,7 @@ struct JobRequest {
   std::uint64_t id = 0;        ///< client-chosen correlation id, echoed back
   int proto_major = 0;         ///< 0 = no `proto` field sent (served as kProtoMajor)
   int proto_minor = 0;
-  std::string codec;           ///< registry name, e.g. "sz-cpu"
+  std::string codec;           ///< codec name, e.g. "sz-cpu"
   foresight::CompressorConfig config;  ///< single-config job types
   json::Value dataset;         ///< dataset spec: {type, dim/particles, seed}, {type:"file", path}, or {type:"inline", transfer, dims}
   std::string field;           ///< field name within the dataset

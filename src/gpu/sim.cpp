@@ -89,8 +89,6 @@ GpuSimulator::KernelRates GpuSimulator::kernel_rates(const std::string& profile,
                         "' (known: zfp, sz, fz)");
 }
 
-std::vector<std::string> GpuSimulator::kernel_profiles() { return {"zfp", "sz", "fz"}; }
-
 void GpuSimulator::poll_faults(const char* where) {
   // Explicitly attached plan first, then the process-wide one; both are
   // nullptr in normal operation, so this is two pointer loads on the

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/fault.hpp"
 #include "common/telemetry.hpp"
@@ -75,9 +74,6 @@ class GpuSimulator {
   ///           fastest family with only a weak bitrate dependence.
   /// Unknown profiles throw InvalidArgument listing the known ones.
   [[nodiscard]] KernelRates kernel_rates(const std::string& profile, double bitrate) const;
-
-  /// Registered kernel-profile ids, in catalog order.
-  [[nodiscard]] static std::vector<std::string> kernel_profiles();
 
   /// Full pipeline models (Fig. 7): compression assumes raw data already in
   /// device memory and moves only the compressed stream D2H; decompression

@@ -29,7 +29,7 @@ TEST(CBench, RunOnePopulatesEveryMetric) {
   EXPECT_GT(r.distortion.psnr_db, 10.0);
   EXPECT_GT(r.compress_gbps, 0.0);
   EXPECT_GT(r.decompress_gbps, 0.0);
-  EXPECT_TRUE(r.has_gpu_timing());
+  EXPECT_TRUE(r.compress.has_gpu_timing);
   EXPECT_EQ(r.reconstructed.size(), data.find("baryon_density").field.data.size());
 }
 

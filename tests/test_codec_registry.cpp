@@ -1,14 +1,16 @@
 /// \file test_codec_registry.cpp
-/// \brief Registry conformance suite: every registered codec — present and
-/// future — is exercised through the same contract, driven purely by its
+/// \brief Codec-table conformance suite: every codec — present and future —
+/// is exercised through the same contract, driven purely by its
 /// CodecCapabilities: round-trip per supported mode, session reuse,
-/// corruption containment, on_error=continue, capability consistency, and
-/// the error messages the registry promises. Plus the FZ-specific facts
-/// (device timing, OOM fallback byte-identity, trace spans, metrics).
+/// corruption containment, on_error=continue, capability consistency, the
+/// pinned roster, and the error messages the lookups promise. Plus the
+/// FZ-specific facts (device timing, OOM fallback byte-identity, trace
+/// spans, metrics).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -73,7 +75,7 @@ TEST(RegistryConformance, EveryCodecRoundTripsEverySupportedMode) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const Field field = conformance_field();
   for (const auto& name : available_compressors()) {
-    const auto& caps = CodecRegistry::instance().capabilities(name);
+    const auto& caps = codec_capabilities(name);
     const auto codec = make_compressor(name, &sim);
     EXPECT_EQ(&codec->capabilities(), &caps) << name;
     for (const auto& mode : caps.modes) {
@@ -102,7 +104,7 @@ TEST(RegistryConformance, EveryCodecRoundTripsEverySupportedMode) {
         }
         if (threads == 1) {
           serial_crc = out.stream_crc32;
-        } else if (caps.concurrent_sessions_safe) {
+        } else if (caps.concurrent_sessions_safe()) {
           EXPECT_EQ(out.stream_crc32, serial_crc)
               << name << " " << mode << ": stream depends on the thread count";
         }
@@ -115,7 +117,7 @@ TEST(RegistryConformance, SessionReuseProducesIdenticalStreams) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const Field field = conformance_field();
   for (const auto& name : available_compressors()) {
-    const auto& caps = CodecRegistry::instance().capabilities(name);
+    const auto& caps = codec_capabilities(name);
     const auto codec = make_compressor(name, &sim);
     const CompressorConfig config = config_for_mode(caps.modes.front());
 
@@ -139,7 +141,7 @@ TEST(RegistryConformance, CorruptionMatrixIsContained) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const Field field = conformance_field();
   for (const auto& name : available_compressors()) {
-    const auto& caps = CodecRegistry::instance().capabilities(name);
+    const auto& caps = codec_capabilities(name);
     const auto codec = make_compressor(name, &sim);
     const auto session = codec->open_session();
     const CompressResult clean =
@@ -184,7 +186,7 @@ TEST(RegistryConformance, SweepContinuesPastFailingConfigs) {
                 .dataset_name = "conformance",
                 .on_error = OnError::kContinue});
   for (const auto& name : available_compressors()) {
-    const auto& caps = CodecRegistry::instance().capabilities(name);
+    const auto& caps = codec_capabilities(name);
     const auto codec = make_compressor(name, &sim);
     // A mode this codec does not register (every codec lacks at least one).
     std::string bad_mode;
@@ -208,7 +210,7 @@ TEST(RegistryConformance, SweepContinuesPastFailingConfigs) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry error messages and capability consistency
+// Error messages and capability consistency
 // ---------------------------------------------------------------------------
 
 TEST(RegistryConformance, UnknownCodecErrorListsRegisteredNames) {
@@ -247,17 +249,19 @@ TEST(RegistryConformance, CapabilitiesAreConsistent) {
   const auto names = available_compressors();
   for (const auto& name : names) {
     EXPECT_EQ(std::count(names.begin(), names.end(), name), 1) << name;
-    const auto& caps = CodecRegistry::instance().capabilities(name);
+    const auto& caps = codec_capabilities(name);
     EXPECT_EQ(caps.name, name);
     EXPECT_FALSE(caps.summary.empty()) << name;
     EXPECT_FALSE(caps.modes.empty()) << name;
-    if (caps.needs_device) {
+    if (caps.needs_device()) {
       EXPECT_THROW((void)make_compressor(name, nullptr), InvalidArgument) << name;
-      // Device codecs name a kernel profile the simulator knows.
-      const auto profiles = gpu::GpuSimulator::kernel_profiles();
-      EXPECT_NE(std::find(profiles.begin(), profiles.end(), caps.kernel_profile),
-                profiles.end())
-          << name << " profile '" << caps.kernel_profile << "'";
+      // Device codecs name a kernel profile the simulator models at a
+      // positive rate.
+      for (const double bitrate : {1.0, 8.0, 32.0}) {
+        const auto rates = sim.kernel_rates(caps.kernel_profile, bitrate);
+        EXPECT_GT(rates.compress_gbps, 0.0) << name << " at " << bitrate;
+        EXPECT_GT(rates.decompress_gbps, 0.0) << name << " at " << bitrate;
+      }
     } else {
       EXPECT_NO_THROW((void)make_compressor(name, nullptr)) << name;
       EXPECT_TRUE(caps.kernel_profile.empty()) << name;
@@ -271,8 +275,61 @@ TEST(RegistryConformance, CapabilitiesAreConsistent) {
       EXPECT_GT(config.value, 0.0) << name << " " << config.label();
     }
   }
-  EXPECT_THROW((void)CodecRegistry::instance().capabilities("no-such"), InvalidArgument);
+  EXPECT_THROW((void)codec_capabilities("no-such"), InvalidArgument);
   EXPECT_THROW((void)default_grid_candidates("no-such", field), InvalidArgument);
+}
+
+TEST(Registry, CodecTableRowsArePinned) {
+  // The roster as the codec table defines it. Changing any capability of
+  // any codec, or the order, has to be made here as well.
+  struct Expected {
+    const char* name;
+    std::vector<std::string> modes;
+    const char* kernel_profile;
+    bool needs_device;
+    bool concurrent_sessions_safe;
+    bool throughput_reportable;
+    bool plot_dashed;
+    bool abs_rate_estimable;
+    SweepAxis primary;
+  };
+  const SweepAxis abs{.mode = "abs",
+                      .kind = SweepAxis::Kind::kRangeFractions,
+                      .lo = 2e-6,
+                      .hi = 2e-3,
+                      .count = 4};
+  const SweepAxis rate{.mode = "rate", .values = {1.0, 2.0, 4.0, 8.0}};
+  const Expected expected[] = {
+      {"gpu-sz", {"abs", "pw_rel"}, "sz", true, false, false, false, true, abs},
+      {"cuzfp", {"rate"}, "zfp", true, false, true, true, false, rate},
+      {"sz-cpu", {"abs", "pw_rel"}, "", false, true, true, false, true, abs},
+      {"zfp-cpu", {"rate", "accuracy", "precision"}, "", false, true, true, true, false, rate},
+      {"fz-cpu", {"abs"}, "", false, true, true, false, false, abs},
+      {"fz-gpu", {"abs"}, "fz", true, false, true, false, false, abs},
+  };
+  const auto names = available_compressors();
+  ASSERT_EQ(names.size(), std::size(expected));
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const Expected& want = expected[i];
+    EXPECT_EQ(names[i], want.name) << "position " << i;
+    const CodecCapabilities& caps = codec_capabilities(want.name);
+    EXPECT_EQ(caps.name, want.name);
+    EXPECT_EQ(caps.modes, want.modes) << want.name;
+    EXPECT_EQ(caps.kernel_profile, want.kernel_profile) << want.name;
+    EXPECT_EQ(caps.needs_device(), want.needs_device) << want.name;
+    EXPECT_EQ(caps.concurrent_sessions_safe(), want.concurrent_sessions_safe) << want.name;
+    EXPECT_EQ(caps.throughput_reportable, want.throughput_reportable) << want.name;
+    EXPECT_EQ(caps.plot_dashed, want.plot_dashed) << want.name;
+    EXPECT_EQ(caps.abs_rate_estimable, want.abs_rate_estimable) << want.name;
+    ASSERT_FALSE(caps.default_sweep.empty()) << want.name;
+    const SweepAxis& axis = caps.default_sweep.front();
+    EXPECT_EQ(axis.mode, want.primary.mode) << want.name;
+    EXPECT_EQ(axis.kind, want.primary.kind) << want.name;
+    EXPECT_EQ(axis.values, want.primary.values) << want.name;
+    EXPECT_EQ(axis.lo, want.primary.lo) << want.name;
+    EXPECT_EQ(axis.hi, want.primary.hi) << want.name;
+    EXPECT_EQ(axis.count, want.primary.count) << want.name;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -302,7 +359,7 @@ TEST(FzCodec, GpuVariantReportsDeviceTiming) {
   const Field field = conformance_field();
   const auto codec = make_compressor("fz-gpu", &sim);
   const CBenchResult out = CBench().run_one(field, *codec, {"abs", 0.1});
-  EXPECT_TRUE(out.has_gpu_timing());
+  EXPECT_TRUE(out.compress.has_gpu_timing);
   EXPECT_TRUE(out.throughput_reportable);
   EXPECT_GT(out.compress.gpu_timing.kernel, 0.0);
   EXPECT_GT(out.decompress.gpu_timing.memcpy, 0.0);
@@ -328,15 +385,15 @@ TEST(FzCodec, OomFallsBackToHostByteIdentically) {
   const auto codec = make_compressor("fz-gpu", &sim);
   const auto session = codec->open_session();
   const CompressResult c = session->compress(field, {"abs", 0.1});
-  EXPECT_TRUE(c.cpu_fallback());
-  EXPECT_FALSE(c.has_gpu_timing());
+  EXPECT_TRUE(c.telemetry.cpu_fallback);
+  EXPECT_FALSE(c.telemetry.has_gpu_timing);
   EXPECT_FALSE(c.throughput_reportable);
 
   const auto host = make_compressor("fz-cpu");
   EXPECT_EQ(c.bytes, host->open_session()->compress(field, {"abs", 0.1}).bytes);
 
   const DecompressResult d = session->decompress(c);
-  EXPECT_TRUE(d.cpu_fallback());
+  EXPECT_TRUE(d.telemetry.cpu_fallback);
   EXPECT_EQ(d.values.size(), field.data.size());
   EXPECT_GE(plan.counts().gpu_ooms, 2u);
   EXPECT_GE(fallbacks.value(), fallbacks_before + 2);

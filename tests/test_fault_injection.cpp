@@ -257,9 +257,9 @@ TEST(Retry, TransientFaultRetriedThenSucceeds) {
   const auto data = small_nyx();
   const Field& field = data.find("baryon_density").field;
   const CompressResult first = session->compress(field, {"rate", 8.0});
-  EXPECT_EQ(first.device_attempts(), 1);  // op 1 passes
+  EXPECT_EQ(first.telemetry.device_attempts, 1);  // op 1 passes
   const CompressResult second = session->compress(field, {"rate", 8.0});
-  EXPECT_EQ(second.device_attempts(), 2);  // op 2 faults, retry op 3 passes
+  EXPECT_EQ(second.telemetry.device_attempts, 2);  // op 2 faults, retry op 3 passes
   EXPECT_EQ(plan.counts().gpu_transients, 1u);
   EXPECT_EQ(first.bytes, second.bytes) << "retries must not change the stream";
 }
@@ -295,8 +295,8 @@ TEST(Fallback, CuZfpOomFallsBackToHostZfp) {
   const auto cuzfp = make_compressor("cuzfp", &sim);
   const auto session = cuzfp->open_session();
   const CompressResult c = session->compress(field, {"rate", 8.0});
-  EXPECT_TRUE(c.cpu_fallback());
-  EXPECT_FALSE(c.has_gpu_timing());
+  EXPECT_TRUE(c.telemetry.cpu_fallback);
+  EXPECT_FALSE(c.telemetry.has_gpu_timing);
   EXPECT_FALSE(c.throughput_reportable);
   EXPECT_GE(c.seconds(), 0.0);
 
@@ -305,7 +305,7 @@ TEST(Fallback, CuZfpOomFallsBackToHostZfp) {
   EXPECT_EQ(c.bytes, host->open_session()->compress(field, {"rate", 8.0}).bytes);
 
   const DecompressResult d = session->decompress(c);
-  EXPECT_TRUE(d.cpu_fallback());
+  EXPECT_TRUE(d.telemetry.cpu_fallback);
   EXPECT_EQ(d.values.size(), field.data.size());
   EXPECT_GE(plan.counts().gpu_ooms, 2u);
 }
@@ -322,15 +322,15 @@ TEST(Fallback, GpuSzOomFallsBackToHostSz) {
   const auto gpu_sz = make_compressor("gpu-sz", &sim);
   const auto session = gpu_sz->open_session();
   const CompressResult c = session->compress(field, {"abs", 0.1});
-  EXPECT_TRUE(c.cpu_fallback());
-  EXPECT_FALSE(c.has_gpu_timing());
+  EXPECT_TRUE(c.telemetry.cpu_fallback);
+  EXPECT_FALSE(c.telemetry.has_gpu_timing);
   EXPECT_FALSE(c.throughput_reportable);
 
   const auto host = make_compressor("sz-cpu");
   EXPECT_EQ(c.bytes, host->open_session()->compress(field, {"abs", 0.1}).bytes);
 
   const DecompressResult d = session->decompress(c);
-  EXPECT_TRUE(d.cpu_fallback());
+  EXPECT_TRUE(d.telemetry.cpu_fallback);
   EXPECT_EQ(d.values.size(), field.data.size());
 }
 
@@ -362,7 +362,7 @@ TEST(Fallback, GpuSzOomRunsTheKernelOnce) {
   telemetry::Tracer::clear();
   EXPECT_EQ(kernel_spans, 1u);
   EXPECT_EQ(c.bytes, clean.bytes);
-  EXPECT_TRUE(c.cpu_fallback());
+  EXPECT_TRUE(c.telemetry.cpu_fallback);
   EXPECT_FALSE(c.throughput_reportable);
   EXPECT_EQ(plan.counts().gpu_ooms, 1u);
 }
@@ -380,13 +380,13 @@ TEST(Fallback, OomFreeJobsResetTheFallbackFlags) {
   const auto session = cuzfp->open_session();
   CompressResult c;
   session->compress(field, {"rate", 8.0}, c);  // op 1: clean
-  EXPECT_FALSE(c.cpu_fallback());
+  EXPECT_FALSE(c.telemetry.cpu_fallback);
   session->compress(field, {"rate", 8.0}, c);  // op 2: clean
   session->compress(field, {"rate", 8.0}, c);  // op 3: OOM -> fallback
-  EXPECT_TRUE(c.cpu_fallback());
+  EXPECT_TRUE(c.telemetry.cpu_fallback);
   session->compress(field, {"rate", 8.0}, c);  // op 4 (fresh counter run): clean
-  EXPECT_FALSE(c.cpu_fallback()) << "stale fallback flag survived result reuse";
-  EXPECT_TRUE(c.has_gpu_timing());
+  EXPECT_FALSE(c.telemetry.cpu_fallback) << "stale fallback flag survived result reuse";
+  EXPECT_TRUE(c.telemetry.has_gpu_timing);
   EXPECT_TRUE(c.throughput_reportable);
 }
 

@@ -29,7 +29,7 @@ TEST(Registry, AllCompressorsAvailable) {
   for (const auto& name : names) {
     const auto codec = make_compressor(name, &sim);
     EXPECT_EQ(codec->name(), name);
-    EXPECT_FALSE(codec->supported_modes().empty());
+    EXPECT_FALSE(codec->capabilities().modes.empty());
   }
 }
 
@@ -68,7 +68,7 @@ TEST(Compressor, SzCpuAbsHonorsBound) {
   for (std::size_t i = 0; i < f.data.size(); ++i) {
     EXPECT_LE(std::fabs(out.reconstructed[i] - f.data[i]), 0.05 * (1 + 1e-9));
   }
-  EXPECT_FALSE(out.has_gpu_timing());
+  EXPECT_FALSE(out.compress.has_gpu_timing);
   EXPECT_GE(out.compress.seconds, 0.0);
   EXPECT_TRUE(out.throughput_reportable);
 }
@@ -116,7 +116,7 @@ TEST(Compressor, GpuSzAuto3dConversionFor1d) {
   for (std::size_t i = 0; i < f.data.size(); ++i) {
     EXPECT_LE(std::fabs(out.reconstructed[i] - f.data[i]), 0.1 * (1 + 1e-9));
   }
-  EXPECT_TRUE(out.has_gpu_timing());
+  EXPECT_TRUE(out.compress.has_gpu_timing);
   EXPECT_FALSE(out.throughput_reportable);  // GPU-SZ prototype
 }
 
@@ -125,7 +125,7 @@ TEST(Compressor, CuZfpProducesGpuTiming) {
   const auto codec = make_compressor("cuzfp", &sim);
   const Field f = smooth_field(Dims::d3(16, 16, 16), 166);
   const CBenchResult out = CBench().run_one(f, *codec, {"rate", 4.0});
-  EXPECT_TRUE(out.has_gpu_timing());
+  EXPECT_TRUE(out.compress.has_gpu_timing);
   EXPECT_TRUE(out.throughput_reportable);
   EXPECT_GT(out.compress.gpu_timing.kernel, 0.0);
   EXPECT_GT(out.decompress.gpu_timing.memcpy, 0.0);
@@ -200,12 +200,12 @@ TEST(Compressor, DeviceTimingsMatchATwinSimulator) {
       const TimingBreakdown want_d = twin.model_decompression(
           values * sizeof(float), c.bytes.size(),
           twin.kernel_rates(k.profile, bitrate).decompress_gbps);
-      ASSERT_TRUE(c.has_gpu_timing() && d.has_gpu_timing()) << what;
-      expect_same_breakdown(c.gpu_timing(), want_c, what + " compress");
-      expect_same_breakdown(d.gpu_timing(), want_d, what + " decompress");
+      ASSERT_TRUE(c.telemetry.has_gpu_timing && d.telemetry.has_gpu_timing) << what;
+      expect_same_breakdown(c.telemetry.gpu_timing, want_c, what + " compress");
+      expect_same_breakdown(d.telemetry.gpu_timing, want_d, what + " decompress");
       EXPECT_EQ(c.seconds(), want_c.total()) << what;
       EXPECT_EQ(d.seconds(), want_d.total()) << what;
-      EXPECT_EQ(c.device_attempts(), 1) << what;
+      EXPECT_EQ(c.telemetry.device_attempts, 1) << what;
     }
   }
 }

@@ -176,8 +176,8 @@ TEST(DeviceCompressor, CuZfpRoundTripWithTiming) {
   const Field field = uniform_field(dims, 151, -10.0, 10.0);
   const auto c = session->compress(field, {"rate", 8.0});
   EXPECT_GT(sim.kernel_rates("zfp", 8.0).compress_gbps, 0.0);
-  EXPECT_GT(c.gpu_timing().kernel, 0.0);
-  EXPECT_GT(c.gpu_timing().total(), 0.0);
+  EXPECT_GT(c.telemetry.gpu_timing.kernel, 0.0);
+  EXPECT_GT(c.telemetry.gpu_timing.total(), 0.0);
   const auto d = session->decompress(c);
   Dims stored;
   (void)zfp::decompress(c.bytes, &stored);

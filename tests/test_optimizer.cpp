@@ -180,7 +180,12 @@ struct GuidedGridCase {
     data = generate_nyx(config);
     codec = make_compressor("sz-cpu");
     for (const char* name : {"temperature", "velocity_x"}) {
-      candidates[name] = abs_sweep_for_field(data.find(name).field, 2e-6, 2e-2, 16);
+      candidates[name] = configs_for_axis({.mode = "abs",
+                                           .kind = SweepAxis::Kind::kRangeFractions,
+                                           .lo = 2e-6,
+                                           .hi = 2e-2,
+                                           .count = 16},
+                                          data.find(name).field);
     }
   }
 };
@@ -249,8 +254,12 @@ TEST(OptimizerGuided, MatchesExhaustiveChoiceOnParticles) {
   analysis::FofParams fof_params;
   fof_params.linking_length = 1.0;
   fof_params.min_members = 15;
-  const auto position = abs_sweep_for_field(data.find("x").field, 4e-6, 4e-3, 8);
-  const auto velocity = pwrel_sweep(1e-3, 2e-1, 6);
+  const auto position = configs_for_axis(
+      {.mode = "abs", .kind = SweepAxis::Kind::kRangeFractions, .lo = 4e-6, .hi = 4e-3, .count = 8},
+      data.find("x").field);
+  const auto velocity = configs_for_axis(
+      {.mode = "pw_rel", .kind = SweepAxis::Kind::kLogValues, .lo = 1e-3, .hi = 2e-1, .count = 6},
+      data.find("vx").field);
 
   const auto exhaustive = optimize_particle_dataset(data, *codec, position, velocity,
                                                     fof_params, 0.1, 0.1);

@@ -246,6 +246,39 @@ TEST(Pipeline, FailedOptimizerSearchFailsTheRun) {
   std::filesystem::remove_all(out_dir);
 }
 
+TEST(Pipeline, AbortRecordsEveryRowAndSkipsAnalysis) {
+  // Under "abort" the failed cbench job fails the run and skips the jobs
+  // that depend on the rows; the other cbench jobs still run and report.
+  const std::string out_dir = temp_dir("pipeline_abort");
+  const json::Value config = json::parse(R"({
+    "output": ")" + out_dir + R"(",
+    "dataset": {"type": "nyx", "dim": 8, "seed": 42},
+    "runs": [
+      {"compressor": "sz-cpu", "fields": ["baryon_density", "temperature"],
+       "configs": [{"mode": "abs", "value": 1.0}, {"mode": "rate", "value": 8},
+                   {"mode": "abs", "value": 0.5}]}
+    ],
+    "analysis": {"power_spectrum": true},
+    "on_error": "abort"
+  })");
+  const PipelineSummary summary = run_pipeline(config);
+  ASSERT_EQ(summary.results.size(), 6u);
+  for (const auto& r : summary.results) {
+    const std::string row = r.field + " " + r.config.label();
+    if (r.config.mode == "rate") {
+      EXPECT_EQ(r.status, "failed") << row;
+      EXPECT_NE(r.error.find("unsupported mode 'rate'"), std::string::npos) << r.error;
+    } else {
+      EXPECT_EQ(r.status, "ok") << row << ": " << r.error;
+      EXPECT_GT(r.compressed_bytes, 0u) << row;
+    }
+  }
+  EXPECT_EQ(summary.failed_jobs, 2u);
+  EXPECT_TRUE(summary.pk_deviation.empty());
+  EXPECT_FALSE(summary.workflow_ok);
+  std::filesystem::remove_all(out_dir);
+}
+
 TEST(Pipeline, HaloFinderOnGridDataRejected) {
   const std::string out_dir = temp_dir("pipeline_halo_grid");
   const json::Value config = json::parse(R"({

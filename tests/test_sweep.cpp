@@ -14,9 +14,14 @@ Field ramp_field() {
   return f;
 }
 
+SweepAxis range_axis(double lo, double hi, std::size_t count) {
+  return {.mode = "abs", .kind = SweepAxis::Kind::kRangeFractions, .lo = lo, .hi = hi,
+          .count = count};
+}
+
 TEST(Sweep, AbsSweepScalesWithFieldRange) {
   const Field f = ramp_field();
-  const auto configs = abs_sweep_for_field(f, 1e-4, 1e-2, 3);
+  const auto configs = configs_for_axis(range_axis(1e-4, 1e-2, 3), f);
   ASSERT_EQ(configs.size(), 3u);
   for (const auto& c : configs) EXPECT_EQ(c.mode, "abs");
   EXPECT_NEAR(configs.front().value, 99.0 * 1e-4, 1e-9);
@@ -26,7 +31,9 @@ TEST(Sweep, AbsSweepScalesWithFieldRange) {
 }
 
 TEST(Sweep, PwrelSweepLogSpaced) {
-  const auto configs = pwrel_sweep(0.001, 0.1, 5);
+  const auto configs = configs_for_axis(
+      {.mode = "pw_rel", .kind = SweepAxis::Kind::kLogValues, .lo = 0.001, .hi = 0.1, .count = 5},
+      ramp_field());
   ASSERT_EQ(configs.size(), 5u);
   EXPECT_EQ(configs[0].mode, "pw_rel");
   EXPECT_NEAR(configs[0].value, 0.001, 1e-12);
@@ -38,7 +45,7 @@ TEST(Sweep, PwrelSweepLogSpaced) {
 }
 
 TEST(Sweep, RateSweepPassesThrough) {
-  const auto configs = rate_sweep({4.0, 8.0});
+  const auto configs = configs_for_axis({.mode = "rate", .values = {4.0, 8.0}}, ramp_field());
   ASSERT_EQ(configs.size(), 2u);
   EXPECT_EQ(configs[0].mode, "rate");
   EXPECT_EQ(configs[1].value, 8.0);
@@ -55,12 +62,19 @@ TEST(Sweep, DefaultCandidatesPerCodec) {
 
 TEST(Sweep, InvalidRangesRejected) {
   const Field f = ramp_field();
-  EXPECT_THROW(abs_sweep_for_field(f, 0.0, 1.0, 3), InvalidArgument);
-  EXPECT_THROW(abs_sweep_for_field(f, 1.0, 0.5, 3), InvalidArgument);
-  EXPECT_THROW(abs_sweep_for_field(f, 1e-4, 1e-2, 1), InvalidArgument);
-  EXPECT_THROW(rate_sweep({}), InvalidArgument);
+  EXPECT_THROW(configs_for_axis(range_axis(0.0, 1.0, 3), f), InvalidArgument);
+  EXPECT_THROW(configs_for_axis(range_axis(1.0, 0.5, 3), f), InvalidArgument);
+  EXPECT_THROW(configs_for_axis(range_axis(1e-4, 1e-2, 1), f), InvalidArgument);
+  EXPECT_THROW(configs_for_axis({.mode = "rate"}, f), InvalidArgument);
+  EXPECT_THROW(configs_for_axis({.mode = "pw_rel",
+                                 .kind = SweepAxis::Kind::kLogValues,
+                                 .lo = 0.1,
+                                 .hi = 0.01,
+                                 .count = 3},
+                                f),
+               InvalidArgument);
   Field flat("flat", Dims::d1(4), {1, 1, 1, 1});
-  EXPECT_THROW(abs_sweep_for_field(flat, 1e-4, 1e-2, 3), InvalidArgument);
+  EXPECT_THROW(configs_for_axis(range_axis(1e-4, 1e-2, 3), flat), InvalidArgument);
 }
 
 }  // namespace

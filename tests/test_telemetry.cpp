@@ -278,8 +278,8 @@ void expect_tracing_invariant(const std::string& codec_name, const char* gpu_nam
       << codec_name << ": stream differs with tracing on";
   EXPECT_EQ(off.reconstructed, on.reconstructed);
   EXPECT_EQ(off.compress.seconds == off.compress.seconds, true);  // not NaN
-  EXPECT_EQ(off.has_gpu_timing(), on.has_gpu_timing());
-  if (off.has_gpu_timing()) {
+  EXPECT_EQ(off.compress.has_gpu_timing, on.compress.has_gpu_timing);
+  if (off.compress.has_gpu_timing) {
     EXPECT_EQ(off.compress.seconds, on.compress.seconds);
     EXPECT_EQ(off.decompress.seconds, on.decompress.seconds);
     EXPECT_EQ(off.compress.gpu_timing.init, on.compress.gpu_timing.init);
@@ -376,9 +376,9 @@ TEST(RunOneTelemetry, ReportsFallbackIdenticallyToStagedSession) {
   EXPECT_TRUE(row.cpu_fallback());
   EXPECT_EQ(any_cpu_fallback(c.telemetry, d.telemetry), row.cpu_fallback());
   EXPECT_EQ(max_device_attempts(c.telemetry, d.telemetry), row.device_attempts());
-  EXPECT_EQ(c.has_gpu_timing(), row.compress.has_gpu_timing);
-  EXPECT_EQ(c.cpu_fallback(), row.compress.cpu_fallback);
-  EXPECT_EQ(d.cpu_fallback(), row.decompress.cpu_fallback);
+  EXPECT_EQ(c.telemetry.has_gpu_timing, row.compress.has_gpu_timing);
+  EXPECT_EQ(c.telemetry.cpu_fallback, row.compress.cpu_fallback);
+  EXPECT_EQ(d.telemetry.cpu_fallback, row.decompress.cpu_fallback);
   EXPECT_FALSE(row.throughput_reportable);
   EXPECT_EQ(c.bytes.size(), row.compressed_bytes);
 }
@@ -391,7 +391,7 @@ TEST(RunOneTelemetry, CleanGpuRunReportsNoFallback) {
   const CBenchResult out = CBench().run_one(field, *codec, {"rate", 8.0});
   EXPECT_FALSE(out.cpu_fallback());
   EXPECT_EQ(out.device_attempts(), 1);
-  EXPECT_TRUE(out.has_gpu_timing());
+  EXPECT_TRUE(out.compress.has_gpu_timing);
 }
 
 // ---------------------------------------------------------------------------

@@ -653,8 +653,13 @@ int run_optimizer_bench(std::size_t dim, std::size_t particles, std::size_t thre
   nyx_cfg.dim = dim;
   const io::Container nyx = generate_nyx(nyx_cfg);
   std::map<std::string, std::vector<CompressorConfig>> nyx_cands;
+  const SweepAxis nyx_axis{.mode = "abs",
+                           .kind = SweepAxis::Kind::kRangeFractions,
+                           .lo = 2e-6,
+                           .hi = 2e-2,
+                           .count = 28};
   for (const auto& variable : nyx.variables) {
-    nyx_cands[variable.field.name] = abs_sweep_for_field(variable.field, 2e-6, 2e-2, 28);
+    nyx_cands[variable.field.name] = configs_for_axis(nyx_axis, variable.field);
   }
   const auto nyx_ex = optimize_grid_dataset(nyx, *codec, nyx_cands, 0.01, 0.5, exhaustive);
   const auto nyx_gd = optimize_grid_dataset(nyx, *codec, nyx_cands, 0.01, 0.5, guided);
@@ -673,8 +678,15 @@ int run_optimizer_bench(std::size_t dim, std::size_t particles, std::size_t thre
   analysis::FofParams fof;
   fof.linking_length = 1.0;
   fof.min_members = 20;
-  const auto position_cands = abs_sweep_for_field(hacc.find("x").field, 4e-6, 4e-3, 12);
-  const auto velocity_cands = pwrel_sweep(1e-3, 2e-1, 8);
+  const auto position_cands = configs_for_axis({.mode = "abs",
+                                                .kind = SweepAxis::Kind::kRangeFractions,
+                                                .lo = 4e-6,
+                                                .hi = 4e-3,
+                                                .count = 12},
+                                               hacc.find("x").field);
+  const auto velocity_cands = configs_for_axis(
+      {.mode = "pw_rel", .kind = SweepAxis::Kind::kLogValues, .lo = 1e-3, .hi = 2e-1, .count = 8},
+      hacc.find("vx").field);
   const auto hacc_ex = optimize_particle_dataset(hacc, *codec, position_cands, velocity_cands,
                                                  fof, 0.05, 0.05, exhaustive);
   const auto hacc_gd = optimize_particle_dataset(hacc, *codec, position_cands, velocity_cands,

@@ -20,8 +20,9 @@
 # --asan builds with AddressSanitizer + UBSan and runs the codec test
 # surface (bitstream, Huffman, LZSS, ZFP, the malformed-stream
 # fast-path suite, the encoders' byte-identity tests against their
-# reference oracles, and the codec sessions behind every registered
-# codec). This is what backs the "truncated/corrupted streams never read
+# reference oracles, the codec sessions behind every codec, the codec
+# table and its lookups, the sweep-lattice builder, and the pipeline's
+# failure paths). This is what backs the "truncated/corrupted streams never read
 # out of bounds" contract; run it whenever codec hot paths, stream parsing
 # or the codec sessions change.
 #
@@ -169,12 +170,14 @@ case "${mode}" in
     # temporal SZ with its legacy-section decode, the malformed-stream suite
     # (truncated/corrupted inputs must throw, never touch out-of-bounds
     # memory), the encoders' byte-identity tests against their reference
-    # oracles, and the host and device codec sessions (reshape, retry,
-    # OOM fallback, session reuse, registry conformance, containment).
+    # oracles, the host and device codec sessions (reshape, retry, OOM
+    # fallback, session reuse, codec-table conformance, containment), the
+    # codec table and its lookups, the sweep-lattice builder, and the
+    # pipeline end to end, including its on_error abort path.
     ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" \
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
       "${build_dir}/tests/cosmo_tests" \
-      --gtest_filter='BitStream.*:ChunkTable.*:Huffman.*:Lzss.*:CodecFastPaths.*:EncodeFastPaths.*:ParallelDeterminism.Huffman*:ParallelDeterminism.Lzss*:ParallelDeterminism.Zfp*:ParallelDeterminism.Fz*:Zfp*.*:Fz.*:Sz.*:SzTemporal.*:Robustness.*:Compressor.*:Fallback.*:Retry.*:Reshape.*:SessionReuse.*:RegistryConformance.*:Containment.*'
+      --gtest_filter='BitStream.*:ChunkTable.*:Huffman.*:Lzss.*:CodecFastPaths.*:EncodeFastPaths.*:ParallelDeterminism.Huffman*:ParallelDeterminism.Lzss*:ParallelDeterminism.Zfp*:ParallelDeterminism.Fz*:Zfp*.*:Fz.*:Sz.*:SzTemporal.*:Robustness.*:Compressor.*:Fallback.*:Retry.*:Reshape.*:SessionReuse.*:RegistryConformance.*:Containment.*:Registry.*:Sweep.*:Pipeline.*'
     ;;
   ubsan)
     # Full suite: UBSan alone is cheap enough to run everything.
@@ -263,7 +266,7 @@ case "${mode}" in
     fi
     ;;
   trace)
-    # The registry roster must list every built-in codec, fz included.
+    # The codec table must list every codec, fz included.
     codecs_out="$("${build_dir}/tools/foresight_cli" codecs)"
     for codec in gpu-sz cuzfp sz-cpu zfp-cpu fz-cpu fz-gpu; do
       if ! grep -q "^${codec} " <<< "${codecs_out}"; then

@@ -5,7 +5,7 @@
 ///
 /// Subcommands:
 ///   devices                         print Table I and the kernel model
-///   codecs                          print the codec registry (capabilities)
+///   codecs                          print the codec table (capabilities)
 ///   generate --type nyx|hacc --out F [--dim N] [--particles N] [--seed S]
 ///   info <file>                     describe a container (Table II style)
 ///   compress --codec C --mode M --value V --input F [--field NAME] [--gpu G]
@@ -88,17 +88,17 @@ int cmd_devices() {
   return 0;
 }
 
-/// Prints the live codec registry — one row per registered compressor with
-/// its capabilities, so scripts (and check.sh) can assert on the roster
-/// without hard-coding names.
+/// Prints the codec table — one row per compressor with its capabilities,
+/// so scripts (and check.sh) can assert on the roster without hard-coding
+/// names.
 int cmd_codecs() {
   std::printf("%-8s %-26s %-7s %-11s %-11s %-8s %s\n", "name", "modes", "device",
               "concurrent", "throughput", "profile", "summary");
   for (const auto& name : foresight::available_compressors()) {
-    const auto& caps = foresight::CodecRegistry::instance().capabilities(name);
+    const auto& caps = foresight::codec_capabilities(name);
     std::printf("%-8s %-26s %-7s %-11s %-11s %-8s %s\n", caps.name.c_str(),
-                caps.modes_label().c_str(), caps.needs_device ? "sim" : "host",
-                caps.concurrent_sessions_safe ? "yes" : "no",
+                caps.modes_label().c_str(), caps.needs_device() ? "sim" : "host",
+                caps.concurrent_sessions_safe() ? "yes" : "no",
                 caps.throughput_reportable ? "reported" : "n/a",
                 caps.kernel_profile.empty() ? "-" : caps.kernel_profile.c_str(),
                 caps.summary.c_str());
@@ -107,7 +107,7 @@ int cmd_codecs() {
   // end-to-end numbers can be cross-read against the per-kernel bench.
   std::vector<std::string> profiles;
   for (const auto& name : foresight::available_compressors()) {
-    const auto& caps = foresight::CodecRegistry::instance().capabilities(name);
+    const auto& caps = foresight::codec_capabilities(name);
     if (caps.kernel_profile.empty()) continue;
     if (std::find(profiles.begin(), profiles.end(), caps.kernel_profile) != profiles.end())
       continue;
@@ -248,8 +248,9 @@ int cmd_run(const CliArgs& args) {
     return 2;
   }
   json::Value config = json::parse_file(args.positional()[1]);
-  // --fail-fast overrides the config: stop at the first failed job instead
-  // of recording it and continuing.
+  // --fail-fast overrides the config with on_error "abort": a failed job
+  // fails the run (exit 1) and skips the analysis and cinema jobs that
+  // depend on it; the other independent jobs still run and report rows.
   if (args.has("fail-fast")) config.as_object()["on_error"] = "abort";
   // --trace-out / --metrics-out layer the telemetry knob over the config
   // (the flag wins over a conflicting config entry).
