@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <queue>
 
 #include "codec/chunk_table.hpp"
 
@@ -16,26 +15,6 @@ constexpr std::uint32_t kMagic = 0x48554646;         // "HUFF" (decode only)
 constexpr std::uint32_t kChunkedMagic = 0x48554643;  // "HUFC"
 constexpr unsigned kMaxCodeLen = 58;                 // fits in a u64 alongside length
 constexpr std::size_t kDefaultChunkSymbols = 1u << 18;
-
-struct Node {
-  std::uint64_t freq;
-  int left = -1;   // index into node pool, -1 for leaf
-  int right = -1;
-  std::uint32_t symbol = 0;
-};
-
-/// Computes code lengths by building the Huffman tree over the node pool.
-void assign_depths(const std::vector<Node>& pool, int idx, unsigned depth,
-                   std::vector<unsigned>& lengths,
-                   const std::vector<std::uint32_t>& leaf_symbol_index) {
-  const Node& n = pool[static_cast<std::size_t>(idx)];
-  if (n.left < 0) {
-    lengths[leaf_symbol_index[n.symbol]] = std::max(1u, depth);
-    return;
-  }
-  assign_depths(pool, n.left, depth + 1, lengths, leaf_symbol_index);
-  assign_depths(pool, n.right, depth + 1, lengths, leaf_symbol_index);
-}
 
 /// Canonical code assignment: symbols sorted by (length, symbol value).
 struct CanonicalEntry {
@@ -321,36 +300,54 @@ std::vector<std::uint32_t> decode_single(BitReader& br) {
 
 std::vector<unsigned> huffman_code_lengths(const std::vector<std::uint64_t>& freqs) {
   std::vector<unsigned> lengths(freqs.size(), 0);
-  // Collect leaves.
-  std::vector<Node> pool;
-  std::vector<std::uint32_t> leaf_symbol_index(freqs.size(), 0);
-  std::uint32_t nonzero = 0;
+  // Leaves are the nonzero symbols, stable-sorted by frequency: equal
+  // frequencies keep symbol order, the (freq, node index) order in which a
+  // min-heap over the leaves would pop them.
+  std::vector<std::uint32_t> leaves;
   for (std::size_t i = 0; i < freqs.size(); ++i) {
-    if (freqs[i] == 0) continue;
-    leaf_symbol_index[i] = static_cast<std::uint32_t>(i);
-    pool.push_back({freqs[i], -1, -1, static_cast<std::uint32_t>(i)});
-    ++nonzero;
+    if (freqs[i] != 0) leaves.push_back(static_cast<std::uint32_t>(i));
   }
-  if (nonzero == 0) return lengths;
-  if (nonzero == 1) {
-    lengths[pool.front().symbol] = 1;
+  if (leaves.empty()) return lengths;
+  if (leaves.size() == 1) {
+    lengths[leaves.front()] = 1;
     return lengths;
   }
-  // Min-heap of (freq, node index); tie-break on node index for determinism.
-  using Item = std::pair<std::uint64_t, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  for (std::size_t i = 0; i < pool.size(); ++i) heap.push({pool[i].freq, static_cast<int>(i)});
-  while (heap.size() > 1) {
-    const auto [fa, a] = heap.top();
-    heap.pop();
-    const auto [fb, b] = heap.top();
-    heap.pop();
-    pool.push_back({fa + fb, a, b, 0});
-    heap.push({fa + fb, static_cast<int>(pool.size() - 1)});
+  std::stable_sort(leaves.begin(), leaves.end(),
+                   [&](std::uint32_t a, std::uint32_t b) { return freqs[a] < freqs[b]; });
+
+  // Two-queue merge. Node k < n is leaf leaves[k]; node n + j is the j-th
+  // internal node. Internal sums never decrease, so the internal queue is
+  // sorted in creation order, and the lower of the two queue heads is the
+  // node the heap would pop next. A leaf wins a tie, as its node index is
+  // below every internal node's.
+  const std::size_t n = leaves.size();
+  std::vector<std::uint64_t> sum(n - 1);
+  std::vector<std::uint32_t> parent(2 * n - 1);
+  const auto weight = [&](std::size_t node) {
+    return node < n ? freqs[leaves[node]] : sum[node - n];
+  };
+  std::size_t next_leaf = 0;
+  std::size_t next_internal = 0;
+  // Pops the lower queue head while internal nodes [0, created) exist.
+  const auto pop = [&](std::size_t created) {
+    if (next_leaf < n &&
+        (next_internal == created || freqs[leaves[next_leaf]] <= sum[next_internal])) {
+      return next_leaf++;
+    }
+    return n + next_internal++;
+  };
+  for (std::size_t j = 0; j + 1 < n; ++j) {
+    const std::size_t a = pop(j);
+    const std::size_t b = pop(j);
+    sum[j] = weight(a) + weight(b);
+    parent[a] = parent[b] = static_cast<std::uint32_t>(n + j);
   }
-  std::vector<std::uint32_t> identity(freqs.size());
-  for (std::size_t i = 0; i < freqs.size(); ++i) identity[i] = static_cast<std::uint32_t>(i);
-  assign_depths(pool, heap.top().second, 0, lengths, identity);
+
+  // Depths top-down: a parent is created after its children, so a sweep
+  // from the root (the last node) down reaches every parent first.
+  std::vector<unsigned> depth(2 * n - 1, 0);
+  for (std::size_t k = 2 * n - 2; k-- > 0;) depth[k] = depth[parent[k]] + 1;
+  for (std::size_t k = 0; k < n; ++k) lengths[leaves[k]] = depth[k];
   return lengths;
 }
 

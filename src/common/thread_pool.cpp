@@ -51,6 +51,12 @@ bool ThreadPool::try_run_one() {
   return true;
 }
 
+void ThreadPool::wait_helping(const std::future<void>& done) {
+  while (done.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+    if (!try_run_one()) done.wait_for(std::chrono::microseconds(50));
+  }
+}
+
 void ThreadPool::wait_idle() {
   std::unique_lock lock(mu_);
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
@@ -103,11 +109,7 @@ void parallel_for(ThreadPool* pool, std::size_t n,
     first_error = std::current_exception();
   }
   for (auto& f : futs) {
-    while (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-      if (!pool->try_run_one()) {
-        f.wait_for(std::chrono::microseconds(50));
-      }
-    }
+    pool->wait_helping(f);
     try {
       f.get();
     } catch (...) {

@@ -48,6 +48,11 @@ class ThreadPool {
   /// help drain the queue instead of deadlocking on nested parallelism.
   bool try_run_one();
 
+  /// Blocks until \p done is ready, running queued tasks on the calling
+  /// thread meanwhile: a waiter that is itself one of this pool's workers
+  /// keeps the pool draining instead of deadlocking on nested parallelism.
+  void wait_helping(const std::future<void>& done);
+
   /// Blocks until every task submitted so far has finished.
   void wait_idle();
 

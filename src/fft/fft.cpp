@@ -44,18 +44,10 @@ const std::vector<cplx>& twiddles_for(std::size_t n) {
 /// stride runs along the tile instead of jumping a full pencil per element.
 constexpr std::size_t kTile = 16;
 
-}  // namespace
-
-std::size_t& fft_twiddle_cache_entries() {
-  static std::size_t count = 0;
-  return count;
-}
-
-bool is_pow2(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
-
-void fft_1d(std::span<cplx> data, bool inverse) {
+/// The radix-2 kernel over a caller-held twiddle table (twiddles_for of
+/// data.size()), so a loop of same-size pencils looks the table up once.
+void fft_1d_with(std::span<cplx> data, const std::vector<cplx>& tw, bool inverse) {
   const std::size_t n = data.size();
-  require(is_pow2(n), "fft_1d: size must be a power of two");
   if (n == 1) return;
 
   // Bit-reversal permutation.
@@ -69,7 +61,6 @@ void fft_1d(std::span<cplx> data, bool inverse) {
   // Butterflies with cached per-size twiddle tables (exact trig per entry
   // instead of the w *= wlen recurrence, which drifts by ~len ulps across a
   // stage).
-  const std::vector<cplx>& tw = twiddles_for(n);
   for (std::size_t half = 1; half < n; half <<= 1) {
     const cplx* stage = tw.data() + (half - 1);
     const std::size_t len = half * 2;
@@ -89,27 +80,41 @@ void fft_1d(std::span<cplx> data, bool inverse) {
   }
 }
 
+}  // namespace
+
+std::size_t& fft_twiddle_cache_entries() {
+  static std::size_t count = 0;
+  return count;
+}
+
+bool is_pow2(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
+
+void fft_1d(std::span<cplx> data, bool inverse) {
+  const std::size_t n = data.size();
+  require(is_pow2(n), "fft_1d: size must be a power of two");
+  if (n == 1) return;
+  fft_1d_with(data, twiddles_for(n), inverse);
+}
+
 void fft_3d(std::vector<cplx>& data, const Dims& dims, bool inverse, ThreadPool* pool) {
   TRACE_SPAN("fft.3d");
   require(data.size() == dims.count(), "fft_3d: size mismatch");
   require(is_pow2(dims.nx) && is_pow2(dims.ny) && is_pow2(dims.nz),
           "fft_3d: extents must be powers of two");
   const std::size_t nx = dims.nx, ny = dims.ny, nz = dims.nz;
-  // Warm the caches serially so threads only ever read the tables.
-  twiddles_for(nx);
-  if (ny > 1) twiddles_for(ny);
-  if (nz > 1) twiddles_for(nz);
 
   // Pencils along one axis are independent, and each writes only its own
   // elements, so every pass parallelizes over pencil groups with output
-  // identical to the serial order.
+  // identical to the serial order. Each pass looks its twiddle table up
+  // once, before it fans out; the pencils only read it.
 
   // Along x: contiguous rows, one pencil per (y, z).
+  const std::vector<cplx>& twx = twiddles_for(nx);
   parallel_for(pool, ny * nz, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t r = lo; r < hi; ++r) {
       const std::size_t y = r % ny;
       const std::size_t z = r / ny;
-      fft_1d(std::span(data.data() + dims.index(0, y, z), nx), inverse);
+      fft_1d_with(std::span(data.data() + dims.index(0, y, z), nx), twx, inverse);
     }
   }, /*min_grain=*/4);
 
@@ -117,6 +122,7 @@ void fft_3d(std::vector<cplx>& data, const Dims& dims, bool inverse, ThreadPool*
   // tile so the strided traversal reads/writes kTile consecutive elements
   // per row instead of one.
   if (ny > 1) {
+    const std::vector<cplx>& twy = twiddles_for(ny);
     parallel_for(pool, nz, [&](std::size_t lo, std::size_t hi) {
       std::vector<cplx> tile(kTile * ny);
       for (std::size_t z = lo; z < hi; ++z) {
@@ -127,7 +133,7 @@ void fft_3d(std::vector<cplx>& data, const Dims& dims, bool inverse, ThreadPool*
             for (std::size_t dx = 0; dx < tx; ++dx) tile[dx * ny + y] = row[dx];
           }
           for (std::size_t dx = 0; dx < tx; ++dx) {
-            fft_1d(std::span(tile.data() + dx * ny, ny), inverse);
+            fft_1d_with(std::span(tile.data() + dx * ny, ny), twy, inverse);
           }
           for (std::size_t y = 0; y < ny; ++y) {
             cplx* row = data.data() + dims.index(x0, y, z);
@@ -140,6 +146,7 @@ void fft_3d(std::vector<cplx>& data, const Dims& dims, bool inverse, ThreadPool*
 
   // Along z: same tiling, one y-row of columns per iteration.
   if (nz > 1) {
+    const std::vector<cplx>& twz = twiddles_for(nz);
     parallel_for(pool, ny, [&](std::size_t lo, std::size_t hi) {
       std::vector<cplx> tile(kTile * nz);
       for (std::size_t y = lo; y < hi; ++y) {
@@ -150,7 +157,7 @@ void fft_3d(std::vector<cplx>& data, const Dims& dims, bool inverse, ThreadPool*
             for (std::size_t dx = 0; dx < tx; ++dx) tile[dx * nz + z] = row[dx];
           }
           for (std::size_t dx = 0; dx < tx; ++dx) {
-            fft_1d(std::span(tile.data() + dx * nz, nz), inverse);
+            fft_1d_with(std::span(tile.data() + dx * nz, nz), twz, inverse);
           }
           for (std::size_t z = 0; z < nz; ++z) {
             cplx* row = data.data() + dims.index(x0, y, z);

@@ -32,7 +32,8 @@ void fft_1d(std::span<cplx> data, bool inverse);
 /// Out-of-place 3-D FFT over a row-major nx*ny*nz array (each extent a
 /// power of two). Transforms along all three axes; the independent pencils
 /// of each pass run in parallel on \p pool, and the strided y/z passes move
-/// data through cache-blocked transpose tiles. Results are bitwise
+/// data through cache-blocked transpose tiles. Each axis's twiddle table is
+/// looked up once per transform, not once per pencil. Results are bitwise
 /// identical for any thread count (each pencil's arithmetic is unchanged).
 void fft_3d(std::vector<cplx>& data, const Dims& dims, bool inverse,
             ThreadPool* pool = nullptr);

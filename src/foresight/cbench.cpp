@@ -147,9 +147,17 @@ std::vector<CBenchResult> CBench::run_jobs(Compressor& compressor,
     }
     return *serial;
   };
+  // A dedicated pool never needs more threads than there are jobs (this
+  // also bounds absurd requests, e.g. a negative count cast to size_t), and
+  // none when the codec's sessions cannot run concurrently.
+  std::size_t pool_threads = 1;
+  if (compressor.concurrent_sessions_safe()) {
+    pool_threads = threads == 0 ? 0 : std::clamp<std::size_t>(jobs.size(), 1, threads);
+  }
+  const PoolHandle pool(pool_threads);
   const std::string name = compressor.name();
   std::vector<CBenchResult> results(jobs.size());
-  JobScheduler(compressor, threads, options_.on_error, "sweep.worker", serial_session)
+  JobScheduler(compressor, pool.get(), options_.on_error, "sweep.worker", serial_session)
       .run(
           jobs.size(),
           [&](std::size_t i, CodecSession& session, CompressResult& c, DecompressResult& d) {
@@ -163,6 +171,7 @@ std::vector<CBenchResult> CBench::run_jobs(Compressor& compressor,
 }
 
 void JobScheduler::run(std::size_t count, const Job& job, const Failed& failed) {
+  if (count == 0) return;
   // The one failed-row policy: cancellation and deadlines always unwind the
   // whole run, any other cosmo::Error becomes job i's failed row under
   // kContinue.
@@ -180,49 +189,61 @@ void JobScheduler::run(std::size_t count, const Job& job, const Failed& failed) 
     }
   };
 
-  if (threads_ == 1 || !compressor_.concurrent_sessions_safe() || count <= 1) {
+  const std::size_t workers =
+      pool_ && compressor_.concurrent_sessions_safe() ? std::min(pool_->size(), count) : 1;
+  if (workers <= 1) {
+    TRACE_SPAN(worker_span_);
     for (std::size_t i = 0; i < count; ++i) {
-      if (!serial_session_ && !owned_session_) owned_session_ = compressor_.open_session();
+      if (!serial_session_ && !owned_session_) {
+        owned_session_ = compressor_.open_session(nullptr, pool_);
+      }
       guarded(i, serial_session_ ? serial_session_() : *owned_session_, c_, d_);
     }
     return;
   }
 
-  // A dedicated pool never needs more threads than there are jobs (this
-  // also bounds absurd requests, e.g. a negative count cast to size_t).
-  const PoolHandle handle(threads_ == 0 ? 0 : std::min(threads_, count));
-  ThreadPool& pool = *handle.get();
+  // One atomic-cursor loop per worker, each on its own session: sessions
+  // are not thread-safe, and per-worker arenas keep reuse contention-free.
+  // The calling thread runs the first loop, the pool the others.
   std::atomic<std::size_t> cursor{0};
-  const std::size_t workers = std::min(pool.size(), count);
+  const auto work = [&] {
+    TRACE_SPAN(worker_span_);
+    const std::unique_ptr<CodecSession> session = compressor_.open_session();
+    CompressResult c;
+    DecompressResult d;
+    try {
+      for (std::size_t i = cursor.fetch_add(1); i < count; i = cursor.fetch_add(1)) {
+        guarded(i, *session, c, d);
+      }
+    } catch (...) {
+      cursor.store(count);  // the run is over: stop the other workers
+      throw;
+    }
+  };
   std::vector<std::future<void>> done;
-  done.reserve(workers);
+  done.reserve(workers - 1);
   Timer queue_timer;
-  for (std::size_t w = 0; w < workers; ++w) {
-    done.push_back(pool.submit([&] {
+  for (std::size_t w = 1; w < workers; ++w) {
+    done.push_back(pool_->submit([&] {
       // Time from submit until the pool actually starts the worker — the
       // scheduling latency.
       telemetry::MetricsRegistry::instance()
           .histogram("sweep.queue_wait_seconds")
           .observe_seconds(queue_timer.seconds());
-      TRACE_SPAN(worker_span_);
-      // Sessions are not thread-safe, and per-worker arenas keep reuse
-      // contention-free.
-      const std::unique_ptr<CodecSession> session = compressor_.open_session();
-      CompressResult c;
-      DecompressResult d;
-      try {
-        for (std::size_t i = cursor.fetch_add(1); i < count; i = cursor.fetch_add(1)) {
-          guarded(i, *session, c, d);
-        }
-      } catch (...) {
-        cursor.store(count);  // the run is over: stop the other workers
-        throw;
-      }
+      work();
     }));
   }
-  // Every worker must stop before the locals it borrows go out of scope.
   std::exception_ptr first;
+  try {
+    work();
+  } catch (...) {
+    first = std::current_exception();
+  }
+  // Every worker must stop before the locals it borrows go out of scope.
+  // Wait by helping, as parallel_for does: a run issued from a task of its
+  // own pool keeps that pool draining instead of deadlocking.
   for (auto& f : done) {
+    pool_->wait_helping(f);
     try {
       f.get();
     } catch (...) {

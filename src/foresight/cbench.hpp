@@ -83,9 +83,9 @@ class CBench {
     /// Keep reconstructed data in each result (needed by PAT analyses).
     bool keep_reconstructed = true;
     std::string dataset_name = "dataset";
-    /// Worker threads for sweep(), as JobScheduler reads them: 1 runs
-    /// serially in the calling thread (the timing-faithful path the
-    /// throughput benches use), 0 the global pool, N a dedicated pool.
+    /// Worker threads for sweep(): 1 runs serially in the calling thread
+    /// (the timing-faithful path the throughput benches use), 0 the global
+    /// pool, N a dedicated pool of at most one thread per job.
     std::size_t threads = 1;
     /// Intra-field threads inside each codec session (same 1/0/N convention
     /// as \p threads; see PoolHandle). Applied by run_one() and by sweeps
@@ -149,16 +149,24 @@ class CBench {
 };
 
 /// The one runner of jobs [0, count) over codec sessions, behind CBench,
-/// the optimizer and foresightd's sweeps. It alone owns the serial-vs-pool
-/// choice (\p threads: 1 serial, 0 global pool, N a dedicated pool of
-/// min(N, count); always serial when the codec's sessions cannot run
-/// concurrently or count <= 1), the atomic-cursor loop with one session per
-/// pooled worker inside a \p worker_span span, and the on_error policy:
-/// under kContinue a cosmo::Error from job i goes to \p failed(i, error),
-/// while CancelledError and DeadlineExceededError always propagate. In
+/// the optimizer and foresightd's sweeps. It runs on the caller's \p pool
+/// (null: serial) and owns no pool itself. It alone owns:
+/// - the serial-vs-pool choice: serial when the pool is null or has one
+///   thread, when the codec's sessions cannot run concurrently, or when
+///   count <= 1;
+/// - the atomic-cursor loop with one session per worker, min(pool size,
+///   count) of them, the calling thread running the first, so a run never
+///   has more jobs in flight than its pool has threads;
+/// - waiting by helping, as parallel_for does, so a run issued from inside
+///   a task of the same pool cannot deadlock;
+/// - the on_error policy: under kContinue a cosmo::Error from job i goes to
+///   \p failed(i, error), while CancelledError and DeadlineExceededError
+///   always propagate.
+/// Every loop, serial or pooled, runs inside one \p worker_span span. In
 /// pooled runs both callbacks run concurrently on the workers. Serial jobs
 /// run on \p serial_session, asked for per job (null: a session the
-/// scheduler opens on first use and keeps, like its result scratch).
+/// scheduler opens on \p pool on first use and keeps, like its result
+/// scratch, so one job at a time still threads its codec kernels).
 class JobScheduler {
  public:
   using Job = std::function<void(std::size_t index, CodecSession& session,
@@ -166,10 +174,10 @@ class JobScheduler {
   using Failed = std::function<void(std::size_t index, const Error& error)>;
   using SessionSource = std::function<CodecSession&()>;
 
-  JobScheduler(Compressor& compressor, std::size_t threads, OnError on_error,
+  JobScheduler(Compressor& compressor, ThreadPool* pool, OnError on_error,
                const char* worker_span, SessionSource serial_session = nullptr)
       : compressor_(compressor),
-        threads_(threads),
+        pool_(pool),
         on_error_(on_error),
         worker_span_(worker_span),
         serial_session_(std::move(serial_session)) {}
@@ -178,7 +186,7 @@ class JobScheduler {
 
  private:
   Compressor& compressor_;
-  std::size_t threads_;
+  ThreadPool* pool_;
   OnError on_error_;
   const char* worker_span_;
   SessionSource serial_session_;

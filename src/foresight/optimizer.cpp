@@ -9,6 +9,7 @@
 #include "analysis/power_spectrum.hpp"
 #include "common/str.hpp"
 #include "common/telemetry.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "foresight/optimizer_model.hpp"
 #include "foresight/sweep.hpp"
@@ -277,7 +278,8 @@ OptimizationResult optimize_grid_dataset(
   std::size_t total_original = 0;
   std::size_t total_compressed = 0;
   bool all_ok = true;
-  JobScheduler scheduler(compressor, options.threads, options.on_error, "optimizer.worker");
+  const PoolHandle pool(options.threads);
+  JobScheduler scheduler(compressor, pool.get(), options.on_error, "optimizer.worker");
   const std::string name = compressor.name();
 
   for (const auto& variable : data.variables) {
@@ -290,7 +292,7 @@ OptimizationResult optimize_grid_dataset(
     std::vector<analysis::PkBin> baseline;
     {
       TRACE_SPAN("optimizer.baseline");
-      baseline = analysis::power_spectrum(field.data, field.dims);
+      baseline = analysis::power_spectrum(field.data, field.dims, 0, pool.get());
     }
     std::atomic<std::size_t> cache_hits{0};
 
@@ -298,7 +300,7 @@ OptimizationResult optimize_grid_dataset(
                             CompressResult& c, DecompressResult& d) {
       CBenchResult r = bench.run_session(field, name, session, config, c, d);
       const auto pk =
-          analysis::pk_ratio(baseline, r.reconstructed, field.dims, k_fraction);
+          analysis::pk_ratio(baseline, r.reconstructed, field.dims, k_fraction, pool.get());
       cache_hits.fetch_add(1, std::memory_order_relaxed);
       CandidateOutcome outcome;
       outcome.config = config;
@@ -376,6 +378,7 @@ OptimizationResult optimize_particle_dataset(
   TRACE_SPAN("optimizer.particles");
   Timer wall;
   CBench bench({.keep_reconstructed = true, .dataset_name = "particles"});
+  const PoolHandle pool(options.threads);
   const auto& x = data.find("x").field;
   const auto& y = data.find("y").field;
   const auto& z = data.find("z").field;
@@ -385,7 +388,7 @@ OptimizationResult optimize_particle_dataset(
   analysis::FofResult original_halos;
   {
     TRACE_SPAN("optimizer.baseline");
-    original_halos = analysis::fof(x.data, y.data, z.data, fof_params);
+    original_halos = analysis::fof(x.data, y.data, z.data, fof_params, pool.get());
   }
   require(!original_halos.halos.empty(),
           "optimize_particle_dataset: no halos in original data");
@@ -393,7 +396,7 @@ OptimizationResult optimize_particle_dataset(
       analysis::make_halo_baseline(original_halos.halos, 1.0);
 
   OptimizationResult result;
-  JobScheduler scheduler(compressor, options.threads, options.on_error, "optimizer.worker");
+  JobScheduler scheduler(compressor, pool.get(), options.on_error, "optimizer.worker");
   const std::string name = compressor.name();
   std::atomic<std::size_t> cache_hits{0};
 
@@ -403,8 +406,8 @@ OptimizationResult optimize_particle_dataset(
     CBenchResult rx = bench.run_session(x, name, session, config, c, d);
     CBenchResult ry = bench.run_session(y, name, session, config, c, d);
     CBenchResult rz = bench.run_session(z, name, session, config, c, d);
-    const analysis::FofResult recon_halos =
-        analysis::fof(rx.reconstructed, ry.reconstructed, rz.reconstructed, fof_params);
+    const analysis::FofResult recon_halos = analysis::fof(
+        rx.reconstructed, ry.reconstructed, rz.reconstructed, fof_params, pool.get());
     CandidateOutcome outcome;
     outcome.config = config;
     outcome.ratio = 3.0 * static_cast<double>(x.bytes()) /

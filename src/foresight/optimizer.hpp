@@ -46,9 +46,15 @@ struct OptimizerOptions {
   /// Guided search: full evaluations spent probing each mode group before
   /// bisection (clamped to [2, group size]; endpoints are always probed).
   std::size_t probes = 3;
-  /// Candidate-evaluation workers, as JobScheduler reads them (1 serial,
-  /// 0 global pool, N dedicated pool). Results are slotted by candidate
-  /// index, so choices and report ordering are identical for any value.
+  /// Threads of the one pool each optimize call owns (1 serial, 0 global
+  /// pool, N a dedicated pool; see PoolHandle). Probe batches run one
+  /// candidate evaluation per worker, so evaluations in flight never exceed
+  /// the batch; the same pool also threads the serial phases — the
+  /// baseline P(k) or FoF, single-candidate bisection and pocket-scan steps
+  /// (codec kernels included) — and every evaluation's P(k) ratio and FoF.
+  /// Results are slotted by candidate index and every kernel is
+  /// thread-count invariant, so choices, metrics and report ordering are
+  /// identical for any value.
   std::size_t threads = 1;
   /// kAbort rethrows a failing evaluation; kContinue records a "failed"
   /// candidate row and keeps searching. A failed probe counts as

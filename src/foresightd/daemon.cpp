@@ -856,7 +856,7 @@ void Daemon::run_job(Job& job, foresight::SessionCache& cache, json::Object& rep
   // becomes a failed row and the next one starts on a fresh session.
   std::vector<json::Object> rows(r.configs.size());
   std::size_t failed_rows = 0;
-  foresight::JobScheduler(compressor, 1, foresight::OnError::kContinue, "sweep.worker",
+  foresight::JobScheduler(compressor, nullptr, foresight::OnError::kContinue, "sweep.worker",
                           [&]() -> foresight::CodecSession& { return cache.session(r.codec); })
       .run(
           rows.size(),

@@ -1,7 +1,8 @@
 /// \file huffman_reference.hpp
-/// \brief Test oracles for the Huffman stream formats: a std::map histogram
-/// with per-symbol MSB-first bit-at-a-time emission, and a canonical
-/// bit-at-a-time decoder with no lookup table and no chunk parallelism.
+/// \brief Test oracles for the Huffman stream formats: a binary-heap tree
+/// builder, a std::map histogram with per-symbol MSB-first bit-at-a-time
+/// emission, and a canonical bit-at-a-time decoder with no lookup table and
+/// no chunk parallelism.
 ///
 /// The header of both formats stores the canonical codebook as (symbol,
 /// 6-bit length) pairs sorted by (length, symbol); codes are assigned in
@@ -16,7 +17,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -32,6 +35,53 @@ struct HuffmanCode {
   std::uint64_t code;  // MSB-first canonical code
 };
 
+/// Per-symbol Huffman code lengths of \p freqs (zero-frequency symbols get
+/// 0, a lone symbol gets 1), built with a min-heap of (freq, node index):
+/// leaves are nodes 0.. in symbol order, each merge pops the two lowest
+/// and appends their parent as the next node. huffman_code_lengths() must
+/// return exactly these lengths.
+inline std::vector<unsigned> huffman_reference_code_lengths(
+    const std::vector<std::uint64_t>& freqs) {
+  struct Node {
+    std::uint64_t freq;
+    int left = -1;  // -1 for a leaf
+    int right = -1;
+    std::uint32_t symbol = 0;
+  };
+  std::vector<unsigned> lengths(freqs.size(), 0);
+  std::vector<Node> nodes;
+  for (std::size_t i = 0; i < freqs.size(); ++i) {
+    if (freqs[i] != 0) nodes.push_back({freqs[i], -1, -1, static_cast<std::uint32_t>(i)});
+  }
+  if (nodes.empty()) return lengths;
+  if (nodes.size() == 1) {
+    lengths[nodes.front().symbol] = 1;
+    return lengths;
+  }
+  using Item = std::pair<std::uint64_t, int>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  for (std::size_t i = 0; i < nodes.size(); ++i) heap.push({nodes[i].freq, static_cast<int>(i)});
+  while (heap.size() > 1) {
+    const auto [fa, a] = heap.top();
+    heap.pop();
+    const auto [fb, b] = heap.top();
+    heap.pop();
+    nodes.push_back({fa + fb, a, b, 0});
+    heap.push({fa + fb, static_cast<int>(nodes.size() - 1)});
+  }
+  const std::function<void(int, unsigned)> assign = [&](int idx, unsigned depth) {
+    const Node& node = nodes[static_cast<std::size_t>(idx)];
+    if (node.left < 0) {
+      lengths[node.symbol] = depth;
+      return;
+    }
+    assign(node.left, depth + 1);
+    assign(node.right, depth + 1);
+  };
+  assign(heap.top().second, 0);
+  return lengths;
+}
+
 /// Canonical codebook of \p symbols, in (length, symbol) order.
 inline std::vector<HuffmanCode> huffman_reference_codebook(
     const std::vector<std::uint32_t>& symbols) {
@@ -39,7 +89,7 @@ inline std::vector<HuffmanCode> huffman_reference_codebook(
   for (const auto s : symbols) ++freq_map[s];
   std::vector<std::uint64_t> freqs;
   for (const auto& [sym, f] : freq_map) freqs.push_back(f);
-  const std::vector<unsigned> lengths = huffman_code_lengths(freqs);
+  const std::vector<unsigned> lengths = huffman_reference_code_lengths(freqs);
   std::vector<HuffmanCode> book;
   std::size_t i = 0;
   for (const auto& [sym, f] : freq_map) book.push_back({sym, lengths[i++], 0});

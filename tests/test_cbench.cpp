@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <future>
+
 #include "cosmo/nyx_synth.hpp"
 #include "foresight/cbench.hpp"
 #include "io/crc32.hpp"
@@ -147,6 +150,42 @@ TEST(CBench, RunSessionReportsTheCleanStreamCrc) {
   const CancelToken token = stopped_token(false);
   EXPECT_THROW((void)CBench().run_session(field, "zfp-cpu", *session, {"rate", 8.0}, &token),
                CancelledError);
+}
+
+/// A run issued from inside a task of its own pool must finish: here both
+/// workers of a 2-thread pool issue one, so the tasks those runs submit can
+/// only start if the waiting callers help drain the queue. Every slot must
+/// hold what a serial run puts there.
+TEST(JobScheduler, RunFromInsideItsOwnPoolCompletes) {
+  const auto data = small_nyx();
+  const Field& field = data.find("temperature").field;
+  const auto codec = make_compressor("zfp-cpu");
+  ASSERT_TRUE(codec->concurrent_sessions_safe());
+  const std::vector<CompressorConfig> configs = {{"rate", 2.0}, {"rate", 4.0},  {"rate", 6.0},
+                                                 {"rate", 8.0}, {"rate", 12.0}, {"rate", 16.0}};
+  const CBench bench;
+  const auto run_all = [&](ThreadPool* pool) {
+    std::vector<std::uint32_t> crcs(configs.size(), 0);
+    JobScheduler(*codec, pool, OnError::kAbort, "sweep.worker")
+        .run(
+            configs.size(),
+            [&](std::size_t i, CodecSession& session, CompressResult& c, DecompressResult& d) {
+              crcs[i] = bench.run_session(field, "zfp-cpu", session, configs[i], c, d).stream_crc32;
+            },
+            [](std::size_t, const Error&) {});
+    return crcs;
+  };
+  const std::vector<std::uint32_t> serial = run_all(nullptr);
+  ASSERT_EQ(std::count(serial.begin(), serial.end(), 0u), 0);
+
+  ThreadPool pool(2);
+  std::vector<std::vector<std::uint32_t>> nested(pool.size());
+  std::vector<std::future<void>> outer;
+  for (std::size_t k = 0; k < nested.size(); ++k) {
+    outer.push_back(pool.submit([&, k] { nested[k] = run_all(&pool); }));
+  }
+  for (auto& f : outer) f.get();
+  for (const auto& crcs : nested) EXPECT_EQ(crcs, serial);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "codec/huffman.hpp"
+#include "huffman_reference.hpp"
 #include "random/rng.hpp"
 
 namespace cosmo {
@@ -107,6 +109,68 @@ TEST(Huffman, ZeroFrequencySymbolsGetNoCode) {
   EXPECT_GT(lengths[0], 0u);
   EXPECT_EQ(lengths[1], 0u);
   EXPECT_GT(lengths[2], 0u);
+}
+
+/// The library builds the tree with a two-queue merge; the oracle with the
+/// binary heap it replaced. Equal lengths on every histogram keep every
+/// codebook, and so every stream, unchanged.
+TEST(Huffman, CodeLengthsMatchHeapOracle) {
+  const auto matches = [](const std::vector<std::uint64_t>& freqs) {
+    return huffman_code_lengths(freqs) == test::huffman_reference_code_lengths(freqs);
+  };
+
+  // Seeded histograms: alphabets of 1-5000 symbols (log-uniform), with
+  // tie-heavy, skewed, wide and sparse frequency draws, and zeros between
+  // symbols in a quarter of them.
+  Rng rng(2025);
+  for (int round = 0; round < 10000; ++round) {
+    const auto size = std::clamp<std::size_t>(
+        static_cast<std::size_t>(std::exp(rng.uniform(0.0, std::log(5001.0)))), 1, 5000);
+    const std::uint64_t kind = rng.uniform_index(4);
+    const bool holes = rng.uniform_index(4) == 0;
+    const double width = 1.0 + rng.uniform(0, 50);
+    std::vector<std::uint64_t> freqs(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      switch (kind) {
+        case 0: freqs[i] = 1 + rng.uniform_index(100); break;  // many ties
+        case 1: {  // quantization-code-like peak around the centre
+          const double d = std::fabs(static_cast<double>(i) - static_cast<double>(size) / 2);
+          freqs[i] = 1 + static_cast<std::uint64_t>(1e6 * std::exp(-d / width));
+          break;
+        }
+        case 2: freqs[i] = 1 + rng.uniform_index(std::uint64_t{1} << 32); break;
+        default: freqs[i] = rng.uniform_index(3); break;  // mostly 0, 1, 2
+      }
+      if (holes && rng.uniform_index(3) == 0) freqs[i] = 0;
+    }
+    ASSERT_TRUE(matches(freqs)) << "round " << round;
+  }
+
+  // Adversarial cases.
+  EXPECT_TRUE(matches({})) << "empty";
+  EXPECT_TRUE(matches({0, 0, 0})) << "all zero";
+  EXPECT_TRUE(matches({9})) << "one symbol";
+  EXPECT_TRUE(matches({0, 0, 9, 0})) << "one symbol between zeros";
+  EXPECT_TRUE(matches({1, 1})) << "two equal symbols";
+  EXPECT_TRUE(matches({0, 3, 0, 1})) << "two symbols between zeros";
+  EXPECT_TRUE(matches({0, 5, 0, 0, 5, 0, 3, 0, 8, 0})) << "zeros between symbols";
+  for (const std::size_t size : {2u, 3u, 5u, 64u, 1000u, 4096u, 5000u}) {
+    EXPECT_TRUE(matches(std::vector<std::uint64_t>(size, 7))) << "all equal, " << size;
+  }
+  std::vector<std::uint64_t> pow2;
+  for (unsigned i = 0; i < 40; ++i) pow2.push_back(std::uint64_t{1} << i);
+  EXPECT_TRUE(matches(pow2)) << "powers of two, ascending";
+  std::reverse(pow2.begin(), pow2.end());
+  EXPECT_TRUE(matches(pow2)) << "powers of two, descending";
+  // Fibonacci frequencies build the deepest tree: 59 of them reach the
+  // 58-bit code-length limit.
+  std::vector<std::uint64_t> fib = {1, 1};
+  while (fib.size() < 59) fib.push_back(fib[fib.size() - 1] + fib[fib.size() - 2]);
+  EXPECT_TRUE(matches(fib)) << "fibonacci, ascending";
+  const auto deepest = huffman_code_lengths(fib);
+  EXPECT_EQ(*std::max_element(deepest.begin(), deepest.end()), 58u);
+  std::reverse(fib.begin(), fib.end());
+  EXPECT_TRUE(matches(fib)) << "fibonacci, descending";
 }
 
 TEST(Huffman, AverageLengthWithinOneBitOfEntropy) {

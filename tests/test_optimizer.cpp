@@ -216,6 +216,44 @@ TEST(OptimizerGuided, MatchesExhaustiveChoiceOnGrid) {
   }
 }
 
+/// Candidate rows are slotted by index, and every kernel and analysis is
+/// thread-count invariant: two searches agree exactly on every row, every
+/// choice and every counter, whatever their worker counts.
+void expect_identical_searches(const OptimizationResult& a, const OptimizationResult& b) {
+  EXPECT_EQ(a.stats.candidates, b.stats.candidates);
+  EXPECT_EQ(a.stats.full_evals, b.stats.full_evals);
+  EXPECT_EQ(a.stats.probes, b.stats.probes);
+  EXPECT_EQ(a.stats.pruned, b.stats.pruned);
+  EXPECT_EQ(a.stats.skipped, b.stats.skipped);
+  EXPECT_EQ(a.stats.failed, b.stats.failed);
+  EXPECT_EQ(a.stats.rate_estimates, b.stats.rate_estimates);
+  EXPECT_EQ(a.stats.baseline_cache_hits, b.stats.baseline_cache_hits);
+  EXPECT_EQ(a.overall_ratio, b.overall_ratio);
+  EXPECT_EQ(a.all_fields_ok, b.all_fields_ok);
+  ASSERT_EQ(a.per_field.size(), b.per_field.size());
+  for (std::size_t i = 0; i < a.per_field.size(); ++i) {
+    const auto& fa = a.per_field[i];
+    const auto& fb = b.per_field[i];
+    EXPECT_EQ(fa.field, fb.field);
+    EXPECT_EQ(fa.found, fb.found);
+    EXPECT_EQ(fa.chosen.config.label(), fb.chosen.config.label());
+    ASSERT_EQ(fa.candidates.size(), fb.candidates.size());
+    for (std::size_t j = 0; j < fa.candidates.size(); ++j) {
+      const CandidateOutcome& ca = fa.candidates[j];
+      const CandidateOutcome& cb = fb.candidates[j];
+      const std::string where = fa.field + " row " + std::to_string(j);
+      EXPECT_EQ(ca.config.mode, cb.config.mode) << where;
+      EXPECT_EQ(ca.config.value, cb.config.value) << where;
+      EXPECT_EQ(ca.status, cb.status) << where;
+      EXPECT_EQ(ca.acceptable, cb.acceptable) << where;
+      EXPECT_EQ(ca.predicted, cb.predicted) << where;
+      EXPECT_EQ(ca.ratio, cb.ratio) << where;
+      EXPECT_EQ(ca.psnr_db, cb.psnr_db) << where;
+      EXPECT_EQ(ca.metric_deviation, cb.metric_deviation) << where;
+    }
+  }
+}
+
 TEST(OptimizerGuided, DeterministicAcrossThreadCounts) {
   GuidedGridCase c;
   OptimizerOptions serial;
@@ -226,23 +264,28 @@ TEST(OptimizerGuided, DeterministicAcrossThreadCounts) {
   const auto a = optimize_grid_dataset(c.data, *c.codec, c.candidates, 0.01, 0.5, serial);
   const auto b =
       optimize_grid_dataset(c.data, *c.codec, c.candidates, 0.01, 0.5, parallel);
-  ASSERT_EQ(a.per_field.size(), b.per_field.size());
-  EXPECT_EQ(a.stats.full_evals, b.stats.full_evals);
-  EXPECT_EQ(a.stats.pruned, b.stats.pruned);
-  for (std::size_t i = 0; i < a.per_field.size(); ++i) {
-    const auto& fa = a.per_field[i];
-    const auto& fb = b.per_field[i];
-    ASSERT_EQ(fa.candidates.size(), fb.candidates.size());
-    // Candidate rows are slotted by index: identical configs, statuses, and
-    // metrics regardless of worker count.
-    for (std::size_t j = 0; j < fa.candidates.size(); ++j) {
-      EXPECT_EQ(fa.candidates[j].config.mode, fb.candidates[j].config.mode);
-      EXPECT_DOUBLE_EQ(fa.candidates[j].config.value, fb.candidates[j].config.value);
-      EXPECT_EQ(fa.candidates[j].status, fb.candidates[j].status);
-      EXPECT_EQ(fa.candidates[j].acceptable, fb.candidates[j].acceptable);
-      EXPECT_DOUBLE_EQ(fa.candidates[j].ratio, fb.candidates[j].ratio);
-    }
-  }
+  expect_identical_searches(a, b);
+
+  // The HACC twin: FoF and the codec kernels also thread inside each
+  // evaluation.
+  HaccConfig config;
+  config.particles = 12000;
+  config.halo_count = 10;
+  const auto hacc = generate_hacc(config);
+  analysis::FofParams fof_params;
+  fof_params.linking_length = 1.0;
+  fof_params.min_members = 15;
+  const auto position = configs_for_axis(
+      {.mode = "abs", .kind = SweepAxis::Kind::kRangeFractions, .lo = 4e-6, .hi = 4e-3, .count = 8},
+      hacc.find("x").field);
+  const auto velocity = configs_for_axis(
+      {.mode = "pw_rel", .kind = SweepAxis::Kind::kLogValues, .lo = 1e-3, .hi = 2e-1, .count = 6},
+      hacc.find("vx").field);
+  const auto pa = optimize_particle_dataset(hacc, *c.codec, position, velocity, fof_params,
+                                            0.1, 0.1, serial);
+  const auto pb = optimize_particle_dataset(hacc, *c.codec, position, velocity, fof_params,
+                                            0.1, 0.1, parallel);
+  expect_identical_searches(pa, pb);
 }
 
 TEST(OptimizerGuided, MatchesExhaustiveChoiceOnParticles) {

@@ -303,7 +303,7 @@ TEST(TracingInvariance, ZfpCpu) {
 
 /// Name -> count census of the recorded spans, with the scheduler-level
 /// spans excluded: "sweep." spans are thread-count-dependent by design
-/// (sweep.worker exists only on the parallel path), and session lifetimes
+/// (one sweep.worker per worker loop), and session lifetimes
 /// belong to the scheduler too (the serial sweep reuses one session, the
 /// parallel sweep opens one per worker). The per-job codec spans must be
 /// invariant.

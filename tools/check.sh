@@ -162,7 +162,7 @@ case "${mode}" in
     # scheduler (CBench sweeps, the optimizer, the daemon), and every
     # threaded kernel via the cross-thread-count determinism suite.
     TSAN_OPTIONS="halt_on_error=1" "${build_dir}/tests/cosmo_tests" \
-      --gtest_filter='ThreadPool*:*Sweep*:*Parallel*:ParallelDeterminism.*:FftTwiddleCache.*:Foresightd*:CBench*:Optimizer*'
+      --gtest_filter='ThreadPool*:*Sweep*:*Parallel*:ParallelDeterminism.*:FftTwiddleCache.*:Foresightd*:CBench*:JobScheduler.*:Optimizer*'
     ;;
   asan)
     # The codec surface: bitstream I/O, the shared chunk table, the
