@@ -32,7 +32,6 @@ std::vector<PkBin> power_spectrum(std::span<const float> values, const Dims& dim
   // the serial z-major accumulation.
   const std::size_t slice = dims.nx * dims.ny;
   std::vector<double> slice_sum(dims.nz, 0.0);
-  std::vector<cplx> grid(values.size());
   parallel_for(pool, dims.nz, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t z = lo; z < hi; ++z) {
       double s = 0.0;
@@ -43,12 +42,11 @@ std::vector<PkBin> power_spectrum(std::span<const float> values, const Dims& dim
   double mean = 0.0;
   for (const double s : slice_sum) mean += s;
   mean /= static_cast<double>(values.size());
-  parallel_for(pool, dims.nz, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo * slice; i < hi * slice; ++i) {
-      grid[i] = cplx(values[i] - mean, 0.0);
-    }
-  }, /*min_grain=*/1);
-  fft_3d(grid, dims, /*inverse=*/false, pool);
+  // The field is real, so its spectrum is Hermitian: only the kx >= 0 half
+  // is transformed, and each of its modes with 0 < kx < nx/2 stands for
+  // itself and its mirror at -k, which has the same |F|^2 and |k|.
+  const std::vector<cplx> half = fft_3d_r2c(values, dims, mean, pool);
+  const std::size_t hx = dims.nx / 2 + 1;
 
   const double k_nyq = static_cast<double>(dims.nx) / 2.0;
   std::vector<PkBin> bins(nbins);
@@ -71,16 +69,18 @@ std::vector<PkBin> power_spectrum(std::span<const float> values, const Dims& dim
       const double kz = freq(z, dims.nz);
       for (std::size_t y = 0; y < dims.ny; ++y) {
         const double ky = freq(y, dims.ny);
-        for (std::size_t x = 0; x < dims.nx; ++x) {
-          const double kx = freq(x, dims.nx);
+        const cplx* row = half.data() + hx * (y + dims.ny * z);
+        for (std::size_t x = 0; x < hx; ++x) {
+          const double kx = static_cast<double>(x);
           const double k = std::sqrt(kx * kx + ky * ky + kz * kz);
           if (k <= 0.0 || k >= k_nyq) continue;
           const auto b = std::min(
               nbins - 1, static_cast<std::size_t>(k / k_nyq * static_cast<double>(nbins)));
-          const cplx f = grid[dims.index(x, y, z)] * norm;
-          sb.power[b] += std::norm(f);
-          sb.ksum[b] += k;
-          ++sb.modes[b];
+          const std::size_t weight = x == 0 || 2 * x == dims.nx ? 1 : 2;
+          const double w = static_cast<double>(weight);
+          sb.power[b] += w * std::norm(row[x] * norm);
+          sb.ksum[b] += w * k;
+          sb.modes[b] += weight;
         }
       }
     }

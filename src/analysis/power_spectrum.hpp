@@ -24,10 +24,13 @@ struct PkBin {
 };
 
 /// Radially binned power spectrum of a 3-D scalar field. \p nbins == 0
-/// selects nx/2 bins (up to the Nyquist frequency). Threads on \p pool: the
-/// FFT is pencil-parallel and the radial binning accumulates into per-z-
-/// slice partials reduced in fixed z order, so the result is bitwise
-/// identical for any thread count.
+/// selects nx/2 bins (up to the Nyquist frequency). The field is real, so
+/// the transform is the real-input fft_3d_r2c: only the kx >= 0 half grid
+/// ((nx/2 + 1) * ny * nz complex values) is built and binned, each mode with
+/// 0 < kx < nx/2 weighted twice for its Hermitian mirror. Threads on
+/// \p pool: the FFT is pencil-parallel and the radial binning accumulates
+/// into per-z-slice partials reduced in fixed z order, so the result is
+/// bitwise identical for any thread count.
 std::vector<PkBin> power_spectrum(std::span<const float> values, const Dims& dims,
                                   std::size_t nbins = 0, ThreadPool* pool = nullptr);
 

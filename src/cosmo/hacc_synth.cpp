@@ -9,16 +9,21 @@ namespace cosmo {
 
 namespace {
 
-/// Samples a halo "mass" (particle count weight) from the truncated
-/// power law dn/dM ~ M^-slope on [1, mmax] via inverse CDF.
-double sample_mass(Rng& rng, double slope, double mmax) {
-  const double u = rng.uniform();
-  if (std::fabs(slope - 1.0) < 1e-9) {
-    return std::exp(u * std::log(mmax));
-  }
+/// Maps uniform draws \p u, in place, to halo "masses" (particle count
+/// weights) from the truncated power law dn/dM ~ M^-slope on [1, mmax] via
+/// the inverse CDF, on \p pool. The mmax terms are computed once.
+void masses_from_draws(std::vector<double>& u, double slope, double mmax, ThreadPool* pool) {
+  const bool log_uniform = std::fabs(slope - 1.0) < 1e-9;
+  const double log_mmax = std::log(mmax);
   const double a = 1.0 - slope;
   // CDF(m) = (m^a - 1) / (mmax^a - 1)
-  return std::pow(1.0 + u * (std::pow(mmax, a) - 1.0), 1.0 / a);
+  const double mmax_a_minus_1 = std::pow(mmax, a) - 1.0;
+  parallel_for(pool, u.size(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t h = lo; h < hi; ++h) {
+      u[h] = log_uniform ? std::exp(u[h] * log_mmax)
+                         : std::pow(1.0 + u[h] * mmax_a_minus_1, 1.0 / a);
+    }
+  });
 }
 
 /// Radial distance sampled from a truncated NFW-like profile
@@ -42,11 +47,8 @@ double wrap(double v, double box) {
 
 }  // namespace
 
-io::Container generate_hacc(const HaccConfig& config) {
-  return generate_hacc(config, nullptr);
-}
-
-io::Container generate_hacc(const HaccConfig& config, std::vector<HaloTruth>* truth) {
+io::Container generate_hacc(const HaccConfig& config, std::vector<HaloTruth>* truth,
+                            ThreadPool* pool) {
   require(config.particles >= 1000, "generate_hacc: need at least 1000 particles");
   require(config.halo_count >= 1, "generate_hacc: need at least one halo");
   Rng rng(config.seed);
@@ -63,12 +65,13 @@ io::Container generate_hacc(const HaccConfig& config, std::vector<HaloTruth>* tr
       static_cast<std::size_t>(config.clustered_fraction * static_cast<double>(n));
 
   // Distribute clustered particles over halos proportionally to mass.
+  // The draws stay in stream order; only their inverse CDF fans out, and
+  // the total is summed in halo order.
   std::vector<double> masses(config.halo_count);
+  for (auto& m : masses) m = rng.uniform();
+  masses_from_draws(masses, config.mass_slope, 2e4, pool);
   double mass_total = 0.0;
-  for (auto& m : masses) {
-    m = sample_mass(rng, config.mass_slope, 2e4);
-    mass_total += m;
-  }
+  for (const double m : masses) mass_total += m;
 
   if (truth) truth->clear();
   std::size_t emitted = 0;

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "io/container.hpp"
 
 namespace cosmo {
@@ -36,16 +37,17 @@ struct HaccConfig {
 /// Field names in canonical order.
 inline constexpr const char* kHaccFieldNames[6] = {"x", "y", "z", "vx", "vy", "vz"};
 
-/// Generates the six-array snapshot as a GenericIO-lite container.
-io::Container generate_hacc(const HaccConfig& config);
-
 /// Ground truth about the generated halos (for halo-finder validation).
 struct HaloTruth {
   double cx, cy, cz;     ///< halo center
   std::size_t particles; ///< members generated
 };
 
-/// Same as generate_hacc() but also reports the generated halo truth.
-io::Container generate_hacc(const HaccConfig& config, std::vector<HaloTruth>* truth);
+/// Generates the six-array snapshot as a GenericIO-lite container, and
+/// reports the generated halos in \p truth when it is non-null. The random
+/// draws are serial; the halo-mass inverse CDF runs on \p pool (null:
+/// serial). The bytes are identical for any pool.
+io::Container generate_hacc(const HaccConfig& config, std::vector<HaloTruth>* truth = nullptr,
+                            ThreadPool* pool = nullptr);
 
 }  // namespace cosmo

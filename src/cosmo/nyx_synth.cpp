@@ -25,29 +25,49 @@ double freq(std::size_t i, std::size_t n) {
   return i <= n / 2 ? s : s - nn;
 }
 
+/// sqrt(P(k)) * k^extra_k_power for every k^2 the grid holds. The wrapped
+/// frequencies are integers, so k^2 = kx^2 + ky^2 + kz^2 is an exact integer
+/// and indexes the table; each entry is computed from sqrt(k^2) exactly as
+/// the per-point formula would, so the filter is unchanged bit for bit.
+std::vector<double> amplitude_table(const Dims& dims, double ns, double knee,
+                                    double extra_k_power) {
+  const auto half_sq = [](std::size_t n) { return (n / 2) * (n / 2); };
+  std::vector<double> amp(half_sq(dims.nx) + half_sq(dims.ny) + half_sq(dims.nz) + 1);
+  for (std::size_t k2 = 0; k2 < amp.size(); ++k2) {
+    const double k = std::sqrt(static_cast<double>(k2));
+    amp[k2] = std::sqrt(spectrum_template(k, ns, knee));
+    if (extra_k_power != 0.0 && k > 0.0) amp[k2] *= std::pow(k, extra_k_power);
+  }
+  return amp;
+}
+
 /// Generates a real GRF with the template spectrum: white noise ->
 /// forward FFT -> sqrt(P(k)) filter -> inverse FFT. Normalized to unit
-/// variance.
+/// variance. The noise is drawn serially from \p rng; the transforms and
+/// the filter run on \p pool, with output identical for any thread count.
 std::vector<float> gaussian_random_field(const Dims& dims, Rng& rng, double ns,
-                                         double knee, double extra_k_power) {
+                                         double knee, double extra_k_power,
+                                         ThreadPool* pool) {
   std::vector<cplx> grid(dims.count());
   for (auto& g : grid) g = cplx(rng.normal(), 0.0);
-  fft_3d(grid, dims, /*inverse=*/false);
-  for (std::size_t z = 0; z < dims.nz; ++z) {
-    const double kz = freq(z, dims.nz);
-    for (std::size_t y = 0; y < dims.ny; ++y) {
-      const double ky = freq(y, dims.ny);
-      for (std::size_t x = 0; x < dims.nx; ++x) {
-        const double kx = freq(x, dims.nx);
-        const double k = std::sqrt(kx * kx + ky * ky + kz * kz);
-        double amp = std::sqrt(spectrum_template(k, ns, knee));
-        if (extra_k_power != 0.0 && k > 0.0) amp *= std::pow(k, extra_k_power);
-        grid[dims.index(x, y, z)] *= amp;
+  fft_3d(grid, dims, /*inverse=*/false, pool);
+  const std::vector<double> amp = amplitude_table(dims, ns, knee, extra_k_power);
+  const auto freq_sq = [](std::size_t i, std::size_t n) {
+    const double f = freq(i, n);
+    return static_cast<std::size_t>(f * f);
+  };
+  parallel_for(pool, dims.nz, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t z = lo; z < hi; ++z) {
+      const std::size_t kz2 = freq_sq(z, dims.nz);
+      for (std::size_t y = 0; y < dims.ny; ++y) {
+        const std::size_t kyz2 = kz2 + freq_sq(y, dims.ny);
+        cplx* row = grid.data() + dims.index(0, y, z);
+        for (std::size_t x = 0; x < dims.nx; ++x) row[x] *= amp[kyz2 + freq_sq(x, dims.nx)];
       }
     }
-  }
+  }, /*min_grain=*/1);
   grid[0] = cplx(0.0, 0.0);  // zero mean
-  fft_3d(grid, dims, /*inverse=*/true);
+  fft_3d(grid, dims, /*inverse=*/true, pool);
 
   std::vector<float> out(dims.count());
   double var = 0.0;
@@ -68,23 +88,24 @@ Field generate_nyx_delta(const NyxConfig& config) {
   const Dims dims = Dims::d3(config.dim, config.dim, config.dim);
   Rng rng(config.seed);
   Field f("delta", dims,
-          gaussian_random_field(dims, rng, config.spectral_index, config.knee, 0.0));
+          gaussian_random_field(dims, rng, config.spectral_index, config.knee, 0.0, nullptr));
   return f;
 }
 
-io::Container generate_nyx(const NyxConfig& config) {
+io::Container generate_nyx(const NyxConfig& config, ThreadPool* pool) {
   require(is_pow2(config.dim), "generate_nyx: dim must be a power of two");
   const Dims dims = Dims::d3(config.dim, config.dim, config.dim);
   Rng rng(config.seed);
 
   // Two correlated density contrasts (baryons trace dark matter loosely).
   const auto delta_dm =
-      gaussian_random_field(dims, rng, config.spectral_index, config.knee, 0.0);
+      gaussian_random_field(dims, rng, config.spectral_index, config.knee, 0.0, pool);
   auto delta_b = delta_dm;
   {
     Rng noise = rng.split();
     const auto extra =
-        gaussian_random_field(dims, noise, config.spectral_index, config.knee * 2.0, 0.0);
+        gaussian_random_field(dims, noise, config.spectral_index, config.knee * 2.0,
+                              0.0, pool);
     for (std::size_t i = 0; i < delta_b.size(); ++i) {
       delta_b[i] = 0.9f * delta_b[i] + 0.35f * extra[i];
     }
@@ -143,7 +164,8 @@ io::Container generate_nyx(const NyxConfig& config) {
   // paper Section V-A).
   for (int axis = 0; axis < 3; ++axis) {
     Rng vr = rng.split();
-    auto flow = gaussian_random_field(dims, vr, config.spectral_index, config.knee, -1.0);
+    auto flow = gaussian_random_field(dims, vr, config.spectral_index, config.knee, -1.0,
+                                      pool);
     Rng wn = rng.split();
     std::vector<float> vel(flow.size());
     const double s = config.velocity_sigma;

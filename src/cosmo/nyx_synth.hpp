@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "common/thread_pool.hpp"
 #include "io/container.hpp"
 
 namespace cosmo {
@@ -36,8 +37,11 @@ inline constexpr const char* kNyxFieldNames[6] = {
     "velocity_x",     "velocity_y",          "velocity_z",
 };
 
-/// Generates the six-field snapshot as an HDF5-lite container.
-io::Container generate_nyx(const NyxConfig& config);
+/// Generates the six-field snapshot as an HDF5-lite container. The random
+/// draws are serial; the FFTs and the spectral filter of each Gaussian
+/// random field run on \p pool (null: serial). The bytes are identical for
+/// any pool.
+io::Container generate_nyx(const NyxConfig& config, ThreadPool* pool = nullptr);
 
 /// Generates just the density contrast delta(x) (zero mean), exposed for
 /// power-spectrum tests against the known input spectrum.

@@ -1,9 +1,11 @@
 #include "fft/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <mutex>
 #include <numbers>
+#include <string>
 #include <unordered_map>
 
 #include "common/telemetry.hpp"
@@ -96,47 +98,38 @@ void fft_1d(std::span<cplx> data, bool inverse) {
   fft_1d_with(data, twiddles_for(n), inverse);
 }
 
-void fft_3d(std::vector<cplx>& data, const Dims& dims, bool inverse, ThreadPool* pool) {
-  TRACE_SPAN("fft.3d");
-  require(data.size() == dims.count(), "fft_3d: size mismatch");
-  require(is_pow2(dims.nx) && is_pow2(dims.ny) && is_pow2(dims.nz),
-          "fft_3d: extents must be powers of two");
-  const std::size_t nx = dims.nx, ny = dims.ny, nz = dims.nz;
+namespace {
 
-  // Pencils along one axis are independent, and each writes only its own
-  // elements, so every pass parallelizes over pencil groups with output
-  // identical to the serial order. Each pass looks its twiddle table up
-  // once, before it fans out; the pencils only read it.
+/// The y and z passes of a 3-D transform over a row-major grid whose rows
+/// hold \p row_len elements: nx for a full grid, nx/2 + 1 for the half
+/// spectrum of a real input. Pencils along one axis are independent and
+/// each writes only its own elements, so both passes parallelize over
+/// pencil groups with output identical to the serial order. The strided
+/// pencils move through kTile-wide transpose tiles, so the traversal reads
+/// and writes kTile consecutive elements per row instead of one.
+void fft_yz(cplx* data, std::size_t row_len, std::size_t ny, std::size_t nz, bool inverse,
+            ThreadPool* pool) {
+  const auto at = [&](std::size_t x, std::size_t y, std::size_t z) {
+    return data + x + row_len * (y + ny * z);
+  };
 
-  // Along x: contiguous rows, one pencil per (y, z).
-  const std::vector<cplx>& twx = twiddles_for(nx);
-  parallel_for(pool, ny * nz, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      const std::size_t y = r % ny;
-      const std::size_t z = r / ny;
-      fft_1d_with(std::span(data.data() + dims.index(0, y, z), nx), twx, inverse);
-    }
-  }, /*min_grain=*/4);
-
-  // Along y: per z-plane, columns gathered through a kTile-wide transpose
-  // tile so the strided traversal reads/writes kTile consecutive elements
-  // per row instead of one.
+  // Along y: per z-plane.
   if (ny > 1) {
     const std::vector<cplx>& twy = twiddles_for(ny);
     parallel_for(pool, nz, [&](std::size_t lo, std::size_t hi) {
       std::vector<cplx> tile(kTile * ny);
       for (std::size_t z = lo; z < hi; ++z) {
-        for (std::size_t x0 = 0; x0 < nx; x0 += kTile) {
-          const std::size_t tx = std::min(kTile, nx - x0);
+        for (std::size_t x0 = 0; x0 < row_len; x0 += kTile) {
+          const std::size_t tx = std::min(kTile, row_len - x0);
           for (std::size_t y = 0; y < ny; ++y) {
-            const cplx* row = data.data() + dims.index(x0, y, z);
+            const cplx* row = at(x0, y, z);
             for (std::size_t dx = 0; dx < tx; ++dx) tile[dx * ny + y] = row[dx];
           }
           for (std::size_t dx = 0; dx < tx; ++dx) {
             fft_1d_with(std::span(tile.data() + dx * ny, ny), twy, inverse);
           }
           for (std::size_t y = 0; y < ny; ++y) {
-            cplx* row = data.data() + dims.index(x0, y, z);
+            cplx* row = at(x0, y, z);
             for (std::size_t dx = 0; dx < tx; ++dx) row[dx] = tile[dx * ny + y];
           }
         }
@@ -150,17 +143,17 @@ void fft_3d(std::vector<cplx>& data, const Dims& dims, bool inverse, ThreadPool*
     parallel_for(pool, ny, [&](std::size_t lo, std::size_t hi) {
       std::vector<cplx> tile(kTile * nz);
       for (std::size_t y = lo; y < hi; ++y) {
-        for (std::size_t x0 = 0; x0 < nx; x0 += kTile) {
-          const std::size_t tx = std::min(kTile, nx - x0);
+        for (std::size_t x0 = 0; x0 < row_len; x0 += kTile) {
+          const std::size_t tx = std::min(kTile, row_len - x0);
           for (std::size_t z = 0; z < nz; ++z) {
-            const cplx* row = data.data() + dims.index(x0, y, z);
+            const cplx* row = at(x0, y, z);
             for (std::size_t dx = 0; dx < tx; ++dx) tile[dx * nz + z] = row[dx];
           }
           for (std::size_t dx = 0; dx < tx; ++dx) {
             fft_1d_with(std::span(tile.data() + dx * nz, nz), twz, inverse);
           }
           for (std::size_t z = 0; z < nz; ++z) {
-            cplx* row = data.data() + dims.index(x0, y, z);
+            cplx* row = at(x0, y, z);
             for (std::size_t dx = 0; dx < tx; ++dx) row[dx] = tile[dx * nz + z];
           }
         }
@@ -169,13 +162,67 @@ void fft_3d(std::vector<cplx>& data, const Dims& dims, bool inverse, ThreadPool*
   }
 }
 
-std::vector<cplx> fft_3d_real(std::span<const float> values, const Dims& dims,
-                              ThreadPool* pool) {
-  require(values.size() == dims.count(), "fft_3d_real: size mismatch");
-  std::vector<cplx> data(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) data[i] = cplx(values[i], 0.0);
-  fft_3d(data, dims, /*inverse=*/false, pool);
-  return data;
+void require_pow2_extents(const Dims& dims, const char* what) {
+  require(is_pow2(dims.nx) && is_pow2(dims.ny) && is_pow2(dims.nz),
+          std::string(what) + ": extents must be powers of two");
+}
+
+}  // namespace
+
+void fft_3d(std::vector<cplx>& data, const Dims& dims, bool inverse, ThreadPool* pool) {
+  TRACE_SPAN("fft.3d");
+  require(data.size() == dims.count(), "fft_3d: size mismatch");
+  require_pow2_extents(dims, "fft_3d");
+  const std::size_t nx = dims.nx, ny = dims.ny;
+
+  // Along x: contiguous rows, one pencil per (y, z). Each pass looks its
+  // twiddle table up once, before it fans out; the pencils only read it.
+  const std::vector<cplx>& twx = twiddles_for(nx);
+  parallel_for(pool, ny * dims.nz, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r) {
+      fft_1d_with(std::span(data.data() + r * nx, nx), twx, inverse);
+    }
+  }, /*min_grain=*/4);
+  fft_yz(data.data(), nx, ny, dims.nz, inverse, pool);
+}
+
+std::vector<cplx> fft_3d_r2c(std::span<const float> values, const Dims& dims, double offset,
+                             ThreadPool* pool) {
+  TRACE_SPAN("fft.3d");
+  require(values.size() == dims.count(), "fft_3d_r2c: size mismatch");
+  require_pow2_extents(dims, "fft_3d_r2c");
+  const std::size_t nx = dims.nx, ny = dims.ny, nz = dims.nz;
+  const std::size_t half = nx / 2 + 1;
+  const std::size_t rows = ny * nz;
+  std::vector<cplx> out(half * rows);
+
+  // Along x: rows 2p and 2p + 1 ride in one complex pencil, a + i b. The
+  // transforms of real rows are Hermitian, A[-k] = conj(A[k]), which splits
+  // the pencil's transform C: A[k] = (C[k] + conj C[-k]) / 2 and
+  // B[k] = (C[k] - conj C[-k]) / 2i, kept for k in [0, nx/2].
+  const std::vector<cplx>& twx = twiddles_for(nx);
+  parallel_for(pool, (rows + 1) / 2, [&](std::size_t lo, std::size_t hi) {
+    std::vector<cplx> pencil(nx);
+    for (std::size_t p = lo; p < hi; ++p) {
+      const std::size_t ra = 2 * p;
+      const bool paired = ra + 1 < rows;
+      const float* a = values.data() + ra * nx;
+      for (std::size_t x = 0; x < nx; ++x) {
+        const double b = paired ? a[nx + x] - offset : 0.0;
+        pencil[x] = cplx(a[x] - offset, b);
+      }
+      fft_1d_with(pencil, twx, /*inverse=*/false);
+      cplx* out_a = out.data() + ra * half;
+      for (std::size_t k = 0; k < half; ++k) {
+        const cplx c = pencil[k];
+        const cplx m = std::conj(pencil[(nx - k) & (nx - 1)]);
+        out_a[k] = (c + m) * 0.5;
+        if (paired) out_a[half + k] = (c - m) * cplx(0.0, -0.5);
+      }
+    }
+  }, /*min_grain=*/2);
+  fft_yz(out.data(), half, ny, nz, /*inverse=*/false, pool);
+  return out;
 }
 
 }  // namespace cosmo

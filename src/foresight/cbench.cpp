@@ -170,7 +170,8 @@ std::vector<CBenchResult> CBench::run_jobs(Compressor& compressor,
   return results;
 }
 
-void JobScheduler::run(std::size_t count, const Job& job, const Failed& failed) {
+void JobScheduler::run(std::size_t count, const Job& job, const Failed& failed,
+                       std::size_t max_in_flight) {
   if (count == 0) return;
   // The one failed-row policy: cancellation and deadlines always unwind the
   // whole run, any other cosmo::Error becomes job i's failed row under
@@ -189,8 +190,9 @@ void JobScheduler::run(std::size_t count, const Job& job, const Failed& failed) 
     }
   };
 
-  const std::size_t workers =
-      pool_ && compressor_.concurrent_sessions_safe() ? std::min(pool_->size(), count) : 1;
+  const std::size_t workers = pool_ && compressor_.concurrent_sessions_safe()
+                                  ? std::min({pool_->size(), count, max_in_flight})
+                                  : 1;
   if (workers <= 1) {
     TRACE_SPAN(worker_span_);
     for (std::size_t i = 0; i < count; ++i) {

@@ -17,6 +17,7 @@
 /// the serial path, keeping their modeled timings byte-for-byte stable.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -155,8 +156,8 @@ class CBench {
 ///   thread, when the codec's sessions cannot run concurrently, or when
 ///   count <= 1;
 /// - the atomic-cursor loop with one session per worker, min(pool size,
-///   count) of them, the calling thread running the first, so a run never
-///   has more jobs in flight than its pool has threads;
+///   count, max_in_flight) of them, the calling thread running the first,
+///   so a run never has more jobs in flight than its pool has threads;
 /// - waiting by helping, as parallel_for does, so a run issued from inside
 ///   a task of the same pool cannot deadlock;
 /// - the on_error policy: under kContinue a cosmo::Error from job i goes to
@@ -182,7 +183,9 @@ class JobScheduler {
         worker_span_(worker_span),
         serial_session_(std::move(serial_session)) {}
 
-  void run(std::size_t count, const Job& job, const Failed& failed);
+  /// Runs jobs [0, count), at most \p max_in_flight of them at once.
+  void run(std::size_t count, const Job& job, const Failed& failed,
+           std::size_t max_in_flight = SIZE_MAX);
 
  private:
   Compressor& compressor_;

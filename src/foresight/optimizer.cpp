@@ -52,186 +52,253 @@ using EvalFn = std::function<CandidateOutcome(const CompressorConfig&, CodecSess
 /// codec's abs path is the SZ pipeline). Returns 0 when not predictable.
 using RatioPredictor = std::function<double(const CompressorConfig&)>;
 
-/// Runs one field's candidate search (exhaustive or guided) and returns the
-/// completed FieldChoice. \p eval is the full evaluation; \p predict_ratio
-/// may be null.
-FieldChoice run_field_search(const std::string& field_name,
-                             const std::vector<CompressorConfig>& candidates,
-                             Compressor& compressor, const OptimizerOptions& options,
-                             JobScheduler& scheduler, const EvalFn& eval,
-                             const RatioPredictor& predict_ratio, OptimizerStats& stats) {
-  FieldChoice choice;
-  choice.field = field_name;
-  const std::size_t n = candidates.size();
-  std::vector<CandidateOutcome> outcomes(n);
-  stats.candidates += n;
-
-  // Capability pruning: a mixed candidate list (e.g. one grid shared by an
-  // abs- and a rate-mode codec) records the modes this codec does not
-  // support as "skipped" rows instead of silently dropping them.
-  std::vector<std::size_t> supported;
-  for (std::size_t i = 0; i < n; ++i) {
-    outcomes[i].config = candidates[i];
-    if (compressor.capabilities().supports_mode(candidates[i].mode)) {
-      supported.push_back(i);
-    } else {
-      outcomes[i].status = "skipped";
-      ++stats.skipped;
+/// One field's candidate search (exhaustive or guided), split where it can
+/// share a scheduler batch with the other fields' searches. first_batch()
+/// names the evaluations every search starts with: each supported
+/// candidate (exhaustive), or the probes of each mode group (guided).
+/// finish() runs the rest, one field at a time: per mode group it brackets
+/// the frontier from the probes, bisects onto it, scans for pockets past
+/// it and fills the pruned rows from the surrogate, then picks the choice.
+class FieldSearch {
+ public:
+  /// \p eval is the full evaluation; \p predict_ratio may be null.
+  FieldSearch(std::string field_name, const std::vector<CompressorConfig>& candidates,
+              Compressor& compressor, const OptimizerOptions& options, EvalFn eval,
+              RatioPredictor predict_ratio, OptimizerStats& stats)
+      : candidates_(candidates),
+        eval_(std::move(eval)),
+        predict_ratio_(std::move(predict_ratio)),
+        stats_(stats),
+        outcomes_(candidates.size()),
+        ran_(candidates.size(), 0) {
+    choice_.field = std::move(field_name);
+    stats_.candidates += candidates.size();
+    // Capability pruning: a mixed candidate list (e.g. one grid shared by
+    // an abs- and a rate-mode codec) records the modes this codec does not
+    // support as "skipped" rows instead of silently dropping them.
+    std::vector<std::size_t> supported;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      outcomes_[i].config = candidates[i];
+      if (compressor.capabilities().supports_mode(candidates[i].mode)) {
+        supported.push_back(i);
+      } else {
+        outcomes_[i].status = "skipped";
+        ++stats_.skipped;
+      }
+    }
+    if (options.search == SearchMode::kExhaustive) {
+      first_batch_ = std::move(supported);
+      return;
+    }
+    // Guided: the mode groups in first-seen order, each in aggressiveness
+    // order, probed at its endpoints plus evenly spread interior positions.
+    for (const std::size_t i : supported) {
+      const auto it = std::find_if(groups_.begin(), groups_.end(), [&](const Group& g) {
+        return candidates[g.members.front()].mode == candidates[i].mode;
+      });
+      if (it == groups_.end()) {
+        groups_.push_back({{i}, {}, {}});
+      } else {
+        it->members.push_back(i);
+      }
+    }
+    for (Group& g : groups_) {
+      std::vector<CompressorConfig> configs;
+      configs.reserve(g.members.size());
+      for (const std::size_t i : g.members) configs.push_back(candidates[i]);
+      g.order = aggressiveness_order(configs);
+      g.probe_pos = probe_positions(g.order.size(), options.probes);
+      for (const std::size_t p : g.probe_pos) first_batch_.push_back(g.at(p));
     }
   }
 
-  // Which rows actually went through the scheduler (status alone cannot
-  // tell: an untouched outcome carries the default "evaluated").
-  std::vector<char> ran(n, 0);
-  // Fully evaluates a batch of candidate indices, each outcome landing in
-  // its pre-indexed slot whatever the schedule.
-  const auto evaluate = [&](const std::vector<std::size_t>& batch) {
-    scheduler.run(
-        batch.size(),
-        [&](std::size_t j, CodecSession& session, CompressResult& c, DecompressResult& d) {
-          outcomes[batch[j]] = eval(candidates[batch[j]], session, c, d);
-        },
-        [&](std::size_t j, const Error& e) {
-          outcomes[batch[j]] = failed_outcome(candidates[batch[j]], e.what());
-        });
-    for (const std::size_t i : batch) ran[i] = 1;
-    stats.full_evals += batch.size();
+  [[nodiscard]] const std::vector<std::size_t>& first_batch() const { return first_batch_; }
+
+  /// Evaluates candidate \p i into its pre-indexed slot.
+  void evaluate_one(std::size_t i, CodecSession& session, CompressResult& c,
+                    DecompressResult& d) {
+    outcomes_[i] = eval_(candidates_[i], session, c, d);
+  }
+
+  /// Records candidate \p i as failed (OnError::kContinue).
+  void fail_one(std::size_t i, const Error& e) {
+    outcomes_[i] = failed_outcome(candidates_[i], e.what());
+  }
+
+  /// Marks \p batch as run by the scheduler: status alone cannot tell, as
+  /// an untouched outcome carries the default "evaluated".
+  void mark_ran(const std::vector<std::size_t>& batch) {
+    for (const std::size_t i : batch) ran_[i] = 1;
+    stats_.full_evals += batch.size();
+  }
+
+  FieldChoice finish(JobScheduler& scheduler) {
+    for (const Group& g : groups_) refine(g, scheduler);
+    // Guideline step 3: among acceptable configs, keep the highest ratio.
+    // Only real evaluations are eligible — the chosen config's metrics are
+    // always measured, never predicted.
+    for (const auto& o : outcomes_) {
+      if (o.status == "failed") ++stats_.failed;
+      if (o.status != "evaluated" || !o.acceptable) continue;
+      if (!choice_.found || o.ratio > choice_.chosen.ratio) {
+        choice_.found = true;
+        choice_.chosen = o;
+      }
+    }
+    choice_.candidates = std::move(outcomes_);
+    return std::move(choice_);
+  }
+
+ private:
+  /// One mode's candidates (indices into the candidate list), their
+  /// aggressiveness order, and the order positions probed first.
+  struct Group {
+    std::vector<std::size_t> members;
+    std::vector<std::size_t> order;
+    std::vector<std::size_t> probe_pos;
+    [[nodiscard]] std::size_t at(std::size_t pos) const { return members[order[pos]]; }
   };
 
-  if (options.search == SearchMode::kExhaustive) {
-    evaluate(supported);
+  /// Evaluates one candidate on its own scheduler run.
+  void evaluate_single(std::size_t i, JobScheduler& scheduler) {
+    scheduler.run(
+        1,
+        [&](std::size_t, CodecSession& session, CompressResult& c, DecompressResult& d) {
+          evaluate_one(i, session, c, d);
+        },
+        [&](std::size_t, const Error& e) { fail_one(i, e); });
+    mark_ran({i});
+  }
+
+  /// Guided search after the probes: bisect onto the acceptability
+  /// frontier, scan past it, and fill the remaining rows from the
+  /// surrogate fitted through the evaluated points.
+  void refine(const Group& g, JobScheduler& scheduler) {
+    const std::size_t size = g.order.size();
+    const auto evaluated = [&](std::size_t pos) { return ran_[g.at(pos)] != 0; };
+    // A failed evaluation cannot be verified acceptable, so it bounds the
+    // frontier from the unacceptable side.
+    const auto pos_acceptable = [&](std::size_t pos) {
+      const CandidateOutcome& o = outcomes_[g.at(pos)];
+      return o.status == "evaluated" && o.acceptable;
+    };
+
+    // Bracket the frontier: hi = least aggressive probed-unacceptable
+    // position, lo = most aggressive probed-acceptable position below it.
+    std::size_t hi = size;  // past-the-end = no unacceptable probe
+    std::size_t lo = size;  // past-the-end = no acceptable probe
+    for (const std::size_t p : g.probe_pos) {
+      if (!pos_acceptable(p)) {
+        hi = p;
+        break;
+      }
+      lo = p;
+    }
+
+    // Bisection refinement: deviation grows with aggressiveness, so the
+    // frontier between the bracket endpoints is found in O(log gap) full
+    // evaluations instead of evaluating the whole gap.
+    if (lo < hi && hi < size) {
+      TRACE_SPAN("optimizer.bisect");
+      for (std::size_t mid = bisect_next(lo, hi); mid != kBisectDone;
+           mid = bisect_next(lo, hi)) {
+        evaluate_single(g.at(mid), scheduler);
+        if (pos_acceptable(mid)) {
+          lo = mid;
+        } else {
+          hi = mid;
+        }
+      }
+    }
+
+    // Pocket scan: near the tolerance the deviation-vs-aggressiveness
+    // curve is only noisily monotone, and the exhaustive winner
+    // occasionally sits in an acceptable pocket just past the first
+    // crossing. Evaluate a small window above the frontier, extending it
+    // past every acceptable position it uncovers, so those pockets are
+    // harvested at bounded extra cost.
+    if (hi < size) {
+      std::size_t limit = std::min(size - 1, hi + kPocketWindow);
+      for (std::size_t pos = hi + 1; pos <= limit; ++pos) {
+        if (!evaluated(pos)) evaluate_single(g.at(pos), scheduler);
+        if (pos_acceptable(pos)) limit = std::min(size - 1, pos + kPocketWindow);
+      }
+    }
+
+    // Surrogate through every real evaluation in this group.
+    RateQualityModel model;
+    for (std::size_t pos = 0; pos < size; ++pos) {
+      const CandidateOutcome& o = outcomes_[g.at(pos)];
+      if (evaluated(pos) && o.status == "evaluated" && o.config.value > 0.0) {
+        model.add_point(o.config.value, o.ratio, o.metric_deviation);
+      }
+    }
+
+    // Fill the pruned rows: monotone acceptability (positions below the
+    // bracket are acceptable, above it are not) plus predicted metrics.
+    for (std::size_t pos = 0; pos < size; ++pos) {
+      if (evaluated(pos)) continue;
+      CandidateOutcome& o = outcomes_[g.at(pos)];
+      o.status = "pruned";
+      o.predicted = true;
+      o.acceptable = pos < hi;
+      if (model.points() > 0 && o.config.value > 0.0) {
+        o.ratio = model.predict_ratio(o.config.value);
+        o.metric_deviation = model.predict_deviation(o.config.value);
+      }
+      if (predict_ratio_) {
+        const double est = predict_ratio_(o.config);
+        if (est > 0.0) {
+          o.ratio = est;
+          ++stats_.rate_estimates;
+        }
+      }
+      ++stats_.pruned;
+    }
+  }
+
+  const std::vector<CompressorConfig>& candidates_;
+  EvalFn eval_;
+  RatioPredictor predict_ratio_;
+  OptimizerStats& stats_;
+  FieldChoice choice_;
+  std::vector<CandidateOutcome> outcomes_;
+  std::vector<char> ran_;
+  std::vector<Group> groups_;
+  std::vector<std::size_t> first_batch_;
+};
+
+/// Runs every search's first batch as one scheduler batch, so no worker
+/// idles at the boundary between one field's batch and the next; each
+/// outcome still lands in its own search's slot. Guided probes keep the
+/// bound a per-field probe batch had, at most `probes` evaluations in
+/// flight: each holds a session arena, a reconstruction and a P(k) half
+/// grid, and a fourth one breaks the benchmark's peak-RSS bound
+/// (EXPERIMENTS.md).
+void run_first_batches(std::vector<FieldSearch>& searches, JobScheduler& scheduler,
+                       const OptimizerOptions& options, OptimizerStats& stats) {
+  std::vector<std::pair<FieldSearch*, std::size_t>> jobs;
+  for (FieldSearch& search : searches) {
+    for (const std::size_t i : search.first_batch()) jobs.emplace_back(&search, i);
+  }
+  const auto run = [&](std::size_t max_in_flight) {
+    scheduler.run(
+        jobs.size(),
+        [&](std::size_t j, CodecSession& session, CompressResult& c, DecompressResult& d) {
+          jobs[j].first->evaluate_one(jobs[j].second, session, c, d);
+        },
+        [&](std::size_t j, const Error& e) { jobs[j].first->fail_one(jobs[j].second, e); },
+        max_in_flight);
+  };
+  if (options.search == SearchMode::kGuided) {
+    TRACE_SPAN("optimizer.probe_batch");
+    // probe_positions takes at least two probes per group.
+    run(std::max<std::size_t>(options.probes, 2));
+    stats.probes += jobs.size();
   } else {
-    // Guided search, per mode group: probe a few positions along the
-    // aggressiveness axis, bisect onto the acceptability frontier, and fill
-    // the remaining rows from the surrogate fitted through the evaluated
-    // points.
-    std::vector<std::string> group_modes;
-    std::map<std::string, std::vector<std::size_t>> groups;
-    for (const std::size_t i : supported) {
-      auto& group = groups[candidates[i].mode];
-      if (group.empty()) group_modes.push_back(candidates[i].mode);
-      group.push_back(i);
-    }
-    for (const auto& mode : group_modes) {
-      const std::vector<std::size_t>& group = groups[mode];
-      std::vector<CompressorConfig> group_configs;
-      group_configs.reserve(group.size());
-      for (const std::size_t i : group) group_configs.push_back(candidates[i]);
-      const std::vector<std::size_t> order = aggressiveness_order(group_configs);
-
-      // Probe batch: endpoints plus evenly spread interior positions, all
-      // full evaluations, scheduled in one (possibly parallel) batch.
-      const std::vector<std::size_t> probe_pos =
-          probe_positions(order.size(), options.probes);
-      std::vector<std::size_t> probe_idx;
-      probe_idx.reserve(probe_pos.size());
-      for (const std::size_t p : probe_pos) probe_idx.push_back(group[order[p]]);
-      {
-        TRACE_SPAN("optimizer.probe_batch");
-        evaluate(probe_idx);
-      }
-      stats.probes += probe_idx.size();
-
-      const auto evaluated = [&](std::size_t pos) { return ran[group[order[pos]]] != 0; };
-      // A failed evaluation cannot be verified acceptable, so it bounds the
-      // frontier from the unacceptable side.
-      const auto pos_acceptable = [&](std::size_t pos) {
-        const CandidateOutcome& o = outcomes[group[order[pos]]];
-        return o.status == "evaluated" && o.acceptable;
-      };
-
-      // Bracket the frontier: hi = least aggressive probed-unacceptable
-      // position, lo = most aggressive probed-acceptable position below it.
-      std::size_t hi = order.size();  // past-the-end = no unacceptable probe
-      std::size_t lo = order.size();  // past-the-end = no acceptable probe
-      for (const std::size_t p : probe_pos) {
-        if (!pos_acceptable(p)) {
-          hi = p;
-          break;
-        }
-        lo = p;
-      }
-
-      // Bisection refinement: deviation grows with aggressiveness, so the
-      // frontier between the bracket endpoints is found in O(log gap) full
-      // evaluations instead of evaluating the whole gap.
-      if (lo < hi && hi < order.size()) {
-        TRACE_SPAN("optimizer.bisect");
-        for (std::size_t mid = bisect_next(lo, hi); mid != kBisectDone;
-             mid = bisect_next(lo, hi)) {
-          evaluate({group[order[mid]]});
-          if (pos_acceptable(mid)) {
-            lo = mid;
-          } else {
-            hi = mid;
-          }
-        }
-      }
-
-      // Pocket scan: near the tolerance the deviation-vs-aggressiveness
-      // curve is only noisily monotone, and the exhaustive winner
-      // occasionally sits in an acceptable pocket just past the first
-      // crossing. Evaluate a small window above the frontier, extending it
-      // past every acceptable position it uncovers, so those pockets are
-      // harvested at bounded extra cost.
-      if (hi < order.size()) {
-        std::size_t limit = std::min(order.size() - 1, hi + kPocketWindow);
-        for (std::size_t pos = hi + 1; pos <= limit; ++pos) {
-          if (!evaluated(pos)) {
-            evaluate({group[order[pos]]});
-          }
-          if (pos_acceptable(pos)) {
-            limit = std::min(order.size() - 1, pos + kPocketWindow);
-          }
-        }
-      }
-
-      // Surrogate through every real evaluation in this group.
-      RateQualityModel model;
-      for (std::size_t pos = 0; pos < order.size(); ++pos) {
-        const CandidateOutcome& o = outcomes[group[order[pos]]];
-        if (evaluated(pos) && o.status == "evaluated" && o.config.value > 0.0) {
-          model.add_point(o.config.value, o.ratio, o.metric_deviation);
-        }
-      }
-
-      // Fill the pruned rows: monotone acceptability (positions below the
-      // bracket are acceptable, above it are not) plus predicted metrics.
-      for (std::size_t pos = 0; pos < order.size(); ++pos) {
-        if (evaluated(pos)) continue;
-        CandidateOutcome& o = outcomes[group[order[pos]]];
-        o.status = "pruned";
-        o.predicted = true;
-        o.acceptable = pos < hi;
-        if (model.points() > 0 && o.config.value > 0.0) {
-          o.ratio = model.predict_ratio(o.config.value);
-          o.metric_deviation = model.predict_deviation(o.config.value);
-        }
-        if (predict_ratio) {
-          const double est = predict_ratio(o.config);
-          if (est > 0.0) {
-            o.ratio = est;
-            ++stats.rate_estimates;
-          }
-        }
-        ++stats.pruned;
-      }
-    }
+    run(SIZE_MAX);
   }
-
-  // Guideline step 3: among acceptable configs, keep the highest ratio.
-  // Only real evaluations are eligible — the chosen config's metrics are
-  // always measured, never predicted.
-  for (const auto& o : outcomes) {
-    if (o.status == "failed") ++stats.failed;
-    if (o.status != "evaluated" || !o.acceptable) continue;
-    if (!choice.found || o.ratio > choice.chosen.ratio) {
-      choice.found = true;
-      choice.chosen = o;
-    }
-  }
-  choice.candidates = std::move(outcomes);
-  return choice;
+  for (FieldSearch& search : searches) search.mark_ran(search.first_batch());
 }
 
 void publish_stats(const OptimizerStats& stats) {
@@ -282,22 +349,28 @@ OptimizationResult optimize_grid_dataset(
   JobScheduler scheduler(compressor, pool.get(), options.on_error, "optimizer.worker");
   const std::string name = compressor.name();
 
+  // The searched fields, each with its original-field spectrum: identical
+  // across candidates, so it is computed once and serves every ratio.
+  std::vector<const Field*> fields;
   for (const auto& variable : data.variables) {
-    const auto it = candidates.find(variable.field.name);
-    if (it == candidates.end()) continue;
-    const Field& field = variable.field;
-
-    // The original-field spectrum is identical across candidates: compute
-    // it once and serve every ratio from the cache.
-    std::vector<analysis::PkBin> baseline;
-    {
-      TRACE_SPAN("optimizer.baseline");
-      baseline = analysis::power_spectrum(field.data, field.dims, 0, pool.get());
+    if (candidates.contains(variable.field.name)) fields.push_back(&variable.field);
+  }
+  std::vector<std::vector<analysis::PkBin>> baselines(fields.size());
+  {
+    TRACE_SPAN("optimizer.baseline");
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+      baselines[f] = analysis::power_spectrum(fields[f]->data, fields[f]->dims, 0, pool.get());
     }
-    std::atomic<std::size_t> cache_hits{0};
+  }
+  std::atomic<std::size_t> cache_hits{0};
 
-    const EvalFn eval = [&](const CompressorConfig& config, CodecSession& session,
-                            CompressResult& c, DecompressResult& d) {
+  std::vector<FieldSearch> searches;
+  searches.reserve(fields.size());
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    const Field& field = *fields[f];
+    const std::vector<analysis::PkBin>& baseline = baselines[f];
+    EvalFn eval = [&](const CompressorConfig& config, CodecSession& session,
+                      CompressResult& c, DecompressResult& d) {
       CBenchResult r = bench.run_session(field, name, session, config, c, d);
       const auto pk =
           analysis::pk_ratio(baseline, r.reconstructed, field.dims, k_fraction, pool.get());
@@ -310,21 +383,24 @@ OptimizationResult optimize_grid_dataset(
       outcome.acceptable = analysis::pk_acceptable(pk, tolerance);
       return outcome;
     };
+    searches.emplace_back(field.name, candidates.at(field.name), compressor, options,
+                          std::move(eval), make_rate_predictor(field, compressor),
+                          result.stats);
+  }
+  run_first_batches(searches, scheduler, options, result.stats);
 
-    FieldChoice choice =
-        run_field_search(field.name, it->second, compressor, options, scheduler, eval,
-                         make_rate_predictor(field, compressor), result.stats);
-    result.stats.baseline_cache_hits += cache_hits.load();
-
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    FieldChoice choice = searches[f].finish(scheduler);
     if (choice.found) {
-      total_original += field.bytes();
+      total_original += fields[f]->bytes();
       total_compressed += static_cast<std::size_t>(
-          static_cast<double>(field.bytes()) / choice.chosen.ratio);
+          static_cast<double>(fields[f]->bytes()) / choice.chosen.ratio);
     } else {
       all_ok = false;
     }
     result.per_field.push_back(std::move(choice));
   }
+  result.stats.baseline_cache_hits += cache_hits.load();
 
   result.all_fields_ok = all_ok && !result.per_field.empty();
   result.overall_ratio = total_compressed > 0
@@ -425,9 +501,6 @@ OptimizationResult optimize_particle_dataset(
     }
     return outcome;
   };
-  FieldChoice pos_choice =
-      run_field_search("position", position_candidates, compressor, options, scheduler,
-                       eval_position, nullptr, result.stats);
 
   // --- Velocities: acceptance via halo bulk-velocity preservation. ---
   const auto& vx = data.find("vx").field;
@@ -453,9 +526,17 @@ OptimizationResult optimize_particle_dataset(
     outcome.acceptable = dev <= velocity_tolerance;
     return outcome;
   };
-  FieldChoice vel_choice =
-      run_field_search("velocity", velocity_candidates, compressor, options, scheduler,
-                       eval_velocity, nullptr, result.stats);
+  // Both searches' first evaluations share one batch; each then refines on
+  // its own, positions first.
+  std::vector<FieldSearch> searches;
+  searches.reserve(2);
+  searches.emplace_back("position", position_candidates, compressor, options, eval_position,
+                        nullptr, result.stats);
+  searches.emplace_back("velocity", velocity_candidates, compressor, options, eval_velocity,
+                        nullptr, result.stats);
+  run_first_batches(searches, scheduler, options, result.stats);
+  FieldChoice pos_choice = searches[0].finish(scheduler);
+  FieldChoice vel_choice = searches[1].finish(scheduler);
 
   result.stats.baseline_cache_hits += cache_hits.load();
   result.all_fields_ok = pos_choice.found && vel_choice.found;

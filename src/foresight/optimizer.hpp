@@ -47,9 +47,13 @@ struct OptimizerOptions {
   /// bisection (clamped to [2, group size]; endpoints are always probed).
   std::size_t probes = 3;
   /// Threads of the one pool each optimize call owns (1 serial, 0 global
-  /// pool, N a dedicated pool; see PoolHandle). Probe batches run one
-  /// candidate evaluation per worker, so evaluations in flight never exceed
-  /// the batch; the same pool also threads the serial phases — the
+  /// pool, N a dedicated pool; see PoolHandle). The first evaluations of
+  /// every field (its guided probes, or all its candidates) run as one
+  /// batch, one evaluation per worker. Guided probes keep at most `probes`
+  /// evaluations in flight, as one field's probe batch did: each holds a
+  /// session arena, its reconstruction and a P(k) half grid, and letting
+  /// the pool bound them costs more peak memory than the benchmark allows
+  /// (EXPERIMENTS.md). The same pool also threads the serial phases — the
   /// baseline P(k) or FoF, single-candidate bisection and pocket-scan steps
   /// (codec kernels included) — and every evaluation's P(k) ratio and FoF.
   /// Results are slotted by candidate index and every kernel is

@@ -1,5 +1,6 @@
 #include "foresight/pipeline.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <optional>
@@ -70,7 +71,8 @@ OptimizeSpec parse_optimize_spec(const json::Value& object) {
 
 }  // namespace
 
-io::Container build_dataset(const json::Value& spec, std::uint64_t max_field_bytes) {
+io::Container build_dataset(const json::Value& spec, std::uint64_t max_field_bytes,
+                            ThreadPool* pool) {
   // Errors say "dataset:": the pipeline, the CLI and foresightd all call this.
   const std::string type = spec.get("type", std::string("nyx"));
   const auto knob = [&spec](const char* key, double fallback) {
@@ -88,7 +90,7 @@ io::Container build_dataset(const json::Value& spec, std::uint64_t max_field_byt
     config.seed = knob("seed", 42.0);
     const auto dim = static_cast<double>(config.dim);
     require_fits(dim * dim * dim);
-    return generate_nyx(config);
+    return generate_nyx(config, pool);
   }
   if (type == "hacc") {
     HaccConfig config;
@@ -96,7 +98,7 @@ io::Container build_dataset(const json::Value& spec, std::uint64_t max_field_byt
     config.seed = knob("seed", 7.0);
     config.halo_count = knob("halo_count", static_cast<double>(config.halo_count));
     require_fits(static_cast<double>(config.particles));
-    return generate_hacc(config);
+    return generate_hacc(config, nullptr, pool);
   }
   if (type == "file") {
     return io::load(spec.at("path").as_string());
@@ -177,7 +179,20 @@ PipelineSummary run_pipeline(const json::Value& config) {
   }
 
   // --- Dataset ---
-  const io::Container dataset = build_dataset(config.at("dataset"));
+  // Built on the widest pool the spec names: "threads", or
+  // "optimizer.threads" with an optimizer stage (0, the global pool, counts
+  // as the widest). The bytes are the same on any pool.
+  const std::size_t intra_threads = count_knob(config, "threads", 1.0);
+  std::size_t build_threads = intra_threads;
+  if (config.contains("optimizer")) {
+    const std::size_t opt_threads = count_knob(config.at("optimizer"), "threads", 1.0);
+    build_threads =
+        build_threads == 0 || opt_threads == 0 ? 0 : std::max(build_threads, opt_threads);
+  }
+  const io::Container dataset = [&] {
+    const PoolHandle build_pool(build_threads);
+    return build_dataset(config.at("dataset"), UINT64_MAX, build_pool.get());
+  }();
   const std::string dataset_type = config.at("dataset").get("type", std::string("nyx"));
 
   // --- GPU simulator (shared by device-backed compressors) ---
@@ -199,7 +214,6 @@ PipelineSummary run_pipeline(const json::Value& config) {
   // directly. Output is byte-identical for any value, so it composes freely
   // with "jobs" (workflow-level parallelism) — though running both > 1
   // oversubscribes a small host.
-  const std::size_t intra_threads = count_knob(config, "threads", 1.0);
   const PoolHandle intra(intra_threads);
   ThreadPool* const intra_pool = intra.get();
   const OnError on_error = parse_on_error(config.get("on_error", std::string("continue")));

@@ -25,7 +25,8 @@
 ///   "jobs": 4,     // workflow-level parallelism (jobs run concurrently)
 ///   "threads": 1,  // intra-field threads inside each codec/analysis kernel
 ///                  // (1 serial, 0 global pool, N dedicated); output is
-///                  // byte-identical for any value
+///                  // byte-identical for any value. The dataset is built
+///                  // on the wider of this pool and "optimizer.threads"
 ///   "on_error": "continue",  // per-job failure policy: "continue" records
 ///                            // a failed row and keeps going (default);
 ///                            // "abort" fails the run: every independent
@@ -56,7 +57,9 @@
 ///     "compressor": "sz-cpu",
 ///     "search": "exhaustive"|"guided",
 ///     "probes": 3,        // guided: full evals per probe batch
-///     "threads": 1,       // candidate-eval workers (1/0/N convention)
+///     "threads": 1,       // candidate-eval workers (1/0/N convention);
+///                         // also builds the dataset when wider than
+///                         // the top-level "threads"
 ///     "tolerance": 0.01,  // grid P(k) band
 ///     "k_fraction": 0.5,
 ///     "halo_tolerance": 0.05,      // particle data only
@@ -88,9 +91,11 @@ namespace cosmo::foresight {
 /// {"type": "file", "path"}. Shared by the pipeline and foresightd. The
 /// generator knobs must be non-negative integers, and a generated field may
 /// not exceed \p max_field_bytes; either violation throws InvalidArgument
-/// before anything is allocated.
+/// before anything is allocated. Generation runs on \p pool (null: serial)
+/// with bytes identical for any pool.
 io::Container build_dataset(const json::Value& spec,
-                            std::uint64_t max_field_bytes = UINT64_MAX);
+                            std::uint64_t max_field_bytes = UINT64_MAX,
+                            ThreadPool* pool = nullptr);
 
 /// Builds a FaultPlan config from a config's optional "faults" object.
 /// nullopt (absent key) means fault injection stays fully disabled.

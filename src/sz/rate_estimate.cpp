@@ -1,12 +1,51 @@
 #include "sz/rate_estimate.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "codec/huffman.hpp"
 #include "sz/predictor.hpp"
 #include "sz/quantizer.hpp"
 
 namespace cosmo::sz {
+
+namespace {
+
+/// Histogram over the codes [0, 2*radius) in pages of kPageCodes counters,
+/// each allocated, zeroed, on its first count. Small prediction errors put
+/// most codes near the radius, so a call touches a page or two instead of
+/// zero-filling all 2*radius counters (512 KiB at the default radius).
+class CodeHistogram {
+ public:
+  explicit CodeHistogram(std::size_t codes) : pages_((codes + kPageCodes - 1) / kPageCodes) {}
+
+  void add(std::uint32_t code) {
+    std::unique_ptr<std::uint64_t[]>& page = pages_[code / kPageCodes];
+    if (!page) page = std::make_unique<std::uint64_t[]>(kPageCodes);
+    ++page[code % kPageCodes];
+  }
+
+  /// The nonzero counts in code order, the order a scan of a flat
+  /// histogram would give.
+  [[nodiscard]] std::vector<std::uint64_t> nonzero() const {
+    std::vector<std::uint64_t> out;
+    for (const auto& page : pages_) {
+      if (!page) continue;
+      for (std::size_t i = 0; i < kPageCodes; ++i) {
+        if (page[i] > 0) out.push_back(page[i]);
+      }
+    }
+    return out;
+  }
+
+ private:
+  static constexpr std::size_t kPageCodes = 4096;
+  std::vector<std::unique_ptr<std::uint64_t[]>> pages_;
+};
+
+}  // namespace
 
 RateEstimate estimate_rate(std::span<const float> data, const Dims& dims,
                            const Params& params, std::size_t block_stride) {
@@ -17,13 +56,17 @@ RateEstimate estimate_rate(std::span<const float> data, const Dims& dims,
       params.block_edge ? params.block_edge : default_block_edge(dims.rank());
 
   const Quantizer quant(params.abs_error_bound, params.radius);
-  // Codes are 0 (unpredictable) or (error + radius) in (0, 2*radius): a flat
+  // Codes are 0 (unpredictable) or (error + radius) in (0, 2*radius): a
   // histogram indexed by code replaces the old std::map (the map's node
   // allocations and log-n lookups dominated the estimator's runtime).
   const std::size_t code_space = 2 * static_cast<std::size_t>(params.radius);
   require(code_space <= (1u << 26), "estimate_rate: radius too large");
-  std::vector<float> recon(data.size(), 0.0f);
-  std::vector<std::uint64_t> code_freq(code_space, 0);
+  CodeHistogram code_freq(code_space);
+  // SZ prediction never crosses a block border, so one block's
+  // reconstruction is all the Lorenzo stencil reads. It has the field's
+  // rank, with every extent the field has at the block edge.
+  const Dims local = Dims::d3(edge, dims.rank() >= 2 ? edge : 1, dims.rank() >= 3 ? edge : 1);
+  std::vector<float> recon(local.count(), 0.0f);
   std::size_t unpredictable = 0;
   std::size_t sampled_values = 0;
   std::size_t block_index = 0;
@@ -48,6 +91,7 @@ RateEstimate estimate_rate(std::span<const float> data, const Dims& dims,
         blk.y1 = std::min(y0 + edge, dims.ny);
         blk.z0 = z0;
         blk.z1 = std::min(z0 + edge, dims.nz);
+        const BlockRange local_blk{0, blk.x1 - x0, 0, blk.y1 - y0, 0, blk.z1 - z0};
 
         bool use_reg = false;
         RegressionCoef coef;
@@ -59,20 +103,20 @@ RateEstimate estimate_rate(std::span<const float> data, const Dims& dims,
         if (use_reg) ++regression_blocks;
         sampled_values += blk.count();
 
-        for (std::size_t z = blk.z0; z < blk.z1; ++z) {
-          for (std::size_t y = blk.y0; y < blk.y1; ++y) {
-            for (std::size_t x = blk.x0; x < blk.x1; ++x) {
-              const std::size_t idx = dims.index(x, y, z);
-              const float pred = use_reg
-                                     ? coef.predict(x - blk.x0, y - blk.y0, z - blk.z0)
-                                     : lorenzo_predict(recon, dims, blk, x, y, z);
-              const Quantizer::Result q = quant.quantize(data[idx], pred);
-              ++code_freq[q.code];
+        for (std::size_t dz = 0; dz < local_blk.z1; ++dz) {
+          for (std::size_t dy = 0; dy < local_blk.y1; ++dy) {
+            for (std::size_t dx = 0; dx < local_blk.x1; ++dx) {
+              const float value = data[dims.index(x0 + dx, y0 + dy, z0 + dz)];
+              const float pred = use_reg ? coef.predict(dx, dy, dz)
+                                         : lorenzo_predict(recon, local, local_blk, dx, dy, dz);
+              const Quantizer::Result q = quant.quantize(value, pred);
+              code_freq.add(q.code);
+              const std::size_t at = local.index(dx, dy, dz);
               if (q.code == 0) {
                 ++unpredictable;
-                recon[idx] = data[idx];
+                recon[at] = value;
               } else {
-                recon[idx] = q.reconstructed;
+                recon[at] = q.reconstructed;
               }
             }
           }
@@ -81,10 +125,7 @@ RateEstimate estimate_rate(std::span<const float> data, const Dims& dims,
     }
   }
 
-  std::vector<std::uint64_t> freqs;
-  for (const std::uint64_t f : code_freq) {
-    if (f > 0) freqs.push_back(f);
-  }
+  const std::vector<std::uint64_t> freqs = code_freq.nonzero();
 
   RateEstimate est;
   // All per-value statistics come from the sampled blocks; with stride 1

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "cosmo/dataset_info.hpp"
 #include "cosmo/hacc_synth.hpp"
 #include "cosmo/nyx_synth.hpp"
+#include "io/crc32.hpp"
 
 namespace cosmo {
 namespace {
@@ -160,6 +164,63 @@ TEST(HaccSynth, TooFewParticlesRejected) {
   HaccConfig config;
   config.particles = 10;
   EXPECT_THROW(generate_hacc(config), InvalidArgument);
+}
+
+/// crc32 of every field, in container order.
+std::vector<std::uint32_t> field_crcs(const io::Container& c) {
+  std::vector<std::uint32_t> out;
+  for (const auto& v : c.variables) {
+    out.push_back(crc32(v.field.data.data(), v.field.data.size() * sizeof(float)));
+  }
+  return out;
+}
+
+// The synthesizers fan their transforms and inverse CDFs out over a pool;
+// the bytes must be the ones the serial generators always produced, at
+// every pool size. The crcs were taken from the serial generators.
+TEST(NyxSynth, PinnedBytesAtEveryPoolSize) {
+  struct Pin {
+    std::size_t dim;
+    std::uint64_t seed;
+    std::vector<std::uint32_t> crcs;
+  };
+  const Pin pins[] = {
+      {16, 42, {0x1f4e3572, 0x932d1b55, 0xaaef16b1, 0xc7865eb9, 0x5a062ec8, 0x06e183a3}},
+      {16, 3, {0x0e215264, 0xd3de816a, 0x0807c1d9, 0xbd020940, 0xe46714d0, 0x08059cf8}},
+      {32, 42, {0xacaa1d8a, 0x0b8c60c8, 0x00a8bcf3, 0xfc33a3af, 0x67b96de2, 0x482b85f7}},
+      {32, 3, {0x0890776d, 0x70713ca8, 0xbd7dba8d, 0x21167f77, 0x637b3a09, 0x165fa802}},
+  };
+  ThreadPool two(2), four(4);
+  for (const Pin& pin : pins) {
+    NyxConfig config;
+    config.dim = pin.dim;
+    config.seed = pin.seed;
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two, &four}) {
+      EXPECT_EQ(field_crcs(generate_nyx(config, pool)), pin.crcs)
+          << "dim " << pin.dim << " seed " << pin.seed << " pool "
+          << (pool ? pool->size() : 0);
+    }
+  }
+}
+
+TEST(HaccSynth, PinnedBytesAtEveryPoolSize) {
+  HaccConfig many_halos;  // the pipeline-optimize shape: five mass draws per particle
+  many_halos.particles = 20000;
+  many_halos.halo_count = 100000;
+  many_halos.seed = 11;
+  HaccConfig defaults;
+  defaults.particles = 5000;
+  const std::pair<HaccConfig, std::vector<std::uint32_t>> pins[] = {
+      {many_halos, {0xfbde2f46, 0x7a1af899, 0x1065ddfd, 0x5b230a27, 0xd6a20f9e, 0xbf0e2a76}},
+      {defaults, {0xa37e0fb0, 0x610c5f83, 0x92537c00, 0x534e9246, 0x7fe8d93e, 0x1c62c107}},
+  };
+  ThreadPool two(2), four(4);
+  for (const auto& [config, crcs] : pins) {
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two, &four}) {
+      EXPECT_EQ(field_crcs(generate_hacc(config, nullptr, pool)), crcs)
+          << "halos " << config.halo_count << " pool " << (pool ? pool->size() : 0);
+    }
+  }
 }
 
 TEST(DatasetInfo, PaperTableIIContents) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "common/error.hpp"
 #include "cosmo/nyx_synth.hpp"
@@ -8,6 +10,8 @@
 #include "random/rng.hpp"
 #include "sz/rate_estimate.hpp"
 #include "zfp/zfp.hpp"
+
+#include "rate_estimate_reference.hpp"
 
 namespace cosmo {
 namespace {
@@ -162,6 +166,55 @@ TEST(RateEstimate, StrideSamplingTracksFullScan) {
   const auto one = sz::estimate_rate(field.data, field.dims, params, 1);
   EXPECT_DOUBLE_EQ(one.estimated_bits_per_value, full.estimated_bits_per_value);
   EXPECT_THROW(sz::estimate_rate(field.data, field.dims, params, 0), InvalidArgument);
+}
+
+TEST(RateEstimate, BitwiseEqualToFieldSizedOracle) {
+  // Nyx fields plus seeded smooth-plus-noise fields of every rank, with
+  // extents that leave partial blocks at the far edges.
+  NyxConfig config;
+  config.dim = 32;
+  config.seed = 9;
+  const auto nyx = generate_nyx(config);
+  std::vector<Field> fields;
+  for (const char* name : {"baryon_density", "temperature", "velocity_x"}) {
+    fields.push_back(nyx.find(name).field);
+  }
+  Rng rng(404);
+  for (const Dims dims : {Dims::d3(13, 10, 9), Dims::d3(20, 1, 6), Dims::d2(37, 23),
+                          Dims::d1(1000)}) {
+    std::vector<float> v(dims.count());
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i] = static_cast<float>(std::sin(0.05 * static_cast<double>(i)) * 100.0 +
+                                rng.normal());
+    }
+    fields.emplace_back("seeded", dims, std::move(v));
+  }
+  const auto same = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
+  for (const Field& field : fields) {
+    const auto [lo, hi] = value_range(field.view());
+    for (const double frac : {1e-6, 1e-4, 1e-2}) {
+      for (const bool regression : {true, false}) {
+        for (const std::size_t stride : {1u, 4u}) {
+          sz::Params params;
+          params.abs_error_bound = (static_cast<double>(hi) - lo) * frac;
+          params.regression = regression;
+          params.radius = frac < 1e-5 ? 64 : params.radius;  // forces unpredictables
+          const auto got = sz::estimate_rate(field.data, field.dims, params, stride);
+          const auto want =
+              test::estimate_rate_reference(field.data, field.dims, params, stride);
+          const std::string what = field.name + " frac " + std::to_string(frac) + " stride " +
+                                   std::to_string(stride) + " regression " +
+                                   std::to_string(regression);
+          EXPECT_TRUE(same(got.entropy_bits_per_value, want.entropy_bits_per_value)) << what;
+          EXPECT_TRUE(same(got.unpredictable_fraction, want.unpredictable_fraction)) << what;
+          EXPECT_TRUE(same(got.estimated_bits_per_value, want.estimated_bits_per_value))
+              << what;
+          EXPECT_EQ(got.sampled_blocks, want.sampled_blocks) << what;
+          EXPECT_EQ(got.total_blocks, want.total_blocks) << what;
+        }
+      }
+    }
+  }
 }
 
 TEST(RateEstimate, FlagsUnpredictableData) {

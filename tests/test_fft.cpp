@@ -151,20 +151,35 @@ TEST(Fft3d, PlaneWaveLandsInOneMode) {
   }
 }
 
-TEST(Fft3d, RealHelperMatchesComplexPath) {
+TEST(Fft3d, RealInputHalfSpectrumMatchesComplexPath) {
+  // Odd row counts (one unpaired row), flat extents and unequal extents
+  // exercise the pencil pairing and the half-grid y/z passes.
   Rng rng(36);
-  const Dims dims = Dims::d3(4, 4, 4);
-  std::vector<float> real_data(dims.count());
-  std::vector<cplx> complex_data(dims.count());
-  for (std::size_t i = 0; i < real_data.size(); ++i) {
-    real_data[i] = static_cast<float>(rng.normal());
-    complex_data[i] = cplx(real_data[i], 0.0);
-  }
-  const auto from_real = fft_3d_real(real_data, dims);
-  fft_3d(complex_data, dims, false);
-  for (std::size_t i = 0; i < complex_data.size(); ++i) {
-    EXPECT_NEAR(from_real[i].real(), complex_data[i].real(), 1e-9);
-    EXPECT_NEAR(from_real[i].imag(), complex_data[i].imag(), 1e-9);
+  for (const Dims dims : {Dims::d3(4, 4, 4), Dims::d3(8, 4, 2), Dims::d3(16, 1, 1),
+                          Dims::d3(2, 8, 1), Dims::d3(1, 4, 8), Dims::d3(32, 16, 8)}) {
+    std::vector<float> real_data(dims.count());
+    for (auto& v : real_data) v = static_cast<float>(rng.normal());
+    const double offset = 0.25;
+    std::vector<cplx> complex_data(dims.count());
+    for (std::size_t i = 0; i < real_data.size(); ++i) {
+      complex_data[i] = cplx(real_data[i] - offset, 0.0);
+    }
+    fft_3d(complex_data, dims, false);
+    ThreadPool pool(3);
+    const auto half = fft_3d_r2c(real_data, dims, offset);
+    const std::size_t hx = dims.nx / 2 + 1;
+    ASSERT_EQ(half.size(), hx * dims.ny * dims.nz);
+    EXPECT_EQ(fft_3d_r2c(real_data, dims, offset, &pool), half);
+    for (std::size_t z = 0; z < dims.nz; ++z) {
+      for (std::size_t y = 0; y < dims.ny; ++y) {
+        for (std::size_t x = 0; x < hx; ++x) {
+          const cplx want = complex_data[dims.index(x, y, z)];
+          const cplx got = half[x + hx * (y + dims.ny * z)];
+          EXPECT_NEAR(got.real(), want.real(), 1e-9);
+          EXPECT_NEAR(got.imag(), want.imag(), 1e-9);
+        }
+      }
+    }
   }
 }
 

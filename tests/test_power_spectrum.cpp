@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "common/error.hpp"
 #include "analysis/power_spectrum.hpp"
 #include "cosmo/nyx_synth.hpp"
 #include "random/rng.hpp"
+
+#include "power_spectrum_reference.hpp"
 
 namespace cosmo::analysis {
 namespace {
@@ -134,6 +138,81 @@ TEST(PkRatio, KFractionLimitsEvaluatedRange) {
   const PkRatio half = pk_ratio(orig, orig, dims, 0.5);
   EXPECT_LT(half.k.size(), full.k.size());
   EXPECT_LE(half.k.back(), 8.0 + 1.0);  // k_nyq/2 = 8
+}
+
+/// Expects \p got to match the complex-grid oracle: the same bins with the
+/// same mode counts, k and power within 1e-12 relative. A bin's power is
+/// compared relative to at least \p power_floor.
+void expect_matches_oracle(const std::vector<PkBin>& got, const std::vector<PkBin>& want,
+                           const std::string& what, double power_floor = 0.0) {
+  constexpr double kRel = 1e-12;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t b = 0; b < want.size(); ++b) {
+    EXPECT_EQ(got[b].modes, want[b].modes) << what << " bin " << b;
+    EXPECT_NEAR(got[b].k, want[b].k, kRel * want[b].k) << what << " bin " << b;
+    EXPECT_NEAR(got[b].power, want[b].power, kRel * std::max(want[b].power, power_floor))
+        << what << " bin " << b;
+  }
+}
+
+TEST(PowerSpectrum, RealInputMatchesComplexGridOracleOnNyxFields) {
+  ThreadPool pool(4);
+  for (const std::size_t dim : {16u, 32u, 64u}) {
+    NyxConfig config;
+    config.dim = dim;
+    config.seed = 17;
+    const auto nyx = generate_nyx(config);
+    for (const auto& v : nyx.variables) {
+      const Field& f = v.field;
+      const auto want = test::power_spectrum_reference(f.data, f.dims);
+      const std::string what = f.name + " at " + std::to_string(dim);
+      expect_matches_oracle(power_spectrum(f.data, f.dims), want, what);
+      expect_matches_oracle(power_spectrum(f.data, f.dims, 0, &pool), want, what + " pooled");
+    }
+  }
+}
+
+TEST(PowerSpectrum, RealInputMatchesComplexGridOracleOnFlatGrid) {
+  // Unequal extents: the half grid is 17 x 16 x 8, and the bins read kx
+  // against the nx/2 Nyquist.
+  const Dims dims = Dims::d3(32, 16, 8);
+  Rng rng(77);
+  std::vector<float> field(dims.count());
+  for (auto& v : field) v = static_cast<float>(rng.normal() * 3.0 + 10.0);
+  for (const std::size_t nbins : {0u, 5u, 16u}) {
+    expect_matches_oracle(power_spectrum(field, dims, nbins),
+                          test::power_spectrum_reference(field, dims, nbins),
+                          "nbins " + std::to_string(nbins));
+  }
+}
+
+TEST(PowerSpectrum, RealInputMatchesComplexGridOracleOnSingleModes) {
+  // Plane waves along each axis, a diagonal and a mode at the Nyquist
+  // plane kx = nx/2.
+  const Dims dims = Dims::d3(16, 16, 16);
+  const std::size_t modes[][3] = {{3, 0, 0}, {0, 5, 0}, {0, 0, 2}, {2, 3, 4}, {8, 1, 0}};
+  for (const auto& m : modes) {
+    std::vector<float> field(dims.count());
+    for (std::size_t z = 0; z < dims.nz; ++z) {
+      for (std::size_t y = 0; y < dims.ny; ++y) {
+        for (std::size_t x = 0; x < dims.nx; ++x) {
+          const double phase = 2.0 * std::numbers::pi *
+                               static_cast<double>(m[0] * x + m[1] * y + m[2] * z) / 16.0;
+          field[dims.index(x, y, z)] = static_cast<float>(std::cos(phase) + 0.5);
+        }
+      }
+    }
+    // Off the mode, a bin holds only the float rounding of the cosines,
+    // 1e-19 of the peak or less, which neither transform resolves to 12
+    // digits; those bins must agree to 1e-12 of the peak.
+    const auto want = test::power_spectrum_reference(field, dims);
+    double peak = 0.0;
+    for (const PkBin& bin : want) peak = std::max(peak, bin.power);
+    expect_matches_oracle(power_spectrum(field, dims), want,
+                          "mode " + std::to_string(m[0]) + std::to_string(m[1]) +
+                              std::to_string(m[2]),
+                          peak);
+  }
 }
 
 TEST(PowerSpectrum, InvalidInputsRejected) {

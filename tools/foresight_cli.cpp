@@ -233,7 +233,10 @@ int cmd_optimize(const CliArgs& args) {
   spec.fof.linking_length = args.get_double("linking-length", spec.fof.linking_length);
   spec.fof.min_members = args.get_count("min-members", spec.fof.min_members);
 
-  const io::Container data = foresight::build_dataset(dataset_spec(args));
+  const io::Container data = [&] {
+    const PoolHandle build_pool(options.threads);
+    return foresight::build_dataset(dataset_spec(args), UINT64_MAX, build_pool.get());
+  }();
   gpu::GpuSimulator sim(gpu::find_device(args.get("gpu", "Tesla V100")));
   const auto codec = foresight::make_compressor(spec.codec, &sim);
   const auto result = foresight::optimize_dataset(data, *codec, spec);
