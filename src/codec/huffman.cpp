@@ -284,16 +284,55 @@ std::vector<CanonicalEntry> read_entries(BitReader& br, std::uint32_t alpha_size
   return entries;
 }
 
-/// Decodes the rest of a single-stream HUFF buffer (magic already read).
-std::vector<std::uint32_t> decode_single(BitReader& br) {
+/// Decodes a HUFC container, or a legacy single-stream HUFF buffer, into
+/// the symbol buffer \p output(count) returns for the header's symbol
+/// count. \p output runs once, after the count passed its payload bound and
+/// before any symbol is decoded.
+template <typename Output>
+void decode_container(std::span<const std::uint8_t> bytes, ThreadPool* pool, Output&& output) {
+  BitReader br(bytes.data(), bytes.size());
+  const auto magic = static_cast<std::uint32_t>(br.get(32));
+  if (magic == kMagic) {
+    const std::uint64_t count = br.get(64);
+    const auto alpha_size = static_cast<std::uint32_t>(br.get(32));
+    require_format(count == 0 || alpha_size > 0, "huffman: empty alphabet with nonzero count");
+    const DecodeTable table(read_entries(br, alpha_size));
+    require_format(count <= br.remaining(), "huffman: symbol count exceeds payload");
+    table.decode_into(br, output(count), count);
+    return;
+  }
+  require_format(magic == kChunkedMagic, "huffman: bad magic");
   const std::uint64_t count = br.get(64);
+  const std::size_t chunk_symbols = static_cast<std::size_t>(br.get(32));
+  const std::size_t n_chunks = static_cast<std::size_t>(br.get(32));
   const auto alpha_size = static_cast<std::uint32_t>(br.get(32));
   require_format(count == 0 || alpha_size > 0, "huffman: empty alphabet with nonzero count");
+  require_format(chunk_symbols > 0 || (n_chunks == 0 && count == 0),
+                 "huffman: zero chunk size");
+  // Overflow-free chunk-count check (count + chunk_symbols - 1 wraps for a
+  // corrupted count near 2^64), plus a payload bound on count before the
+  // output allocation: every symbol costs at least one payload bit.
+  const std::size_t want_chunks =
+      chunk_symbols == 0 ? 0
+                         : static_cast<std::size_t>(count / chunk_symbols +
+                                                    (count % chunk_symbols != 0 ? 1 : 0));
+  require_format(n_chunks == want_chunks, "huffman: chunk count mismatch");
+  require_format(count <= 8 * static_cast<std::uint64_t>(bytes.size()),
+                 "huffman: symbol count exceeds payload");
   const DecodeTable table(read_entries(br, alpha_size));
-  require_format(count <= br.remaining(), "huffman: symbol count exceeds payload");
-  std::vector<std::uint32_t> out(count);
-  table.decode_into(br, out.data(), count);
-  return out;
+  const ChunkTable chunks(bytes, static_cast<std::size_t>((br.position() + 7) / 8), n_chunks);
+
+  std::uint32_t* const out = output(count);
+  parallel_for(pool, n_chunks, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t c = lo; c < hi; ++c) {
+      const std::uint64_t begin = static_cast<std::uint64_t>(c) * chunk_symbols;
+      const std::uint64_t n = std::min<std::uint64_t>(chunk_symbols, count - begin);
+      BitReader chunk_br(chunks[c].data(), chunks[c].size());
+      table.decode_into(chunk_br, out + begin, n);
+      // A chunk ends in its padding byte, like every chunk-table payload.
+      require_format(chunk_br.remaining() < 8, "huffman: trailing bytes in chunk");
+    }
+  }, /*min_grain=*/1);
 }
 
 }  // namespace
@@ -430,42 +469,20 @@ void huffman_encode_into(std::span<const std::uint32_t> symbols, std::vector<std
 
 std::vector<std::uint32_t> huffman_decode(std::span<const std::uint8_t> bytes,
                                           ThreadPool* pool) {
-  BitReader br(bytes.data(), bytes.size());
-  const auto magic = static_cast<std::uint32_t>(br.get(32));
-  if (magic == kMagic) return decode_single(br);
-  require_format(magic == kChunkedMagic, "huffman: bad magic");
-  const std::uint64_t count = br.get(64);
-  const std::size_t chunk_symbols = static_cast<std::size_t>(br.get(32));
-  const std::size_t n_chunks = static_cast<std::size_t>(br.get(32));
-  const auto alpha_size = static_cast<std::uint32_t>(br.get(32));
-  require_format(count == 0 || alpha_size > 0, "huffman: empty alphabet with nonzero count");
-  require_format(chunk_symbols > 0 || (n_chunks == 0 && count == 0),
-                 "huffman: zero chunk size");
-  // Overflow-free chunk-count check (count + chunk_symbols - 1 wraps for a
-  // corrupted count near 2^64), plus a payload bound on count before the
-  // output allocation: every symbol costs at least one payload bit.
-  const std::size_t want_chunks =
-      chunk_symbols == 0 ? 0
-                         : static_cast<std::size_t>(count / chunk_symbols +
-                                                    (count % chunk_symbols != 0 ? 1 : 0));
-  require_format(n_chunks == want_chunks, "huffman: chunk count mismatch");
-  require_format(count <= 8 * static_cast<std::uint64_t>(bytes.size()),
-                 "huffman: symbol count exceeds payload");
-  const DecodeTable table(read_entries(br, alpha_size));
-  const ChunkTable chunks(bytes, static_cast<std::size_t>((br.position() + 7) / 8), n_chunks);
-
-  std::vector<std::uint32_t> out(count);
-  parallel_for(pool, n_chunks, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t c = lo; c < hi; ++c) {
-      const std::uint64_t begin = static_cast<std::uint64_t>(c) * chunk_symbols;
-      const std::uint64_t n = std::min<std::uint64_t>(chunk_symbols, count - begin);
-      BitReader chunk_br(chunks[c].data(), chunks[c].size());
-      table.decode_into(chunk_br, out.data() + begin, n);
-      // A chunk ends in its padding byte, like every chunk-table payload.
-      require_format(chunk_br.remaining() < 8, "huffman: trailing bytes in chunk");
-    }
-  }, /*min_grain=*/1);
+  std::vector<std::uint32_t> out;
+  decode_container(bytes, pool, [&](std::uint64_t count) {
+    out.resize(count);
+    return out.data();
+  });
   return out;
+}
+
+void huffman_decode_into(std::span<const std::uint8_t> bytes, std::span<std::uint32_t> out,
+                         ThreadPool* pool) {
+  decode_container(bytes, pool, [&](std::uint64_t count) {
+    require_format(count == out.size(), "huffman: symbol count mismatch");
+    return out.data();
+  });
 }
 
 }  // namespace cosmo

@@ -39,6 +39,14 @@ void huffman_encode_into(std::span<const std::uint32_t> symbols, std::vector<std
 std::vector<std::uint32_t> huffman_decode(std::span<const std::uint8_t> bytes,
                                           ThreadPool* pool = nullptr);
 
+/// huffman_decode() into a caller's buffer of exactly the container's symbol
+/// count, for a caller that knows it in advance: every element of \p out is
+/// written, or FormatError is thrown (a count mismatch before any symbol is
+/// decoded). So \p out need not be initialised, and its pages are first
+/// touched by the chunk-parallel decode.
+void huffman_decode_into(std::span<const std::uint8_t> bytes, std::span<std::uint32_t> out,
+                         ThreadPool* pool = nullptr);
+
 /// Computes the per-symbol canonical code lengths for a frequency table
 /// (exposed for testing and for entropy estimation). Returned parallel to
 /// \p freqs; zero-frequency symbols get length 0.

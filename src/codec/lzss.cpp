@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <memory>
 
 #include "codec/bitstream.hpp"
 #include "codec/chunk_table.hpp"
@@ -359,21 +360,26 @@ void for_each_index(ThreadPool* pool, std::size_t lanes, std::size_t n, Fn&& fn)
 /// encoded in waves of up to kWaveBytes; each phase runs over the segments
 /// of all streams in a wave at once, on \p pool. Segment geometry is fixed
 /// by the stream sizes and kSegmentBytes and a token depends only on its
-/// position, so the bytes are identical for any pool, or none. All tables
-/// are leased from \p arena.
+/// position, so the bytes are identical for any pool, or none. Returns
+/// false as soon as a wave's stitch shows that \p out would reach
+/// \p out_limit bytes, before that wave grows \p out or emits. The chain
+/// and head tables are allocated uninitialised, as phase 1 writes every
+/// entry a walk reads; the other tables are leased from \p arena.
 template <typename OnStream>
-void encode_streams(std::span<const std::uint8_t> input, std::size_t stream_bytes,
+bool encode_streams(std::span<const std::uint8_t> input, std::size_t stream_bytes,
                     std::size_t n_streams, ThreadPool* pool, ScratchArena& arena,
-                    std::vector<std::uint8_t>& out, OnStream&& on_stream) {
+                    std::vector<std::uint8_t>& out, std::size_t out_limit,
+                    OnStream&& on_stream) {
   // Chain entries are int32 stream positions; a >2 GiB stream must fail
   // loudly instead of corrupting chains.
   require(std::min(stream_bytes, input.size()) <=
               static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()),
           "lzss: stream exceeds 2 GiB match-table limit");
   const std::size_t workers = pool ? pool->size() : 1;
-  // prev is never pre-filled: phase 1 writes every entry a walk can read.
-  ArenaLease<std::int32_t> prev = arena.ints();
-  ArenaLease<std::int32_t> heads = arena.ints();
+  std::unique_ptr<std::int32_t[]> prev;
+  std::size_t prev_size = 0;
+  std::unique_ptr<std::int32_t[]> heads;
+  std::size_t heads_size = 0;
   ArenaLease<std::int32_t> fixups = arena.ints();
   std::vector<Segment> segs;
   for (std::size_t first = 0, last = 0; first < n_streams; first = last) {
@@ -383,7 +389,10 @@ void encode_streams(std::span<const std::uint8_t> input, std::size_t stream_byte
       ++last;
     }
     const std::size_t wave_bytes = std::min(last * stream_bytes, input.size()) - wave_begin;
-    if (prev->size() < wave_bytes) prev->resize(wave_bytes);
+    if (prev_size < wave_bytes) {
+      prev = std::make_unique_for_overwrite<std::int32_t[]>(wave_bytes);
+      prev_size = wave_bytes;
+    }
 
     segs.clear();
     for (std::size_t c = first; c < last; ++c) {
@@ -393,7 +402,7 @@ void encode_streams(std::span<const std::uint8_t> input, std::size_t stream_byte
       do {  // an empty stream still gets a segment, for its header
         Segment& s = segs.emplace_back();
         s.input = input.data() + offset;
-        s.prev = prev->data() + (offset - wave_begin);
+        s.prev = prev.get() + (offset - wave_begin);
         s.size = size;
         s.begin = begin;
         s.end = std::min(begin + kSegmentBytes, size);
@@ -404,12 +413,15 @@ void encode_streams(std::span<const std::uint8_t> input, std::size_t stream_byte
 
     // Phase 1: one contiguous run of segments per lane.
     const std::size_t lanes = std::min(workers, segs.size());
-    if (heads->size() < lanes * kHashSize) heads->resize(lanes * kHashSize);
+    if (heads_size < lanes * kHashSize) {
+      heads_size = lanes * kHashSize;
+      heads = std::make_unique_for_overwrite<std::int32_t[]>(heads_size);
+    }
     parallel_for(pool, lanes, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t lane = lo; lane < hi; ++lane) {
         const std::size_t s0 = lane * segs.size() / lanes;
         const std::size_t s1 = (lane + 1) * segs.size() / lanes;
-        build_chains(std::span(segs).subspan(s0, s1 - s0), heads->data() + lane * kHashSize);
+        build_chains(std::span(segs).subspan(s0, s1 - s0), heads.get() + lane * kHashSize);
       }
     }, /*min_grain=*/1);
     // Phase 2.
@@ -430,6 +442,7 @@ void encode_streams(std::span<const std::uint8_t> input, std::size_t stream_byte
       }
       out_end += segs[stream_first].out_len;
     }
+    if (out_end >= out_limit) return false;
     out.resize(out_end);
     for_each_index(pool, lanes, segs.size(),
                    [&](std::size_t g) { emit(segs[g], fixups->data(), out.data()); });
@@ -438,6 +451,7 @@ void encode_streams(std::span<const std::uint8_t> input, std::size_t stream_byte
       if (s.begin == 0) on_stream(s.out_len);
     }
   }
+  return true;
 }
 
 /// Single-stream decode into a caller-sized output range.
@@ -473,29 +487,51 @@ std::size_t max_declared_output(std::size_t payload_bytes) {
   return (payload_bytes * 8 / 25 + 1) * kMaxMatch;
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> lzss_encode(std::span<const std::uint8_t> input, ThreadPool* pool,
-                                      std::size_t chunk_bytes) {
+/// Appends the LZSC container of \p input, in \p chunk_bytes chunks, to
+/// \p out when it is smaller than \p beat bytes. Otherwise returns false
+/// with \p out as it was, without emitting a token.
+bool encode_container(std::span<const std::uint8_t> input, std::size_t chunk_bytes,
+                      std::size_t beat, ThreadPool* pool, std::vector<std::uint8_t>& out) {
   if (chunk_bytes == 0) chunk_bytes = kDefaultChunkBytes;
   require(chunk_bytes <= std::numeric_limits<std::uint32_t>::max(),
           "lzss: chunk size exceeds the u32 header field");
   const std::size_t n_chunks =
       input.size() / chunk_bytes + (input.size() % chunk_bytes != 0 ? 1 : 0);
 
+  const std::size_t base = out.size();
   BitWriter header;
   header.put(kChunkedMagic, 32);
   header.put(input.size(), 64);
   header.put(chunk_bytes, 32);
   header.put(n_chunks, 32);
-  std::vector<std::uint8_t> out = header.finish();
+  const std::vector<std::uint8_t> head = header.finish();
+  out.insert(out.end(), head.begin(), head.end());
   // The chunk streams are emitted straight into `out` after the table;
   // their sizes land in it as each stream completes.
   ChunkTableWriter table(out, n_chunks);
   ScratchArena arena;
-  encode_streams(input, chunk_bytes, n_chunks, pool, arena, out,
-                 [&](std::size_t bytes) { table.push(bytes); });
+  const std::size_t limit = base + std::min(beat, std::numeric_limits<std::size_t>::max() - base);
+  if (out.size() >= limit ||
+      !encode_streams(input, chunk_bytes, n_chunks, pool, arena, out, limit,
+                      [&](std::size_t bytes) { table.push(bytes); })) {
+    out.resize(base);
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> lzss_encode(std::span<const std::uint8_t> input, ThreadPool* pool,
+                                      std::size_t chunk_bytes) {
+  std::vector<std::uint8_t> out;
+  encode_container(input, chunk_bytes, std::numeric_limits<std::size_t>::max(), pool, out);
   return out;
+}
+
+bool lzss_encode_into(std::span<const std::uint8_t> input, std::vector<std::uint8_t>& out,
+                      std::size_t beat, ThreadPool* pool) {
+  return encode_container(input, 0, beat, pool, out);
 }
 
 std::vector<std::uint8_t> lzss_decode(std::span<const std::uint8_t> bytes, ThreadPool* pool) {

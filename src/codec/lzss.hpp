@@ -30,6 +30,14 @@ namespace cosmo {
 std::vector<std::uint8_t> lzss_encode(std::span<const std::uint8_t> input,
                                       ThreadPool* pool = nullptr, std::size_t chunk_bytes = 0);
 
+/// lzss_encode() at the default chunk size for a caller that keeps the
+/// container only when it is smaller than \p beat bytes: appends it to
+/// \p out and returns true, or returns false with \p out as it was. The
+/// parse sizes every stream before any token is written, so a container
+/// that would not be smaller costs no emit phase.
+bool lzss_encode_into(std::span<const std::uint8_t> input, std::vector<std::uint8_t>& out,
+                      std::size_t beat, ThreadPool* pool = nullptr);
+
 /// Decodes an `LZSC` container, chunk-parallel on \p pool, or a legacy
 /// standalone `LZSS` stream (serially; no encoder writes that format any
 /// more), dispatching on the magic. Throws FormatError on malformed input.

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <memory>
 
 #include "codec/huffman.hpp"
 #include "codec/lzss.hpp"
@@ -23,6 +24,11 @@ void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
 
 void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+/// Overwrites the u64 at byte \p at (a length written before it was known).
+void put_u64_at(std::vector<std::uint8_t>& out, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 std::uint32_t read_u32(std::span<const std::uint8_t> b, std::size_t& pos) {
@@ -87,10 +93,12 @@ void compress_pwrel_into(std::span<const float> data, const Dims& dims,
 
   // Class per point + log magnitudes (zeros carry the floor so the log
   // field stays smooth for the predictor). Element-wise with slot-indexed
-  // writes, so any partition gives the same result.
-  std::vector<std::uint32_t> classes(data.size());
-  std::vector<float> logs(data.size());
-  parallel_for(pool, data.size(), [&](std::size_t lo, std::size_t hi) {
+  // writes, so any partition gives the same result. The loop writes every
+  // element, so neither buffer is zero-filled first.
+  const std::size_t n = data.size();
+  const auto classes = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+  const auto logs = std::make_unique_for_overwrite<float[]>(n);
+  parallel_for(pool, n, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       const double v = data[i];
       if (std::fabs(v) <= thresh) {
@@ -114,19 +122,18 @@ void compress_pwrel_into(std::span<const float> data, const Dims& dims,
 
   Stats inner_stats;
   const std::vector<std::uint8_t> log_stream =
-      compress(logs, dims, abs_params, &inner_stats, pool);
-  const std::vector<std::uint8_t> class_stream = huffman_encode(classes, pool);
-  std::vector<std::uint8_t> class_packed;
-  {
-    TRACE_SPAN("sz.lzss_encode");
-    class_packed = lzss_encode(class_stream, pool);
-  }
-  const bool class_lz = class_packed.size() < class_stream.size();
+      compress(std::span<const float>(logs.get(), n), dims, abs_params, &inner_stats, pool);
+  const std::vector<std::uint8_t> class_stream =
+      huffman_encode(std::span<const std::uint32_t>(classes.get(), n), pool);
 
+  // The class section goes in last: packed straight into `out` when that
+  // is smaller, else copied plain. Its flag and length are patched in once
+  // known.
   out.clear();
   append_u32(out, kMagic);
-  append_u64(out, data.size());
-  out.push_back(class_lz ? 1 : 0);
+  append_u64(out, n);
+  const std::size_t class_lz_at = out.size();
+  out.push_back(0);
   {
     std::uint64_t bits;
     static_assert(sizeof(double) == 8);
@@ -134,15 +141,23 @@ void compress_pwrel_into(std::span<const float> data, const Dims& dims,
     append_u64(out, bits);
   }
   append_u64(out, log_stream.size());
-  const auto& cls_bytes = class_lz ? class_packed : class_stream;
-  append_u64(out, cls_bytes.size());
+  const std::size_t cls_len_at = out.size();
+  append_u64(out, 0);
   out.insert(out.end(), log_stream.begin(), log_stream.end());
-  out.insert(out.end(), cls_bytes.begin(), cls_bytes.end());
+  const std::size_t cls_at = out.size();
+  bool class_lz = false;
+  {
+    TRACE_SPAN("sz.lzss_encode");
+    class_lz = lzss_encode_into(class_stream, out, class_stream.size(), pool);
+  }
+  if (!class_lz) out.insert(out.end(), class_stream.begin(), class_stream.end());
+  out[class_lz_at] = class_lz ? 1 : 0;
+  put_u64_at(out, cls_len_at, out.size() - cls_at);
 
   if (stats) {
     *stats = inner_stats;
     stats->compressed_bytes = out.size();
-    stats->bit_rate = static_cast<double>(out.size()) * 8.0 / static_cast<double>(data.size());
+    stats->bit_rate = static_cast<double>(out.size()) * 8.0 / static_cast<double>(n);
   }
 }
 
@@ -169,13 +184,15 @@ void decompress_pwrel_into(std::span<const std::uint8_t> bytes, std::vector<floa
   const std::size_t cls_len = read_u64(bytes, pos);
   // Compare each length against the bytes that remain instead of summing:
   // pos + log_len + cls_len wraps when a corrupted header carries lengths
-  // near SIZE_MAX. `count` itself needs no bound here — out.resize(count)
-  // only runs after both decoded sections were checked to match it.
+  // near SIZE_MAX. `count` itself needs no bound here: the class buffer is
+  // only sized on it after the decoded log field was checked to match it.
   require_format(log_len <= bytes.size() - pos, "pwrel: log section exceeds payload");
   require_format(cls_len <= bytes.size() - pos - log_len, "pwrel: class section exceeds payload");
 
+  // The log field decodes straight into `out`, which the class pass then
+  // maps to values in place.
   Dims dims;
-  std::vector<float> logs = decompress(bytes.subspan(pos, log_len), &dims, pool);
+  decompress_into(bytes.subspan(pos, log_len), out, &dims, pool);
   pos += log_len;
   std::span<const std::uint8_t> cls_bytes = bytes.subspan(pos, cls_len);
   std::vector<std::uint8_t> cls_unpacked;
@@ -184,18 +201,18 @@ void decompress_pwrel_into(std::span<const std::uint8_t> bytes, std::vector<floa
     cls_unpacked = lzss_decode(cls_bytes, pool);
     cls_bytes = cls_unpacked;
   }
-  const std::vector<std::uint32_t> classes = huffman_decode(cls_bytes, pool);
+  require_format(out.size() == count, "pwrel: section size mismatch");
+  // Sized by the decoded log field, and written whole by the decode.
+  const auto classes = std::make_unique_for_overwrite<std::uint32_t[]>(count);
+  huffman_decode_into(cls_bytes, std::span<std::uint32_t>(classes.get(), count), pool);
 
-  require_format(logs.size() == count && classes.size() == count,
-                 "pwrel: section size mismatch");
-  out.resize(count);
   std::atomic<bool> bad_class{false};
   parallel_for(pool, count, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       switch (classes[i]) {
         case kZero: out[i] = 0.0f; break;
-        case kPos: out[i] = std::exp(logs[i]); break;
-        case kNeg: out[i] = -std::exp(logs[i]); break;
+        case kPos: out[i] = std::exp(out[i]); break;
+        case kNeg: out[i] = -std::exp(out[i]); break;
         default: bad_class.store(true, std::memory_order_relaxed); out[i] = 0.0f; break;
       }
     }

@@ -1,6 +1,7 @@
 #include "sz/sz.hpp"
 
 #include <cstring>
+#include <memory>
 
 #include "codec/huffman.hpp"
 #include "codec/lzss.hpp"
@@ -167,17 +168,26 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
   // Block-parallel prediction + quantization. Every output is slot-indexed
   // by block (codes at the block's prefix offset, flags/coefs/unpredictable
   // values in per-block slots concatenated in block order below), and
-  // lorenzo_predict never reads outside the block, so the result is
-  // independent of how blocks are partitioned across threads.
-  std::vector<float> recon(data.size(), 0.0f);
-  std::vector<std::uint32_t> codes(data.size());
+  // prediction never reads outside the block, so the result is independent
+  // of how blocks are partitioned across threads. The codes are written
+  // before they are read, so they are not zero-filled: their pages are
+  // first touched by the pool.
+  const auto codes = std::make_unique_for_overwrite<std::uint32_t[]>(data.size());
   std::vector<std::uint8_t> block_flags(n_blocks, 0);
   std::vector<RegressionCoef> block_coefs(n_blocks);
   std::vector<std::vector<float>> block_unpred(n_blocks);
+  // Lorenzo reads only the block's own reconstruction, so each task keeps
+  // one block-sized tile instead of a field-sized buffer. The tile has the
+  // field's rank with every extent at the block edge, and block (dx, dy,
+  // dz) sits at its origin, so the stencils read the same values in the
+  // same order as they would in the field.
+  const int rank = dims.rank();
+  const Dims tile_dims = Dims::d3(edge, rank >= 2 ? edge : 1, rank >= 3 ? edge : 1);
 
   {
     TRACE_SPAN("sz.lorenzo_quantize");
     parallel_for(pool, n_blocks, [&](std::size_t lo, std::size_t hi) {
+    std::vector<float> tile(tile_dims.count());
     for (std::size_t b = lo; b < hi; ++b) {
       const BlockRange& blk = layout.blocks[b];
       bool use_reg = false;
@@ -192,15 +202,15 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
       if (use_reg) block_coefs[b] = coef;
       std::size_t ci = layout.code_off[b];
       // One quantize step: same arithmetic as before, shared by all the
-      // prediction variants below.
-      const auto quant_at = [&](float pred, std::size_t idx) {
+      // prediction variants below. \p idx indexes the field, \p t the tile.
+      const auto quant_at = [&](float pred, std::size_t idx, std::size_t t) {
         const Quantizer::Result q = quant.quantize(data[idx], pred);
         codes[ci++] = q.code;
         if (q.code == 0) {
           block_unpred[b].push_back(data[idx]);
-          recon[idx] = data[idx];
+          tile[t] = data[idx];
         } else {
-          recon[idx] = q.reconstructed;
+          tile[t] = q.reconstructed;
         }
       };
       // The use_reg / Lorenzo / boundary decisions are hoisted out of the
@@ -209,33 +219,33 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
       // the direct seven-load stencil — only boundary rows and the x0
       // column pay the general masked lorenzo_predict. Expressions and
       // visit order are unchanged, so codes and streams are byte-identical.
-      const int rank = dims.rank();
-      const std::size_t nx = dims.nx;
-      const std::size_t nxy = dims.nx * dims.ny;
-      const std::size_t row_n = blk.x1 - blk.x0;
-      for (std::size_t z = blk.z0; z < blk.z1; ++z) {
-        const bool zm = z > blk.z0;
-        for (std::size_t y = blk.y0; y < blk.y1; ++y) {
-          const bool ym = y > blk.y0;
-          const std::size_t row = dims.index(blk.x0, y, z);
+      const BlockRange local{0, blk.x1 - blk.x0, 0, blk.y1 - blk.y0, 0, blk.z1 - blk.z0};
+      const std::size_t tnx = tile_dims.nx;
+      const std::size_t tnxy = tile_dims.nx * tile_dims.ny;
+      for (std::size_t dz = 0; dz < local.z1; ++dz) {
+        for (std::size_t dy = 0; dy < local.y1; ++dy) {
+          const std::size_t row = dims.index(blk.x0, blk.y0 + dy, blk.z0 + dz);
+          const std::size_t trow = tile_dims.index(0, dy, dz);
           if (use_reg) {
-            const std::size_t dy = y - blk.y0;
-            const std::size_t dz = z - blk.z0;
-            for (std::size_t k = 0; k < row_n; ++k) quant_at(coef.predict(k, dy, dz), row + k);
-          } else if ((rank == 3 && ym && zm) || (rank == 2 && ym)) {
-            quant_at(lorenzo_predict(recon, dims, blk, blk.x0, y, z), row);
+            for (std::size_t k = 0; k < local.x1; ++k) {
+              quant_at(coef.predict(k, dy, dz), row + k, trow + k);
+            }
+          } else if ((rank == 3 && dy > 0 && dz > 0) || (rank == 2 && dy > 0)) {
+            quant_at(lorenzo_predict(tile, tile_dims, local, 0, dy, dz), row, trow);
             if (rank == 3) {
-              for (std::size_t k = 1; k < row_n; ++k) {
-                quant_at(lorenzo_predict3_interior(recon.data(), row + k, nx, nxy), row + k);
+              for (std::size_t k = 1; k < local.x1; ++k) {
+                quant_at(lorenzo_predict3_interior(tile.data(), trow + k, tnx, tnxy), row + k,
+                         trow + k);
               }
             } else {
-              for (std::size_t k = 1; k < row_n; ++k) {
-                quant_at(lorenzo_predict2_interior(recon.data(), row + k, nx), row + k);
+              for (std::size_t k = 1; k < local.x1; ++k) {
+                quant_at(lorenzo_predict2_interior(tile.data(), trow + k, tnx), row + k,
+                         trow + k);
               }
             }
           } else {
-            for (std::size_t k = 0; k < row_n; ++k) {
-              quant_at(lorenzo_predict(recon, dims, blk, blk.x0 + k, y, z), row + k);
+            for (std::size_t k = 0; k < local.x1; ++k) {
+              quant_at(lorenzo_predict(tile, tile_dims, local, k, dy, dz), row + k, trow + k);
             }
           }
         }
@@ -285,18 +295,18 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
   {
     TRACE_SPAN("sz.huffman_encode");
     const std::size_t huff_at = out.size();
-    huffman_encode_into(codes, out, pool);
+    huffman_encode_into(std::span<const std::uint32_t>(codes.get(), data.size()), out, pool);
     w.u64_at(huff_len_at, out.size() - huff_at);
   }
   w.f32s(unpred.data(), unpred.size());
 
   if (params.lossless) {
     TRACE_SPAN("sz.lzss_encode");
-    const std::vector<std::uint8_t> packed = lzss_encode(std::span(out).subspan(1), pool);
-    if (packed.size() < out.size() - 1) {
-      out.resize(1);
-      out[0] = 1;
-      out.insert(out.end(), packed.begin(), packed.end());
+    // The packed stream is built behind its own flag byte and replaces the
+    // plain one whole, so its bytes are written once.
+    std::vector<std::uint8_t> packed = {1};
+    if (lzss_encode_into(std::span(out).subspan(1), packed, out.size() - 1, pool)) {
+      out.swap(packed);
     }
   }
 
@@ -369,12 +379,15 @@ void decompress_into(std::span<const std::uint8_t> bytes, std::vector<float>& re
   std::vector<float> unpred(n_unpred);
   for (auto& v : unpred) v = r.f32();
 
-  std::vector<std::uint32_t> codes;
+  // Every code costs at least one Huffman payload bit, which bounds count
+  // before the code buffer is sized on it. The decode writes every code
+  // (or throws), so the buffer is not zero-filled.
+  require_format(count <= 8 * huff_len, "sz: point count exceeds huffman section");
+  const auto codes = std::make_unique_for_overwrite<std::uint32_t[]>(count);
   {
     TRACE_SPAN("sz.huffman_decode");
-    codes = huffman_decode(huff, pool);
+    huffman_decode_into(huff, std::span<std::uint32_t>(codes.get(), count), pool);
   }
-  require_format(codes.size() == count, "sz: code count mismatch");
 
   const BlockLayout layout(dims, edge);
   require_format(layout.blocks.size() == n_blocks, "sz: block count mismatch");
@@ -401,8 +414,11 @@ void decompress_into(std::span<const std::uint8_t> bytes, std::vector<float>& re
   require_format(unpred_off[n_blocks] == unpred.size(), "sz: unpredictable count mismatch");
   require_format(coef_off[n_blocks] == coefs.size(), "sz: regression coef count mismatch");
 
+  // Every point is written before it is read (Lorenzo reads only points of
+  // its own block that precede it), so recon keeps its old values rather
+  // than being zero-filled: a caller that reuses it pays no fill at all.
   const Quantizer quant(eb, radius);
-  recon.assign(count, 0.0f);
+  recon.resize(count);
   TRACE_SPAN("sz.reconstruct");
   parallel_for(pool, n_blocks, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t b = lo; b < hi; ++b) {

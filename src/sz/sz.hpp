@@ -59,8 +59,9 @@ std::vector<std::uint8_t> compress(std::span<const float> data, const Dims& dims
                                    const Params& params, Stats* stats = nullptr,
                                    ThreadPool* pool = nullptr);
 
-/// compress() variant writing into \p out (cleared first, capacity reused) —
-/// the allocation-free path repeated sweep iterations use.
+/// compress() variant writing into \p out (cleared first, capacity reused;
+/// a stream the lossless stage packs takes the packed buffer's place) —
+/// the path repeated sweep iterations use.
 void compress_into(std::span<const float> data, const Dims& dims, const Params& params,
                    std::vector<std::uint8_t>& out, Stats* stats = nullptr,
                    ThreadPool* pool = nullptr);
@@ -73,7 +74,8 @@ std::vector<float> decompress(std::span<const std::uint8_t> bytes, Dims* out_dim
                               ThreadPool* pool = nullptr);
 
 /// decompress() variant writing into \p out (resized in place, capacity
-/// reused across repeated calls).
+/// reused across repeated calls; every value is overwritten, so its old
+/// contents are never refilled first).
 void decompress_into(std::span<const std::uint8_t> bytes, std::vector<float>& out,
                      Dims* out_dims = nullptr, ThreadPool* pool = nullptr);
 

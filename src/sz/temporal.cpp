@@ -127,14 +127,9 @@ std::vector<std::uint8_t> compress_temporal(const std::vector<Field>& frames,
       }
       // The codes go out as a HUFC container, LZSC-packed when smaller.
       std::vector<std::uint8_t> huff = huffman_encode(codes);
-      bool used_lzss = false;
-      if (params.lossless) {
-        std::vector<std::uint8_t> packed = lzss_encode(huff);
-        if (packed.size() < huff.size()) {
-          huff = std::move(packed);
-          used_lzss = true;
-        }
-      }
+      std::vector<std::uint8_t> packed;
+      const bool used_lzss = params.lossless && lzss_encode_into(huff, packed, huff.size());
+      if (used_lzss) huff = std::move(packed);
       out.push_back(used_lzss ? 1 : 0);
       put_u64(out, huff.size());
       put_u64(out, unpred.size());

@@ -5,7 +5,9 @@
 #include <limits>
 
 #include "random/rng.hpp"
+#include "sz/pwrel.hpp"
 #include "sz/sz.hpp"
+#include "sz_reference.hpp"
 
 namespace cosmo::sz {
 namespace {
@@ -234,6 +236,54 @@ TEST(Sz, CorruptStreamThrows) {
   EXPECT_THROW(decompress(std::span<const std::uint8_t>(bytes.data(), 3)), FormatError);
   std::vector<std::uint8_t> empty;
   EXPECT_THROW(decompress(empty), FormatError);
+}
+
+TEST(SzReference, BlockLocalReconstructionMatchesOracle) {
+  // Ragged 3-D, 2-D and 1-D shapes (every extent leaves a partial block).
+  // A smooth field on an x ramp, where both predictors win blocks; the same
+  // with NaN and +-Inf, which quantize as unpredictable; and plateaus,
+  // whose stream the LZSS stage shrinks. The pw_rel field carries exact
+  // zeros and both signs instead.
+  const float inf = std::numeric_limits<float>::infinity();
+  ThreadPool pool2(2), pool4(4);
+  for (const Dims& dims : {Dims::d3(37, 29, 23), Dims::d2(45, 17), Dims::d1(1001)}) {
+    std::vector<float> smooth = smooth_field_3d(dims, 71);
+    std::vector<float> plateaus(smooth.size());
+    for (std::size_t i = 0; i < smooth.size(); ++i) {
+      plateaus[i] = 40.0f * std::floor(smooth[i] / 40.0f);
+      smooth[i] += 2.0f * static_cast<float>(i % dims.nx);
+    }
+    std::vector<float> nonfinite = smooth;
+    for (std::size_t i = 0; i < nonfinite.size(); ++i) {
+      if (i % 97 == 3) nonfinite[i] = std::numeric_limits<float>::quiet_NaN();
+      if (i % 89 == 5) nonfinite[i] = inf;
+      if (i % 83 == 7) nonfinite[i] = -inf;
+    }
+    std::vector<float> signed_zeros = smooth;
+    for (std::size_t i = 0; i < signed_zeros.size(); i += 53) signed_zeros[i] = 0.0f;
+    for (ThreadPool* pool : std::initializer_list<ThreadPool*>{nullptr, &pool2, &pool4}) {
+      const std::string where = dims.to_string() + " pool " +
+                                std::to_string(pool ? pool->size() : 0);
+      for (const bool regression : {true, false}) {
+        for (const double bound : {1e-3, 0.5}) {
+          Params params;
+          params.abs_error_bound = bound;
+          params.regression = regression;
+          for (const std::vector<float>* data : {&smooth, &nonfinite, &plateaus}) {
+            EXPECT_EQ(compress(*data, dims, params, nullptr, pool),
+                      test::sz_compress_reference(*data, dims, params))
+                << where << " abs " << bound << " regression " << regression;
+          }
+        }
+        PwRelParams pw;
+        pw.pw_rel_bound = 1e-2;
+        pw.regression = regression;
+        EXPECT_EQ(compress_pwrel(signed_zeros, dims, pw, nullptr, pool),
+                  test::sz_compress_pwrel_reference(signed_zeros, dims, pw))
+            << where << " pw_rel regression " << regression;
+      }
+    }
+  }
 }
 
 TEST(Sz, DefaultBlockEdges) {

@@ -160,10 +160,11 @@ case "${mode}" in
   tsan)
     # The parallel surface: pool/parallel_for internals, the shared job
     # scheduler (CBench sweeps, the optimizer, the daemon), every threaded
-    # kernel via the cross-thread-count determinism suite, and the pooled
-    # dataset synthesizers and real-input P(k).
+    # kernel via the cross-thread-count determinism suite, the pooled
+    # dataset synthesizers and real-input P(k), and SZ's per-task
+    # reconstruction tiles against the serial oracle.
     TSAN_OPTIONS="halt_on_error=1" "${build_dir}/tests/cosmo_tests" \
-      --gtest_filter='ThreadPool*:*Sweep*:*Parallel*:ParallelDeterminism.*:FftTwiddleCache.*:Foresightd*:CBench*:JobScheduler.*:Optimizer*:NyxSynth.*:HaccSynth.*:PowerSpectrum.*'
+      --gtest_filter='ThreadPool*:*Sweep*:*Parallel*:ParallelDeterminism.*:FftTwiddleCache.*:Foresightd*:CBench*:JobScheduler.*:Optimizer*:NyxSynth.*:HaccSynth.*:PowerSpectrum.*:SzReference.*'
     ;;
   asan)
     # The codec surface: bitstream I/O, the shared chunk table, the
@@ -176,11 +177,12 @@ case "${mode}" in
     # codec table and its lookups, the sweep-lattice builder, the
     # pipeline end to end, including its on_error abort path, and the
     # half-grid indexing of the real-input P(k), the synthesizers, the
-    # block-sized rate estimator and the optimizer's shared batches.
+    # block-sized rate estimator, SZ's block-local compress against its
+    # field-sized oracle, and the optimizer's shared batches.
     ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" \
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
       "${build_dir}/tests/cosmo_tests" \
-      --gtest_filter='BitStream.*:ChunkTable.*:Huffman.*:Lzss.*:CodecFastPaths.*:EncodeFastPaths.*:ParallelDeterminism.Huffman*:ParallelDeterminism.Lzss*:ParallelDeterminism.Zfp*:ParallelDeterminism.Fz*:Zfp*.*:Fz.*:Sz.*:SzTemporal.*:Robustness.*:Compressor.*:Fallback.*:Retry.*:Reshape.*:SessionReuse.*:RegistryConformance.*:Containment.*:Registry.*:Sweep.*:Pipeline.*:PowerSpectrum.*:NyxSynth.*:HaccSynth.*:RateEstimate.*:Optimizer*'
+      --gtest_filter='BitStream.*:ChunkTable.*:Huffman.*:Lzss.*:CodecFastPaths.*:EncodeFastPaths.*:ParallelDeterminism.Huffman*:ParallelDeterminism.Lzss*:ParallelDeterminism.Zfp*:ParallelDeterminism.Fz*:Zfp*.*:Fz.*:Sz.*:SzReference.*:SzTemporal.*:Robustness.*:Compressor.*:Fallback.*:Retry.*:Reshape.*:SessionReuse.*:RegistryConformance.*:Containment.*:Registry.*:Sweep.*:Pipeline.*:PowerSpectrum.*:NyxSynth.*:HaccSynth.*:RateEstimate.*:Optimizer*'
     ;;
   ubsan)
     # Full suite: UBSan alone is cheap enough to run everything.
